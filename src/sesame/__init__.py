@@ -22,85 +22,14 @@ from .driver import (
     merge_files,
     run_engine,
 )
-from .javaparse import (
-    DeclNode,
-    DeclTree,
-    DuplicateDeclarationError,
-    ParseError,
-    parse_units,
-    print_units,
-)
-from .separators import (
-    MarkedText,
-    MarkingError,
-    SeparatorSet,
-    mark,
-    merge_body,
-    pick_placeholder,
-    unmark,
-)
-from .textdiff import Alignment, diff2
-from .textmerge import (
-    Chunk,
-    Conflict,
-    MarkerError,
-    MergeOutcome,
-    Resolved,
-    count_conflicts,
-    merge3,
-    merge_text,
-    render,
-    split_lines,
-    three_way_chunks,
-)
-from .treemerge import (
-    PLAIN_TEXTUAL,
-    SEPARATOR_ENHANCED,
-    BodyMergePolicy,
-    MatchedNode,
-    match_trees,
-    merge_matched,
-    merge_trees,
-)
+from .javaparse import ParseError
 
 __all__ = [
-    "Alignment",
-    "BodyMergePolicy",
-    "Chunk",
-    "Conflict",
-    "DeclNode",
-    "DeclTree",
     "DriverConfig",
-    "DuplicateDeclarationError",
     "EngineMode",
     "EngineResult",
-    "MarkedText",
-    "MarkerError",
-    "MarkingError",
-    "MatchedNode",
-    "MergeOutcome",
-    "PLAIN_TEXTUAL",
     "ParseError",
-    "Resolved",
-    "SEPARATOR_ENHANCED",
-    "SeparatorSet",
-    "count_conflicts",
-    "diff2",
     "git_driver_entry",
-    "mark",
-    "match_trees",
-    "merge3",
-    "merge_body",
     "merge_files",
-    "merge_matched",
-    "merge_text",
-    "merge_trees",
-    "parse_units",
-    "pick_placeholder",
-    "print_units",
-    "render",
     "run_engine",
-    "split_lines",
-    "three_way_chunks",
-    "unmark",
 ]

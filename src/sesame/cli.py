@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .driver import (
     DriverConfig,
@@ -27,7 +26,10 @@ from .driver import (
     merge_files,
 )
 from .harness import ScenarioError, run_harness
-from .separators import SeparatorSet
+
+# config keys that engine flags override; each flag stores its value as a
+# string under the key's name with "-" spelled "_"
+_FLAG_KEYS = ("mode", "separators", "labels", "diff3-style", "fallback")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -87,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="export unclassified and added-false-negative cases for review",
     )
     run.add_argument("--separators", default=None)
-    run.add_argument("--diff3-style", action="store_true")
+    run.add_argument("--diff3-style", action="store_const", const="true")
     run.set_defaults(func=_cmd_harness_run)
     return parser
 
@@ -113,12 +115,15 @@ def _add_engine_options(cmd: argparse.ArgumentParser) -> None:
     )
     cmd.add_argument(
         "--diff3-style",
-        action="store_true",
+        action="store_const",
+        const="true",
         help="include the base section in conflict blocks",
     )
     cmd.add_argument(
         "--no-fallback",
-        action="store_true",
+        dest="fallback",
+        action="store_const",
+        const="false",
         help="fail (exit 2) instead of falling back to unstructured merge "
         "when parsing fails",
     )
@@ -126,23 +131,13 @@ def _add_engine_options(cmd: argparse.ArgumentParser) -> None:
 
 
 def _engine_config(args: argparse.Namespace) -> DriverConfig:
-    config = DriverConfig()
-    if args.config:
-        config = apply_config_values(config, load_config_file(args.config))
-    if args.mode:
-        config = replace(config, mode=EngineMode(args.mode))
-    if args.separators:
-        config = replace(config, separators=SeparatorSet.from_spec(args.separators))
-    if args.labels:
-        parts = tuple(part.strip() for part in args.labels.split(","))
-        if len(parts) != 3:
-            raise ValueError("--labels expects three comma-separated names")
-        config = replace(config, labels=parts)
-    if args.diff3_style:
-        config = replace(config, base_marker=True)
-    if args.no_fallback:
-        config = replace(config, fallback_on_parse_error=False)
-    return config
+    """The config file's settings, if one is given, overridden by the flags."""
+    values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    for key in _FLAG_KEYS:
+        flag = getattr(args, key.replace("-", "_"), None)
+        if flag:
+            values[key] = flag
+    return apply_config_values(DriverConfig(), values)
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
@@ -170,13 +165,8 @@ def _cmd_harness_run(args: argparse.Namespace) -> int:
         for mode in pair:
             if mode not in tools:
                 raise ValueError(f"pair uses engine not in --tools: {mode.value}")
-    config = DriverConfig()
-    if args.separators:
-        config = replace(config, separators=SeparatorSet.from_spec(args.separators))
-    if args.diff3_style:
-        config = replace(config, base_marker=True)
     report = run_harness(
-        args.scenarios, tools, pairs, args.out, args.export_queue, config
+        args.scenarios, tools, pairs, args.out, args.export_queue, _engine_config(args)
     )
     if args.out is None:
         from .harness import render_report

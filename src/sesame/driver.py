@@ -1,9 +1,10 @@
 """File-level merge driver.
 
 Ties the engines together behind one entry point usable standalone or as a
-git merge driver: read three versions, merge per the configured mode,
-write the result, and exit 0 when clean, 1 when the output carries
-conflict blocks, 2 on I/O or internal errors.
+git merge driver: read three versions, merge per the configured mode into
+one ``MergeOutcome``, render it once with the configured labels and marker
+style, write the result, and exit 0 when clean, 1 when the outcome holds
+conflict regions, 2 on I/O or internal errors.
 """
 
 from __future__ import annotations
@@ -17,13 +18,8 @@ from pathlib import Path
 
 from .javaparse import ParseError, parse_units
 from .separators import SeparatorSet
-from .textmerge import DEFAULT_LABELS, count_conflicts, merge_text
-from .treemerge import (
-    PLAIN_TEXTUAL,
-    SEPARATOR_ENHANCED,
-    BodyMergePolicy,
-    merge_trees,
-)
+from .textmerge import DEFAULT_LABELS, merge_texts_outcome, render
+from .treemerge import merge_trees
 
 
 class EngineMode(enum.Enum):
@@ -56,30 +52,27 @@ def run_engine(
 
     In the declaration-aware modes a parse failure falls back to the
     unstructured engine when ``fallback_on_parse_error`` is set, otherwise
-    the ParseError propagates.
+    the ParseError propagates.  The conflict count is the number of
+    conflict regions in the merge outcome.
     """
+    fell_back, reason = False, ""
     if config.mode is EngineMode.UNSTRUCTURED:
-        output, conflicts = merge_text(
-            base, left, right, config.labels, config.base_marker
-        )
-        return EngineResult(output, conflicts)
-    try:
-        trees = [parse_units(text) for text in (base, left, right)]
-    except ParseError as exc:
-        if not config.fallback_on_parse_error:
-            raise
-        output, conflicts = merge_text(
-            base, left, right, config.labels, config.base_marker
-        )
-        return EngineResult(output, conflicts, fell_back=True, fallback_reason=str(exc))
-    if config.mode is EngineMode.SESAME:
-        policy = BodyMergePolicy(SEPARATOR_ENHANCED, config.separators)
+        outcome = merge_texts_outcome(base, left, right)
     else:
-        policy = BodyMergePolicy(PLAIN_TEXTUAL, config.separators)
-    output = merge_trees(
-        trees[0], trees[1], trees[2], policy, config.labels, config.base_marker
+        try:
+            trees = [parse_units(text) for text in (base, left, right)]
+        except ParseError as exc:
+            if not config.fallback_on_parse_error:
+                raise
+            outcome = merge_texts_outcome(base, left, right)
+            fell_back, reason = True, str(exc)
+        else:
+            sesame = config.mode is EngineMode.SESAME
+            outcome = merge_trees(*trees, config.separators if sesame else None)
+    outcome = replace(outcome, labels=config.labels)
+    return EngineResult(
+        render(outcome, config.base_marker), outcome.conflict_count(), fell_back, reason
     )
-    return EngineResult(output, count_conflicts(output))
 
 
 def merge_files(
@@ -164,7 +157,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
 
 
 def apply_config_values(config: DriverConfig, values: dict[str, str]) -> DriverConfig:
-    """Overlay config-file values onto a DriverConfig."""
+    """Overlay key=value settings, from a config file or flags, onto a DriverConfig."""
     for key, value in values.items():
         if key == "mode":
             config = replace(config, mode=EngineMode(value))

@@ -50,10 +50,6 @@ class DeclNode:
     body_text: bytes = b""
     children: list["DeclNode"] = field(default_factory=list)
 
-    @property
-    def ordered(self) -> bool:
-        return self.kind in ORDERED_KINDS
-
     def text(self) -> bytes:
         parts = [self.header_text]
         parts.extend(child.text() for child in self.children)

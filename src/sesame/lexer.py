@@ -73,9 +73,3 @@ def lex_states(data: bytes) -> bytes:
         i += 1
     return bytes(out)
 
-
-def code_positions(data: bytes, chars: bytes) -> list[int]:
-    """Indices of bytes from ``chars`` that sit in plain code context."""
-    states = lex_states(data)
-    wanted = frozenset(chars)
-    return [i for i, c in enumerate(data) if c in wanted and states[i] == CODE]

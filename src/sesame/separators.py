@@ -3,9 +3,11 @@
 The idea: before handing body text to the line merger, isolate every
 language-specific separator (``{ } ( ) ;`` for Java) onto its own line so
 that text between separators forms its own match unit.  Lines created this
-way are prefixed with a placeholder run of ``$`` characters, which lets the
-postprocessing step remove exactly the inserted line breaks and prefixes
-and recover the original bytes, including from conflict bodies.
+way are prefixed with a placeholder run of ``$`` characters.  One
+projection, ``unmark``, removes exactly the inserted line breaks and
+prefixes; it recovers the original bytes of a marked text, and
+``merge_body`` applies it to each resolved run and each conflict side of
+the merged outcome.
 
 Separators inside string literals, character literals, and comments are
 never split; see ``lexer``.
@@ -13,11 +15,11 @@ never split; see ``lexer``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from .lexer import CODE, lex_states
 from .textmerge import (
-    DEFAULT_LABELS,
     Conflict,
     MergeOutcome,
     Resolved,
@@ -69,8 +71,7 @@ class SeparatorSet:
 class MarkedText:
     """A body text with separators isolated onto placeholder-marked lines."""
 
-    lines: list[bytes]
-    inserted: list[bool]
+    lines: Sequence[bytes]
     placeholder: bytes
     trailing_newline: bool
 
@@ -115,31 +116,27 @@ def mark(
                 pending = False
             out.append(c)
     lines, trailing = split_lines(bytes(out))
-    inserted = [line.startswith(ph) for line in lines]
-    return MarkedText(lines, inserted, ph, trailing)
+    return MarkedText(lines, ph, trailing)
 
 
 def unmark(marked: MarkedText) -> bytes:
     """Reverse ``mark``: drop inserted breaks and placeholder prefixes.
 
-    Applied to an unmerged MarkedText this reproduces the original bytes
-    exactly.  A placeholder that is not a line prefix cannot have come from
-    marking and raises MarkingError.
+    A placeholder-prefixed line continues the line before it; any other
+    line starts a new one.  Applied to an unmerged MarkedText this
+    reproduces the original bytes exactly.  A placeholder that is not a
+    line prefix cannot have come from marking and raises MarkingError.
     """
     ph = marked.placeholder
     out = bytearray()
     for idx, line in enumerate(marked.lines):
         if line.startswith(ph):
-            rest = line[len(ph):]
-            if ph in rest:
-                raise MarkingError("placeholder found mid-line")
-            out += rest
-        else:
-            if ph in line:
-                raise MarkingError("placeholder found mid-line")
-            if idx > 0:
-                out += b"\n"
-            out += line
+            line = line[len(ph):]
+        elif idx:
+            out += b"\n"
+        if ph in line:
+            raise MarkingError("placeholder found mid-line")
+        out += line
     if marked.trailing_newline and marked.lines:
         out += b"\n"
     return bytes(out)
@@ -150,14 +147,13 @@ def merge_body(
     left: bytes,
     right: bytes,
     seps: SeparatorSet | None = None,
-    labels: tuple[str, str, str] = DEFAULT_LABELS,
 ) -> MergeOutcome:
     """Merge three body texts through the separator preprocessing.
 
     Marks all three versions with one collision-free placeholder, merges
     the marked line sequences, then projects the outcome back to plain
-    text: inserted breaks and placeholders are removed from resolved
-    regions and from each conflict side separately.
+    text with ``unmark``: each run of resolved regions, and each conflict
+    side, separately.
     """
     seps = seps or SeparatorSet()
     ph = pick_placeholder([base, left, right])
@@ -165,56 +161,25 @@ def merge_body(
     ml = mark(left, seps, ph)
     mr = mark(right, seps, ph)
     trailing = ml.trailing_newline if ml.trailing_newline != mb.trailing_newline else mr.trailing_newline
-    raw = merge3(mb.lines, ml.lines, mr.lines, labels, trailing)
-    return _strip_outcome(raw, ph)
+    raw = merge3(mb.lines, ml.lines, mr.lines, trailing_newline=trailing)
 
+    def project(lines: Sequence[bytes]) -> tuple[bytes, ...]:
+        if not lines:
+            return ()
+        return tuple(unmark(MarkedText(lines, ph, False)).split(b"\n"))
 
-def _strip_outcome(raw: MergeOutcome, ph: bytes) -> MergeOutcome:
     regions: list[Resolved | Conflict] = []
-    buf = bytearray()
-    buffered = 0
-
-    def flush() -> None:
-        nonlocal buf, buffered
-        if buffered:
-            regions.append(Resolved(tuple(bytes(buf).split(b"\n"))))
-        buf = bytearray()
-        buffered = 0
-
+    run: list[bytes] = []  # marked lines of consecutive resolved regions
     for region in raw.regions:
         if isinstance(region, Resolved):
-            for line in region.lines:
-                if line.startswith(ph):
-                    buf += line[len(ph):]
-                else:
-                    if buffered:
-                        buf += b"\n"
-                    buf += line
-                buffered += 1
-        else:
-            flush()
-            regions.append(
-                Conflict(
-                    _strip_side(region.left, ph),
-                    _strip_side(region.base, ph),
-                    _strip_side(region.right, ph),
-                )
-            )
-    flush()
-    return MergeOutcome(regions, raw.labels, raw.trailing_newline)
-
-
-def _strip_side(lines: tuple[bytes, ...], ph: bytes) -> tuple[bytes, ...]:
-    if not lines:
-        return ()
-    side = bytearray()
-    first = True
-    for line in lines:
-        if line.startswith(ph):
-            side += line[len(ph):]
-        else:
-            if not first:
-                side += b"\n"
-            side += line
-        first = False
-    return tuple(bytes(side).split(b"\n"))
+            run.extend(region.lines)
+            continue
+        if run:
+            regions.append(Resolved(project(run)))
+            run = []
+        regions.append(
+            Conflict(project(region.left), project(region.base), project(region.right))
+        )
+    if run:
+        regions.append(Resolved(project(run)))
+    return MergeOutcome(regions, trailing_newline=raw.trailing_newline)

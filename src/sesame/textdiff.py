@@ -58,19 +58,6 @@ def diff2(a: Sequence[bytes], b: Sequence[bytes]) -> Alignment:
     return Alignment(tuple(pairs))
 
 
-def matching_blocks(alignment: Alignment) -> list[tuple[int, int, int]]:
-    """Group an alignment's matches into maximal (astart, bstart, size) runs."""
-    blocks: list[tuple[int, int, int]] = []
-    for i, j in alignment.matches():
-        if blocks:
-            a0, b0, n = blocks[-1]
-            if i == a0 + n and j == b0 + n:
-                blocks[-1] = (a0, b0, n + 1)
-                continue
-        blocks.append((i, j, 1))
-    return blocks
-
-
 def lcs_matches(a: Sequence[bytes], b: Sequence[bytes]) -> list[tuple[int, int]]:
     """Matched index pairs of one longest common subsequence of a and b."""
     table: dict[bytes, int] = {}

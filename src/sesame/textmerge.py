@@ -10,9 +10,9 @@ becomes a conflict region carrying the left, base, and right payloads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .textdiff import diff2, matching_blocks
+from .textdiff import diff2
 
 DEFAULT_LABELS = ("left", "base", "right")
 
@@ -189,6 +189,43 @@ def render(outcome: MergeOutcome, base_marker: bool = False) -> bytes:
     if not outcome.trailing_newline and out.endswith(b"\n"):
         del out[-1:]
     return bytes(out)
+
+
+def join(outcomes: list[MergeOutcome]) -> MergeOutcome:
+    """Concatenate fragment outcomes the way their texts concatenate.
+
+    A fragment without a final LF leaves its last line open, and the next
+    fragment's first line continues it.  A conflict always begins and ends
+    on a line of its own: an open line before it is closed, or dropped when
+    empty.  After a conflict with an open end, an empty first line of the
+    next fragment only ends the closing marker's line, and any other text
+    starts a new one.  The result carries default labels.
+    """
+    regions: list[Resolved | Conflict] = []
+    lines: list[bytes] = []  # resolved lines not yet stored in a region
+    open_line = False  # the text so far ends without an LF
+    for outcome in outcomes:
+        for region in outcome.regions:
+            if isinstance(region, Conflict):
+                if open_line and lines and not lines[-1]:
+                    lines.pop()
+                if lines:
+                    regions.append(Resolved(tuple(lines)))
+                    lines = []
+                regions.append(region)
+            elif not open_line:
+                lines.extend(region.lines)
+            elif lines:
+                lines[-1] += region.lines[0]
+                lines.extend(region.lines[1:])
+            else:  # right after a conflict's unterminated closing marker
+                lines.extend(region.lines[1:] if region.lines[0] == b"" else region.lines)
+            open_line = False
+        if outcome.regions:
+            open_line = not outcome.trailing_newline
+    if lines:
+        regions.append(Resolved(tuple(lines)))
+    return MergeOutcome(regions, trailing_newline=not open_line)
 
 
 def _marker_line(marker: bytes, label: bytes) -> bytes:

@@ -3,9 +3,10 @@
 Trees from the three versions of a file are matched level-wise by kind and
 identifier.  Declarations added on one side are juxtaposed at their
 insertion anchors, deletions against an untouched counterpart are honored,
-and a declaration changed on both sides has its text merged by the active
-body policy: plain line merging, or separator-enhanced merging.  Conflicts
-are data: they end up as marker blocks embedded in the printed output.
+and a declaration changed on both sides has its text merged line by line,
+or through separator marking when a separator set is given.  The result is
+one ``MergeOutcome`` for the whole file, joined from the outcomes of its
+fragments: conflicts stay regions, and the caller renders and counts them.
 """
 
 from __future__ import annotations
@@ -14,22 +15,7 @@ from dataclasses import dataclass, field
 
 from .javaparse import DeclNode, DeclTree, ORDERED_KINDS
 from .separators import SeparatorSet, merge_body
-from .textmerge import DEFAULT_LABELS, merge_text, render
-
-PLAIN_TEXTUAL = "plain-textual"
-SEPARATOR_ENHANCED = "separator-enhanced"
-
-
-@dataclass(frozen=True)
-class BodyMergePolicy:
-    """How the text of a declaration changed on both sides is merged."""
-
-    mode: str = PLAIN_TEXTUAL
-    separators: SeparatorSet = field(default_factory=SeparatorSet)
-
-    def __post_init__(self) -> None:
-        if self.mode not in (PLAIN_TEXTUAL, SEPARATOR_ENHANCED):
-            raise ValueError(f"unknown body merge mode: {self.mode!r}")
+from .textmerge import MergeOutcome, Resolved, join, merge_texts_outcome, split_lines
 
 
 @dataclass
@@ -116,31 +102,37 @@ def _ordered_keys(b_nodes, l_nodes, r_nodes) -> list[tuple[str, str]]:
     return keys
 
 
+def merge_trees(
+    base: DeclTree,
+    left: DeclTree,
+    right: DeclTree,
+    separators: SeparatorSet | None,
+) -> MergeOutcome:
+    """Merge three parsed files into one outcome.
+
+    Declarations changed on both sides merge through ``separators`` when
+    given, and line by line when it is None.
+    """
+    merged = merge_matched(match_trees(base, left, right), separators)
+    assert merged is not None  # the compilation unit is never removed
+    return merged
+
+
 def merge_matched(
-    matched: MatchedNode,
-    policy: BodyMergePolicy,
-    labels: tuple[str, str, str] = DEFAULT_LABELS,
-    base_marker: bool = False,
-) -> DeclNode | None:
+    matched: MatchedNode, separators: SeparatorSet | None
+) -> MergeOutcome | None:
     """Merge one matched node; None means the declaration was removed."""
     b, l, r = matched.base, matched.left, matched.right
     if b is not None and l is not None and r is not None:
         if b.kind in ("compilation-unit", "type"):
-            return _merge_container(matched, policy, labels, base_marker)
-        return DeclNode(
-            b.kind,
-            b.identifier,
-            _merge_leaf_texts(
-                b.text(), l.text(), r.text(), b.kind, policy, labels, base_marker
-            ),
-        )
+            return _merge_container(matched, separators)
+        if b.kind in ORDERED_KINDS:
+            separators = None
+        return _merge_fragment(b.text(), l.text(), r.text(), separators)
     if b is None:
         if l is not None and r is not None:
-            if l.text() == r.text():
-                return l
-            merged, _ = merge_text(b"", l.text(), r.text(), labels, base_marker)
-            return DeclNode(l.kind, l.identifier, merged)
-        return l if l is not None else r
+            return _merge_fragment(b"", l.text(), r.text())
+        return _taken((l or r).text())
     if l is None and r is None:
         return None
     other = l if l is not None else r
@@ -148,138 +140,49 @@ def merge_matched(
         return None
     left_text = l.text() if l is not None else b""
     right_text = r.text() if r is not None else b""
-    merged, _ = merge_text(b.text(), left_text, right_text, labels, base_marker)
-    return DeclNode(b.kind, b.identifier, merged)
-
-
-def merge_trees(
-    base: DeclTree,
-    left: DeclTree,
-    right: DeclTree,
-    policy: BodyMergePolicy,
-    labels: tuple[str, str, str] = DEFAULT_LABELS,
-    base_marker: bool = False,
-) -> bytes:
-    matched = match_trees(base, left, right)
-    merged = merge_matched(matched, policy, labels, base_marker)
-    assert merged is not None
-    return merged.text()
+    return _merge_fragment(b.text(), left_text, right_text)
 
 
 def _merge_container(
-    matched: MatchedNode,
-    policy: BodyMergePolicy,
-    labels: tuple[str, str, str],
-    base_marker: bool,
-) -> DeclNode:
+    matched: MatchedNode, separators: SeparatorSet | None
+) -> MergeOutcome:
     b, l, r = matched.base, matched.left, matched.right
-    header = _merge_fragment(
-        b.header_text, l.header_text, r.header_text, labels, base_marker
-    )
-    tail = _merge_fragment(b.body_text, l.body_text, r.body_text, labels, base_marker)
-    children: list[DeclNode] = []
+    parts = [_merge_fragment(b.header_text, l.header_text, r.header_text)]
     imports_done = False
     for child in matched.children:
         if child.kind() == "import":
+            # imports are order-sensitive: the whole section merges as one block
             if not imports_done:
                 imports_done = True
-                block = _merge_import_block(b, l, r, labels, base_marker)
-                if block is not None:
-                    children.append(block)
+                parts.append(
+                    _merge_fragment(_import_text(b), _import_text(l), _import_text(r))
+                )
             continue
-        node = merge_matched(child, policy, labels, base_marker)
-        if node is not None:
-            children.append(node)
-    children, tail = _guard_marker_lines(header, children, tail)
-    return DeclNode(b.kind, b.identifier, header, tail, children)
-
-
-def _guard_marker_lines(
-    header: bytes, children: list[DeclNode], tail: bytes
-) -> tuple[list[DeclNode], bytes]:
-    """Keep conflict markers on their own lines when embedding merged parts.
-
-    A merged declaration can begin with an opening marker (its leading
-    whitespace landed inside the conflict) or end in an unterminated
-    closing-marker line; insert a line break at such joints.  The very
-    start of the document is already a fresh line.
-    """
-
-    def tail_line(state: bytes | None, piece: bytes) -> bytes | None:
-        if not piece:
-            return state
-        if b"\n" in piece:
-            return piece.rsplit(b"\n", 1)[1]
-        return (state or b"") + piece
-
-    def needs_break(state: bytes | None, piece: bytes) -> bool:
-        if state is None or state == b"" or not piece:
-            return False
-        if piece.startswith(b"<<<<<<<"):
-            return True
-        return state.startswith(b">>>>>>>") and not piece.startswith(b"\n")
-
-    state = tail_line(None, header) if header else None
-    fixed: list[DeclNode] = []
-    for child in children:
-        text = child.text()
-        if needs_break(state, text):
-            child = DeclNode(
-                child.kind,
-                child.identifier,
-                b"\n" + child.header_text,
-                child.body_text,
-                list(child.children),
-            )
-            text = b"\n" + text
-        state = tail_line(state, text)
-        fixed.append(child)
-    if needs_break(state, tail):
-        tail = b"\n" + tail
-    return fixed, tail
-
-
-def _merge_import_block(
-    b: DeclNode, l: DeclNode, r: DeclNode, labels, base_marker
-) -> DeclNode | None:
-    """Imports are order-sensitive: the whole section merges as one text block."""
-    bt = _import_text(b)
-    lt = _import_text(l)
-    rt = _import_text(r)
-    merged = _merge_fragment(bt, lt, rt, labels, base_marker)
-    if not merged:
-        return None
-    return DeclNode("import", "<imports>", merged)
+        merged = merge_matched(child, separators)
+        if merged is not None:
+            parts.append(merged)
+    parts.append(_merge_fragment(b.body_text, l.body_text, r.body_text))
+    return join(parts)
 
 
 def _import_text(cu: DeclNode) -> bytes:
     return b"".join(c.text() for c in cu.children if c.kind == "import")
 
 
-def _merge_fragment(bt, lt, rt, labels, base_marker) -> bytes:
+def _merge_fragment(
+    bt: bytes, lt: bytes, rt: bytes, separators: SeparatorSet | None = None
+) -> MergeOutcome:
     if lt == bt:
-        return rt
+        return _taken(rt)
     if rt == bt or lt == rt:
-        return lt
-    merged, _ = merge_text(bt, lt, rt, labels, base_marker)
-    return merged
+        return _taken(lt)
+    if separators is None:
+        return merge_texts_outcome(bt, lt, rt)
+    return merge_body(bt, lt, rt, separators)
 
 
-def _merge_leaf_texts(
-    bt: bytes,
-    lt: bytes,
-    rt: bytes,
-    kind: str,
-    policy: BodyMergePolicy,
-    labels: tuple[str, str, str],
-    base_marker: bool,
-) -> bytes:
-    if lt == bt:
-        return rt
-    if rt == bt or lt == rt:
-        return lt
-    if kind in ORDERED_KINDS or policy.mode == PLAIN_TEXTUAL:
-        merged, _ = merge_text(bt, lt, rt, labels, base_marker)
-        return merged
-    outcome = merge_body(bt, lt, rt, policy.separators, labels)
-    return render(outcome, base_marker)
+def _taken(text: bytes) -> MergeOutcome:
+    """One side's text, unchanged, as a single resolved region."""
+    lines, trailing = split_lines(text)
+    regions = [Resolved(tuple(lines))] if lines else []
+    return MergeOutcome(regions, trailing_newline=trailing)

@@ -35,6 +35,15 @@ def config(mode, **kw):
     return DriverConfig(mode=mode, labels=LABELS, **kw)
 
 
+def assert_conflicts_match_markers(fixture, mode):
+    # the count comes from the merge outcome; the rendered markers must agree
+    base, left, right = (
+        (GOLDEN / fixture / f"{role}.java").read_bytes() for role in ("base", "left", "right")
+    )
+    result = run_engine(base, left, right, config(mode))
+    assert result.conflicts == count_conflicts(result.output)
+
+
 # -- merge_files ------------------------------------------------------------
 
 def test_identical_inputs_exit_zero(tmp_path):
@@ -60,6 +69,7 @@ def test_method_addition_by_mode(tmp_path, mode, expected, exit_code):
     code = merge_files(paths["base"], paths["left"], paths["right"], out, config(mode))
     assert code == exit_code
     assert out.read_bytes() == (GOLDEN / "method_addition" / f"{expected}.java").read_bytes()
+    assert_conflicts_match_markers("method_addition", mode)
 
 
 def test_exit_one_iff_conflicts(tmp_path):
@@ -74,6 +84,7 @@ def test_exit_one_iff_conflicts(tmp_path):
         assert code == expected_code
         conflicts = count_conflicts(out.read_bytes())
         assert (code == 1) == (conflicts >= 1)
+        assert_conflicts_match_markers("extract_constant", mode)
 
 
 def test_missing_input_exits_two_and_writes_nothing(tmp_path, capsys):
@@ -150,6 +161,31 @@ def test_combined_changes_by_mode(tmp_path):
     )
     assert code == 1
     assert count_conflicts(out.read_bytes()) == 1
+    for mode in EngineMode:
+        assert_conflicts_match_markers("combined_changes", mode)
+
+
+def test_marker_like_comment_text_merges(tmp_path):
+    # a comment line that looks like a conflict marker is plain text
+    base = (
+        b"class A {\n    /*\n<<<<<<< not a marker\n    */\n"
+        b"    int f() {\n        return 1;\n    }\n}\n"
+    )
+    left = base.replace(b"return 1;", b"return 2;")
+    right = base.replace(b"int f()", b"long f()")
+    paths = []
+    for role, text in (("base", base), ("left", left), ("right", right)):
+        paths.append(tmp_path / f"{role}.java")
+        paths[-1].write_bytes(text)
+    out = tmp_path / "out.java"
+    for mode, exit_code in [
+        (EngineMode.UNSTRUCTURED, 1),
+        (EngineMode.SEMISTRUCTURED, 1),
+        (EngineMode.SESAME, 0),
+    ]:
+        assert merge_files(*paths, out, config(mode)) == exit_code, mode
+    assert out.read_bytes() == left.replace(b"int f()", b"long f()")
+    assert run_engine(base, left, right, config(EngineMode.SEMISTRUCTURED)).conflicts == 1
 
 
 def test_engines_are_identities_on_unchanged_corpus():

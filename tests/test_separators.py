@@ -45,7 +45,7 @@ def test_separator_set_rejects_invalid(bad):
 def test_mark_without_separators_is_plain_split():
     m = mark(b"alpha\nbeta\n")
     assert m.lines == [b"alpha", b"beta"]
-    assert m.inserted == [False, False]
+    assert [line.startswith(m.placeholder) for line in m.lines] == [False, False]
     assert m.trailing_newline
 
 
@@ -64,7 +64,7 @@ def test_mark_isolates_each_separator():
         PH + b")",
         PH + b";",
     ]
-    assert m.inserted == [False] + [True] * 10
+    assert [line.startswith(m.placeholder) for line in m.lines] == [False] + [True] * 10
 
 
 def test_consecutive_separators_make_consecutive_lines():
@@ -155,19 +155,21 @@ def test_containment_original_bytes_survive():
         text = b"".join(rng.choice(bits) for _ in range(rng.randint(0, 20)))
         m = mark(text)
         stripped = b""
-        for line, inserted in zip(m.lines, m.inserted):
+        for line in m.lines:
+            inserted = line.startswith(m.placeholder)
             stripped += line[len(m.placeholder):] if inserted else line
         # dropping inserted scaffolding leaves a subsequence-preserving
         # split of the original: rejoining recovers it exactly
+        assert stripped == text.replace(b"\n", b"")
         assert unmark(m) == text
-        assert inserted_lines_start_with_placeholder(m)
+        assert original_breaks_start_unprefixed_lines(m, text)
 
 
-def inserted_lines_start_with_placeholder(m: MarkedText) -> bool:
-    return all(
-        line.startswith(m.placeholder) == flag
-        for line, flag in zip(m.lines, m.inserted)
-    )
+def original_breaks_start_unprefixed_lines(m: MarkedText, text: bytes) -> bool:
+    # every line after the first without the placeholder follows an
+    # original LF (a final LF ends the last line instead)
+    unprefixed = sum(1 for line in m.lines[1:] if not line.startswith(m.placeholder))
+    return unprefixed == text.count(b"\n") - text.endswith(b"\n")
 
 
 # -- placeholder selection --------------------------------------------------
@@ -188,10 +190,10 @@ def test_mark_uses_collision_free_placeholder():
 # -- unmark errors ----------------------------------------------------------
 
 def test_unmark_rejects_midline_placeholder():
-    bad = MarkedText([b"x" + PH + b"y"], [False], PH, True)
+    bad = MarkedText([b"x" + PH + b"y"], PH, True)
     with pytest.raises(MarkingError):
         unmark(bad)
-    bad = MarkedText([PH + b"x" + PH], [True], PH, True)
+    bad = MarkedText([PH + b"x" + PH], PH, True)
     with pytest.raises(MarkingError):
         unmark(bad)
 

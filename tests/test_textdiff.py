@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from sesame.textdiff import Alignment, diff2, lcs_matches, matching_blocks
+from sesame.textdiff import Alignment, diff2, lcs_matches
 
 ALPHA = [b"a", b"b", b"c"]
 
@@ -105,11 +105,6 @@ def test_insertion_merges_with_adjacent_change():
         (0, 0), (1, 1), (2, 2), (4, 6), (5, 7), (6, 8),
         (7, 10), (8, 11), (9, 12), (10, 13),
     ]
-
-
-def test_matching_blocks_groups_runs():
-    al = diff2([b"a", b"b", b"c"], [b"a", b"b", b"z", b"c"])
-    assert matching_blocks(al) == [(0, 0, 2), (2, 3, 1)]
 
 
 def test_lcs_matches_handles_degenerate_inputs():

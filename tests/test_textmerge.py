@@ -12,9 +12,11 @@ from sesame.textmerge import (
     MergeOutcome,
     Resolved,
     count_conflicts,
+    join,
     join_lines,
     merge3,
     merge_text,
+    merge_texts_outcome,
     render,
     split_lines,
     three_way_chunks,
@@ -172,8 +174,6 @@ def test_merge_laws_seeded_battery():
 
 
 def _assert_mirror(b, l, r):
-    from sesame.textmerge import merge_texts_outcome
-
     fwd = merge_texts_outcome(b, l, r)
     rev = merge_texts_outcome(b, r, l)
     assert len(fwd.regions) == len(rev.regions)
@@ -240,3 +240,43 @@ def test_count_conflicts_plain_and_multi():
 def test_count_conflicts_rejects_unbalanced(bad):
     with pytest.raises(MarkerError):
         count_conflicts(bad)
+
+
+# -- joining fragment outcomes ----------------------------------------------
+
+@given(
+    st.lists(
+        st.tuples(LINES, LINES, LINES, st.booleans(), st.booleans(), st.booleans()),
+        max_size=5,
+    )
+)
+@settings(max_examples=400)
+def test_join_concatenates_fragments(fragments):
+    outcomes = [
+        merge_texts_outcome(text_of(b, tb), text_of(l, tl), text_of(r, tr))
+        for b, l, r, tb, tl, tr in fragments
+    ]
+    joined = join(outcomes)
+    rendered = render(joined)
+    assert joined.conflict_count() == sum(o.conflict_count() for o in outcomes)
+    # every marker sits on a line of its own
+    assert count_conflicts(rendered) == joined.conflict_count()
+    closing = [line for line in rendered.split(b"\n") if line.startswith(b">>>>>>>")]
+    assert closing == [b">>>>>>> right"] * joined.conflict_count()
+    if not joined.conflict_count():
+        assert rendered == b"".join(render(o) for o in outcomes)
+
+
+def test_join_closes_open_lines_around_conflicts():
+    head = merge_texts_outcome(b"class A {", b"class A {", b"class A {")
+    body = merge_texts_outcome(b"x\n", b"y\n", b"z")
+    tail = merge_texts_outcome(b"\n}\n", b"\n}\n", b"\n}\n")
+    assert render(join([head, body, tail])) == (
+        b"class A {\n<<<<<<< left\ny\n=======\nz\n>>>>>>> right\n}\n"
+    )
+    # an open empty line holds no text: the conflict follows the LF before it
+    ends_in_lf = MergeOutcome([Resolved((b"x", b""))], trailing_newline=False)
+    assert render(ends_in_lf) == b"x\n"
+    assert render(join([ends_in_lf, body])) == (
+        b"x\n<<<<<<< left\ny\n=======\nz\n>>>>>>> right"
+    )

@@ -6,25 +6,19 @@ import pytest
 
 from sesame.javaparse import parse_units, print_units
 from sesame.separators import SeparatorSet
-from sesame.textmerge import count_conflicts
-from sesame.treemerge import (
-    PLAIN_TEXTUAL,
-    SEPARATOR_ENHANCED,
-    BodyMergePolicy,
-    match_trees,
-    merge_matched,
-    merge_trees,
-)
+from sesame.textmerge import count_conflicts, render
+from sesame.treemerge import match_trees, merge_matched, merge_trees
 
-LABELS = ("left", "base", "right")
-PLAIN = BodyMergePolicy(PLAIN_TEXTUAL)
-ENHANCED = BodyMergePolicy(SEPARATOR_ENHANCED)
+# how bodies changed on both sides merge: line by line, or through separators
+PLAIN = {"separators": None}
+ENHANCED = {"separators": SeparatorSet()}
 
 
 def merge_sources(base, left, right, policy=PLAIN):
-    return merge_trees(
-        parse_units(base), parse_units(left), parse_units(right), policy, LABELS
+    outcome = merge_trees(
+        parse_units(base), parse_units(left), parse_units(right), **policy
     )
+    return render(outcome)
 
 
 def golden(name, role):
@@ -291,5 +285,4 @@ def test_body_delegation_takes_changed_side():
 def test_merge_matched_root_is_printable():
     base = parse_units(golden("method_addition", "base"))
     m = match_trees(base, base, base)
-    node = merge_matched(m, PLAIN, LABELS)
-    assert node.text() == print_units(base)
+    assert render(merge_matched(m, None)) == print_units(base)
