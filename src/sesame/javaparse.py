@@ -8,14 +8,18 @@ anything the shallow grammar cannot place raises ParseError, which callers
 treat as a signal to fall back to plain textual merging.
 
 Scanning is bracket-balanced and lexer-aware: braces, parentheses, and
-separators inside literals or comments never influence structure.
+separators inside literals or comments never influence structure.  Each
+file is scanned through one code view, a copy of its bytes in which
+comment bytes read as blanks and literal bytes as NUL, so compiled ``re``
+patterns and ``find`` calls on the view see only code.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
-from .lexer import BLOCK_COMMENT, CODE, LINE_COMMENT, lex_states
+from .lexer import code_view, lex_states
 
 
 class ParseError(ValueError):
@@ -34,10 +38,24 @@ MODIFIER_WORDS = frozenset(
     }
 )
 _TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
-_WS = frozenset(b" \t\r\n\x0b\x0c")
-_WORD_BYTES = frozenset(
-    b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_$"
-)
+_WS_CHARS = b" \t\r\n\x0b\x0c"
+_WORD_CHARS = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_$"
+
+_WS_RUN = re.compile(rb"[ \t\r\n\x0b\x0c]*")
+_WORD = re.compile(rb"[A-Za-z0-9_$]*")
+# what a member header reacts to: words and the punctuation below
+_HEADER_TOKEN = re.compile(rb"([A-Za-z0-9_$]+)|[@<>()=,;{}]")
+_TYPE_HEADER_TOKEN = re.compile(rb"[(){;]")
+_PARAM_PUNCT = re.compile(rb"[(<\[{)>\]},]")
+_UNCOMMENTED_RUN = re.compile(rb"[\x00-\x02]+")  # lexer states CODE to CHAR
+_ANGLE_SPLIT = re.compile(rb"([<>])")
+_ANNOTATION = re.compile(rb"@[A-Za-z0-9_$.]*[ \t\r\n\x0b\x0c]*")
+_PARENS = re.compile(rb"[()]")
+_PARAM_TOKEN = re.compile(rb"[A-Za-z0-9_$.]+|[\[\]]")
+
+_AT, _DOT, _COMMA, _SEMI, _EQ = b"@.,;="
+_LPAREN, _RPAREN, _LBRACE, _RBRACE, _LT, _GT = b"(){}<>"
+_BRACKETS = {_LPAREN: _PARENS, _LBRACE: re.compile(rb"[{}]")}
 
 ORDERED_KINDS = frozenset({"package", "import"})
 
@@ -82,6 +100,7 @@ class _Parser:
     def __init__(self, data: bytes) -> None:
         self.data = data
         self.states = lex_states(data)
+        self.view = code_view(data, self.states)
         self.n = len(data)
 
     def parse(self) -> DeclTree:
@@ -102,34 +121,25 @@ class _Parser:
     # -- shared low-level scanning ------------------------------------
 
     def _skip_insignificant(self, i: int) -> int:
-        data, states, n = self.data, self.states, self.n
-        while i < n:
-            st = states[i]
-            if st == LINE_COMMENT or st == BLOCK_COMMENT:
-                i += 1
-            elif st == CODE and data[i] in _WS:
-                i += 1
-            else:
-                break
-        return i
+        """First index at or after i that is neither a comment nor code
+        whitespace."""
+        return _WS_RUN.match(self.view, i).end()
 
     def _read_word(self, i: int) -> tuple[str, int]:
-        start = i
-        while i < self.n and self.states[i] == CODE and self.data[i] in _WORD_BYTES:
-            i += 1
-        return self.data[start:i].decode("latin-1"), i
+        m = _WORD.match(self.view, i)
+        return m.group().decode("latin-1"), m.end()
 
-    def _match_delim(self, i: int, open_b: int, close_b: int) -> int:
-        """Index of the delimiter closing the one at i (code context only)."""
+    def _match_delim(self, i: int) -> int:
+        """Index of the bracket closing the '(' or '{' at i (code context
+        only); brackets of the other kind are not looked at."""
+        view = self.view
+        opener = view[i]
         depth = 0
-        data, states = self.data, self.states
-        for k in range(i, self.n):
-            if states[k] != CODE:
-                continue
-            c = data[k]
-            if c == open_b:
+        for m in _BRACKETS[opener].finditer(view, i):
+            k = m.start()
+            if view[k] == opener:
                 depth += 1
-            elif c == close_b:
+            else:
                 depth -= 1
                 if depth == 0:
                     return k
@@ -144,7 +154,7 @@ class _Parser:
             raise ParseError("dangling '@'")
         while True:
             j = self._skip_insignificant(i)
-            if j < self.n and self.states[j] == CODE and self.data[j] == ord("."):
+            if j < self.n and self.view[j] == _DOT:
                 j = self._skip_insignificant(j + 1)
                 word, i = self._read_word(j)
                 if not word:
@@ -152,8 +162,8 @@ class _Parser:
             else:
                 break
         j = self._skip_insignificant(i)
-        if j < self.n and self.states[j] == CODE and self.data[j] == ord("("):
-            return self._match_delim(j, ord("("), ord(")")) + 1
+        if j < self.n and self.view[j] == _LPAREN:
+            return self._match_delim(j) + 1
         return i
 
     # -- top level ------------------------------------------------------
@@ -164,8 +174,7 @@ class _Parser:
             i = self._skip_insignificant(i)
             if i >= self.n:
                 raise ParseError("unexpected end of input at top level")
-            c = self.data[i]
-            if c == ord("@"):
+            if self.data[i] == _AT:
                 peek = self._skip_insignificant(i + 1)
                 word, _ = self._read_word(peek)
                 if word == "interface":
@@ -177,7 +186,7 @@ class _Parser:
                 raise ParseError(f"unsupported top-level construct at byte {i}")
             if word in ("package", "import"):
                 end = self._absorb_semicolons(
-                    self._find_code_char(after, ord(";")) + 1
+                    self._find_code_char(after, _SEMI) + 1
                 )
                 text = self.data[sig:end]
                 ident = " ".join(text.decode("latin-1").split())
@@ -187,17 +196,16 @@ class _Parser:
             if word in MODIFIER_WORDS or word == "non":
                 # "non-sealed" reads as word, '-', word
                 i = after
-                if word == "non" and i < self.n and self.data[i] == ord("-"):
+                if word == "non" and self.data[i:i + 1] == b"-":
                     i += 1
                 continue
             raise ParseError(f"unsupported top-level declaration near {word!r}")
 
     def _find_code_char(self, i: int, wanted: int) -> int:
-        data, states = self.data, self.states
-        for k in range(i, self.n):
-            if states[k] == CODE and data[k] == wanted:
-                return k
-        raise ParseError(f"missing {chr(wanted)!r}")
+        k = self.view.find(wanted, i)
+        if k < 0:
+            raise ParseError(f"missing {chr(wanted)!r}")
+        return k
 
     # -- type declarations ----------------------------------------------
 
@@ -228,38 +236,35 @@ class _Parser:
         return DeclNode("type", name, header, body, children), end
 
     def _at_annotation_kw(self, kw_pos: int) -> bool:
-        k = kw_pos - 1
-        while k >= 0 and self.data[k] in _WS:
-            k -= 1
-        return k >= 0 and self.data[k] == ord("@")
+        """Whether the last non-whitespace byte before kw_pos is '@',
+        comments and literals included."""
+        return self.data[:kw_pos].rstrip(_WS_CHARS).endswith(b"@")
 
     def _find_body_brace(self, i: int) -> int:
         """First '{' in code context at paren depth 0 (skips annotations)."""
         depth = 0
-        data, states = self.data, self.states
-        while i < self.n:
-            if states[i] != CODE:
-                i += 1
-                continue
-            c = data[i]
-            if c == ord("("):
+        view = self.view
+        for m in _TYPE_HEADER_TOKEN.finditer(view, i):
+            c = view[m.start()]
+            if c == _LPAREN:
                 depth += 1
-            elif c == ord(")"):
+            elif c == _RPAREN:
                 depth -= 1
-            elif c == ord("{") and depth == 0:
-                return i
-            elif c == ord(";") and depth == 0:
+            elif depth == 0:
+                if c == _LBRACE:
+                    return m.start()
                 raise ParseError("type declaration without a body")
-            i += 1
         raise ParseError("missing '{' of type body")
 
     def _absorb_semicolons(self, end: int) -> int:
-        """Consume whitespace-then-';' runs directly after a declaration."""
+        """Consume whitespace-then-';' runs directly after a declaration.
+
+        Comments end the run.  ``end`` always follows a code '}' or ';', so
+        the whitespace after it is code too.
+        """
         while True:
-            k = end
-            while k < self.n and self.states[k] == CODE and self.data[k] in _WS:
-                k += 1
-            if k < self.n and self.states[k] == CODE and self.data[k] == ord(";"):
+            k = _WS_RUN.match(self.data, end).end()
+            if k < self.n and self.view[k] == _SEMI:
                 end = k + 1
             else:
                 return end
@@ -275,9 +280,9 @@ class _Parser:
             sig = self._skip_insignificant(pos)
             if sig >= self.n:
                 raise ParseError("unterminated enum body")
-            if self.states[sig] == CODE and self.data[sig] == ord("}"):
+            if self.view[sig] == _RBRACE:
                 return constants, pos, sig
-            if self.states[sig] == CODE and self.data[sig] == ord(";"):
+            if self.view[sig] == _SEMI:
                 if not constants:
                     raise ParseError("enum body starting with ';'")
                 constants[-1].header_text += self.data[pos:sig + 1]
@@ -290,19 +295,20 @@ class _Parser:
 
     def _parse_enum_constant(self, start: int, sig: int) -> tuple[DeclNode, int]:
         i = sig
-        while i < self.n and self.states[i] == CODE and self.data[i] == ord("@"):
+        view = self.view
+        while i < self.n and view[i] == _AT:
             i = self._skip_insignificant(self._skip_annotation(i))
         name, i = self._read_word(i)
         if not name:
             raise ParseError(f"expected enum constant near byte {sig}")
         j = self._skip_insignificant(i)
-        if j < self.n and self.states[j] == CODE and self.data[j] == ord("("):
-            i = self._match_delim(j, ord("("), ord(")")) + 1
+        if j < self.n and view[j] == _LPAREN:
+            i = self._match_delim(j) + 1
             j = self._skip_insignificant(i)
-        if j < self.n and self.states[j] == CODE and self.data[j] == ord("{"):
-            i = self._match_delim(j, ord("{"), ord("}")) + 1
+        if j < self.n and view[j] == _LBRACE:
+            i = self._match_delim(j) + 1
             j = self._skip_insignificant(i)
-        if j < self.n and self.states[j] == CODE and self.data[j] == ord(","):
+        if j < self.n and view[j] == _COMMA:
             i = j + 1
         return DeclNode("enum-constant", name, self.data[start:i]), i
 
@@ -322,9 +328,9 @@ class _Parser:
             sig = self._skip_insignificant(pos)
             if sig >= self.n:
                 raise ParseError("unterminated type body")
-            if self.states[sig] == CODE and self.data[sig] == ord("}"):
+            if self.view[sig] == _RBRACE:
                 return children, pos, sig
-            if self.states[sig] == CODE and self.data[sig] == ord(";"):
+            if self.view[sig] == _SEMI:
                 if not children:
                     raise ParseError("stray ';' at start of type body")
                 children[-1].body_text += self.data[pos:sig + 1]
@@ -341,7 +347,7 @@ class _Parser:
         in_annotation: bool,
         counters: dict[str, int],
     ) -> tuple[DeclNode, int]:
-        data, states = self.data, self.states
+        data, view = self.data, self.view
         i = sig
         words: list[str] = []
         last_word_before_paren = ""
@@ -350,22 +356,14 @@ class _Parser:
         seen_eq = False
         param_span: tuple[int, int] | None = None
         while True:
-            i = self._skip_insignificant(i)
-            if i >= self.n:
+            # comments, literals and other punctuation change no state here
+            m = _HEADER_TOKEN.search(view, i)
+            if m is None:
                 raise ParseError("unexpected end of input in member")
-            if states[i] != CODE:
-                i += 1
-                continue
-            c = data[i]
-            if c == ord("@") and paren_depth == 0 and not seen_eq and param_span is None:
-                peek = self._skip_insignificant(i + 1)
-                word, _ = self._read_word(peek)
-                if word == "interface":
-                    return self._parse_type(start, peek, "type", annotation=True)
-                i = self._skip_annotation(i)
-                continue
-            if c in _WORD_BYTES:
-                word, after = self._read_word(i)
+            i = m.start()
+            word = m.group(1)
+            if word is not None:
+                word = word.decode("latin-1")
                 if (
                     word in _TYPE_KEYWORDS
                     and paren_depth == 0
@@ -380,42 +378,50 @@ class _Parser:
                     and param_span is None
                 ):
                     words.append(word)
-                i = after
+                i = m.end()
                 continue
-            if c == ord("<") and param_span is None and not seen_eq:
+            c = view[i]
+            if c == _AT and paren_depth == 0 and not seen_eq and param_span is None:
+                peek = self._skip_insignificant(i + 1)
+                word, _ = self._read_word(peek)
+                if word == "interface":
+                    return self._parse_type(start, peek, "type", annotation=True)
+                i = self._skip_annotation(i)
+                continue
+            if c == _LT and param_span is None and not seen_eq:
                 angle_depth += 1
-            elif c == ord(">") and angle_depth > 0:
+            elif c == _GT and angle_depth > 0:
                 angle_depth -= 1
-            elif c == ord("("):
+            elif c == _LPAREN:
                 if paren_depth == 0 and not seen_eq and param_span is None:
                     open_pos = i
-                    close_pos = self._match_delim(i, ord("("), ord(")"))
+                    close_pos = self._match_delim(i)
                     param_span = (open_pos, close_pos)
                     last_word_before_paren = words[-1] if words else ""
                     i = close_pos + 1
                     continue
                 paren_depth += 1
-            elif c == ord(")"):
+            elif c == _RPAREN:
                 paren_depth -= 1
-            elif c == ord("=") and paren_depth == 0:
+            elif c == _EQ and paren_depth == 0:
                 seen_eq = True
             elif (
-                c == ord(",")
+                c == _COMMA
                 and paren_depth == 0
                 and angle_depth == 0
                 and param_span is None
             ):
                 seen_eq = False
                 words.append(",")
-            elif c == ord(";") and paren_depth == 0:
+            elif c == _SEMI and paren_depth == 0:
                 return self._finish_bodyless(
                     start, sig, i, words, param_span, enclosing, in_annotation
                 ), i + 1
-            elif c == ord("{") and paren_depth == 0:
+            elif c == _LBRACE and paren_depth == 0:
                 if seen_eq:
-                    i = self._match_delim(i, ord("{"), ord("}")) + 1
+                    i = self._match_delim(i) + 1
                     continue
-                close = self._match_delim(i, ord("{"), ord("}"))
+                close = self._match_delim(i)
                 significant = [w for w in words if w not in MODIFIER_WORDS]
                 if param_span is None and not significant:
                     ident = f"#{counters['initializer']}"
@@ -485,37 +491,33 @@ class _Parser:
         return f"{name}({','.join(t for t in types if t)})"
 
     def _split_params(self, start: int, end: int) -> list[bytes]:
-        chunks: list[bytes] = []
+        """Code-level comma-separated pieces of data[start:end], comments
+        dropped and literals kept."""
+        view, states, data = self.view, self.states, self.data
+        bounds = [start]
         depth = 0
-        data, states = self.data, self.states
-        piece = bytearray()
-        for k in range(start, end):
-            st = states[k]
-            if st == LINE_COMMENT or st == BLOCK_COMMENT:
-                continue
-            c = data[k]
-            if st == CODE:
-                if c in b"(<[{":
-                    depth += 1
-                elif c in b")>]}":
-                    depth -= 1
-                elif c == ord(",") and depth == 0:
-                    chunks.append(bytes(piece))
-                    piece = bytearray()
-                    continue
-            piece.append(c)
-        chunks.append(bytes(piece))
+        for m in _PARAM_PUNCT.finditer(view, start, end):
+            c = m.group()
+            if c in b"(<[{":
+                depth += 1
+            elif c in b")>]}":
+                depth -= 1
+            elif depth == 0:
+                bounds += m.span()
+        bounds.append(end)
+        chunks = [
+            b"".join(
+                data[r.start():r.end()]
+                for r in _UNCOMMENTED_RUN.finditer(states, a, b)
+            )
+            for a, b in zip(bounds[::2], bounds[1::2])
+        ]
         return [c for c in chunks if c.strip()]
 
 
 def _trailing_word(head: bytes) -> str:
-    k = len(head)
-    while k > 0 and head[k - 1] in _WS:
-        k -= 1
-    j = k
-    while j > 0 and head[j - 1] in _WORD_BYTES:
-        j -= 1
-    return head[j:k].decode("latin-1")
+    head = head.rstrip(_WS_CHARS)
+    return head[len(head.rstrip(_WORD_CHARS)):].decode("latin-1")
 
 
 def _field_names(words: list[str]) -> list[str]:
@@ -536,62 +538,43 @@ def _field_names(words: list[str]) -> list[str]:
 
 def _param_type(chunk: bytes) -> str:
     # erase generic argument sections, then strip annotations and 'final'
-    flat = bytearray()
+    pieces = _ANGLE_SPLIT.split(chunk)  # text, bracket, text, ...
+    kept = pieces[:1]
     depth = 0
-    for c in chunk:
-        if c == ord("<"):
-            depth += 1
-        elif c == ord(">"):
-            depth = max(0, depth - 1)
-        elif depth == 0:
-            flat.append(c)
-    text = bytes(flat)
-    tokens: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == ord("@"):
-            i += 1
-            while i < n and (text[i] in _WORD_BYTES or text[i] == ord(".")):
-                i += 1
-            while i < n and text[i] in _WS:
-                i += 1
-            if i < n and text[i] == ord("("):
-                depth = 0
-                while i < n:
-                    if text[i] == ord("("):
-                        depth += 1
-                    elif text[i] == ord(")"):
-                        depth -= 1
-                        if depth == 0:
-                            i += 1
-                            break
-                    i += 1
-            continue
-        if c in _WORD_BYTES or c == ord("."):
-            j = i
-            while j < n and (text[j] in _WORD_BYTES or text[j] == ord(".")):
-                j += 1
-            word = text[i:j].decode("latin-1")
-            if word == "...":
-                tokens.append("...")
-            elif word != "final":
-                tokens.append(word)
-            i = j
-            continue
-        if c == ord("[") or c == ord("]"):
-            tokens.append(chr(c))
-        i += 1
-    if not tokens:
-        return ""
-    name_idx = max(
-        (k for k, t in enumerate(tokens) if t not in ("[", "]", "...")),
-        default=None,
-    )
-    if name_idx is None or name_idx == 0:
-        return "".join(tokens)
-    return "".join(tokens[:name_idx] + tokens[name_idx + 1:])
+    for k in range(1, len(pieces), 2):
+        depth = depth + 1 if pieces[k] == b"<" else max(0, depth - 1)
+        if depth == 0:
+            kept.append(pieces[k + 1])
+    text = b"".join(kept)
+    # an annotation's name and argument list read as one blank
+    kept = []
+    pos = 0
+    while m := _ANNOTATION.search(text, pos):
+        kept += (text[pos:m.start()], b" ")
+        pos = m.end()
+        if text[pos:pos + 1] == b"(":
+            pos = _skip_parens(text, pos)
+    kept.append(text[pos:])
+    text = b"".join(kept)
+    tokens = [
+        t.decode("latin-1") for t in _PARAM_TOKEN.findall(text) if t != b"final"
+    ]
+    # drop the parameter name: the last token that is not '[', ']' or '...'
+    for k in range(len(tokens) - 1, 0, -1):
+        if tokens[k] not in ("[", "]", "..."):
+            del tokens[k]
+            break
+    return "".join(tokens)
+
+
+def _skip_parens(text: bytes, i: int) -> int:
+    """Index after the ')' closing the '(' at i, or the end of text."""
+    depth = 0
+    for m in _PARENS.finditer(text, i):
+        depth += 1 if text[m.start()] == _LPAREN else -1
+        if depth == 0:
+            return m.end()
+    return len(text)
 
 
 def _check_duplicates(children: list[DeclNode]) -> None:

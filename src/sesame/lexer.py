@@ -3,12 +3,22 @@
 Classifies every byte of a source buffer as plain code, string literal,
 character literal, line comment, or block comment.  Downstream passes use
 this to ignore separator characters and braces that appear inside literals
-or comments.  String and character literals end at an unescaped closing
-quote or at a line terminator (Java literals cannot span lines), so one
-stray quote never swallows the rest of the file.
+or comments.
+
+One compiled alternation finds every literal and comment in a single left
+to right scan; the bytes between matches are code.  String and character
+literals end at an unescaped closing quote or just before a line feed
+(Java literals cannot span lines), so one stray quote never swallows the
+rest of the file.  A backslash escapes the byte after it, a line feed
+included, and a backslash at the end of the input still belongs to its
+literal.  A block comment closes at the first ``*/`` after its opening
+``/*`` (so ``/*/`` does not close it) or runs to the end of the input.
 """
 
 from __future__ import annotations
+
+import re
+from collections.abc import Iterator
 
 CODE = 0
 STRING = 1
@@ -16,60 +26,56 @@ CHAR = 2
 LINE_COMMENT = 3
 BLOCK_COMMENT = 4
 
-_QUOTE = ord('"')
-_APOS = ord("'")
-_BACKSLASH = ord("\\")
-_SLASH = ord("/")
-_STAR = ord("*")
-_NL = ord("\n")
+# no capture groups: with them ``re`` loses its scan for the first byte
+_TOKEN = re.compile(
+    rb'"(?:[^"\\\n]|\\[\s\S]?)*"?'
+    rb"|'(?:[^'\\\n]|\\[\s\S]?)*'?"
+    rb"|//[^\n]*"
+    rb"|/\*[\s\S]*?(?:\*/|\Z)"
+)
+_QUOTE, _SLASH, _STAR = b'"/*'
+# translation tables indexed by state
+_NON_CODE = bytes((0,)) + bytes((1,)) * 255
+_VIEW_FILL = b"\0\0\0  " + bytes(251)  # literals -> NUL, comments -> blank
 
 
 def lex_states(data: bytes) -> bytes:
     """Return one state byte (CODE, STRING, ...) per input byte."""
-    n = len(data)
-    out = bytearray(n)
-    i = 0
-    while i < n:
-        c = data[i]
-        if c == _QUOTE or c == _APOS:
-            state = STRING if c == _QUOTE else CHAR
-            quote = c
-            out[i] = state
-            i += 1
-            while i < n:
-                c2 = data[i]
-                if c2 == _BACKSLASH and i + 1 < n:
-                    out[i] = state
-                    out[i + 1] = state
-                    i += 2
-                    continue
-                if c2 == _NL:
-                    # unterminated literal: the terminator is ordinary code
-                    break
-                out[i] = state
-                i += 1
-                if c2 == quote:
-                    break
-            continue
-        if c == _SLASH and i + 1 < n and data[i + 1] == _SLASH:
-            while i < n and data[i] != _NL:
-                out[i] = LINE_COMMENT
-                i += 1
-            continue
-        if c == _SLASH and i + 1 < n and data[i + 1] == _STAR:
-            out[i] = BLOCK_COMMENT
-            out[i + 1] = BLOCK_COMMENT
-            i += 2
-            while i < n:
-                if data[i] == _STAR and i + 1 < n and data[i + 1] == _SLASH:
-                    out[i] = BLOCK_COMMENT
-                    out[i + 1] = BLOCK_COMMENT
-                    i += 2
-                    break
-                out[i] = BLOCK_COMMENT
-                i += 1
-            continue
-        out[i] = CODE
-        i += 1
+    out = bytearray(len(data))
+    for m in _TOKEN.finditer(data):
+        start, end = m.span()
+        first = data[start]
+        if first == _SLASH:  # a comment token is at least two bytes long
+            state = BLOCK_COMMENT if data[start + 1] == _STAR else LINE_COMMENT
+        else:
+            state = STRING if first == _QUOTE else CHAR
+        out[start:end] = bytes((state,)) * (end - start)
     return bytes(out)
 
+
+def non_code_spans(states: bytes) -> Iterator[tuple[int, int]]:
+    """(start, end) of each maximal run of literal and comment bytes."""
+    flags = states.translate(_NON_CODE)
+    start = flags.find(1)
+    while start >= 0:
+        end = flags.find(0, start)
+        if end < 0:
+            end = len(flags)
+        yield start, end
+        start = flags.find(1, end)
+
+
+def code_view(data: bytes, states: bytes) -> bytearray:
+    """A copy of ``data`` with every comment byte blanked and every literal
+    byte NUL.
+
+    Code bytes are kept, so searching the view for anything but a blank or
+    NUL finds only its code-context occurrences, and a run of whitespace
+    in the view spans comments too.  Non-code runs are filled byte by byte
+    from their states, so a literal directly followed by a comment keeps
+    both fills.  The view is returned as built, without a second copy.
+    """
+    out = bytearray(data)
+    for start, end in non_code_spans(states):
+        out[start:end] = states[start:end].translate(_VIEW_FILL)
+    return out

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
-from .lexer import CODE, lex_states
+from .lexer import lex_states, non_code_spans
 from .textmerge import (
     Conflict,
     MergeOutcome,
@@ -30,7 +31,6 @@ from .textmerge import (
 DEFAULT_SEPARATOR_CHARS = ("{", "}", "(", ")", ";")
 PLACEHOLDER_CHAR = b"$"
 _BASE_PLACEHOLDER_LEN = 8
-_NL = ord("\n")
 
 
 class MarkingError(ValueError):
@@ -50,6 +50,9 @@ class SeparatorSet:
         for s in self.separators:
             if len(s) != 1:
                 raise ValueError(f"separator must be a single character: {s!r}")
+            if not s.isascii():
+                # separators are matched against bytes, one byte each
+                raise ValueError(f"separator must be an ASCII character: {s!r}")
             if s in ("\n", "\r"):
                 raise ValueError("line terminators cannot be separators")
             if s == "$":
@@ -62,9 +65,6 @@ class SeparatorSet:
     def from_spec(cls, spec: str) -> "SeparatorSet":
         """Parse a comma-separated list like ``"{,},(,),;"``."""
         return cls(tuple(spec.split(",")))
-
-    def as_byte_set(self) -> frozenset[int]:
-        return frozenset(ord(s) for s in self.separators)
 
 
 @dataclass
@@ -95,27 +95,40 @@ def mark(
     breaks and placeholder prefixes are inserted.  Text following a
     separator on the same original line continues on a fresh placeholder
     line, so consecutive separators yield consecutive one-character lines.
+    A placeholder that occurs in the text could not be told from the
+    inserted prefixes, so it raises MarkingError.
     """
     seps = seps or SeparatorSet()
     ph = placeholder if placeholder is not None else pick_placeholder([text])
-    sep_bytes = seps.as_byte_set()
-    states = lex_states(text)
-    out = bytearray()
-    pending = False  # next ordinary byte continues on an inserted line
-    for i, c in enumerate(text):
-        if c in sep_bytes and states[i] == CODE:
-            out += b"\n" + ph
-            out.append(c)
-            pending = True
-        elif c == _NL:
-            out.append(c)
-            pending = False
-        else:
-            if pending:
-                out += b"\n" + ph
-                pending = False
-            out.append(c)
-    lines, trailing = split_lines(bytes(out))
+    if ph in text:
+        raise MarkingError("placeholder occurs in the text to mark")
+    br = b"\n" + ph
+    # Each literal or comment is swapped for one stand-in that holds no
+    # separator and is no LF, so only code separators are isolated and a
+    # literal or comment after a separator still starts a fresh line.  As
+    # the placeholder is not in the text, neither the stand-in nor a break
+    # can be confused with text.
+    stand_in = b"\r" + ph
+    code: list[bytes] = []
+    hidden: list[bytes] = []
+    copied = 0
+    for start, end in non_code_spans(lex_states(text)):
+        code.append(text[copied:start])
+        hidden.append(text[start:end])
+        copied = end
+    code.append(text[copied:])
+    marked = stand_in.join(code)
+    for sep in seps.separators:
+        sep = sep.encode()
+        marked = marked.replace(sep, br + sep + br)
+    # a break after a separator is kept only before ordinary text: LF,
+    # the next separator's own break or the end of the text need none
+    marked = marked.replace(br + b"\n", b"\n")
+    if marked.endswith(br):
+        marked = marked[:-len(br)]
+    marked_code = marked.split(stand_in)
+    out = chain.from_iterable(zip(marked_code, hidden))
+    lines, trailing = split_lines(b"".join(out) + marked_code[-1])
     return MarkedText(lines, ph, trailing)
 
 

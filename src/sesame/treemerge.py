@@ -73,32 +73,41 @@ def _ordered_keys(b_nodes, l_nodes, r_nodes) -> list[tuple[str, str]]:
     """Base order, then left's additions at their anchors, then right's.
 
     An added declaration is placed after its nearest predecessor already in
-    the list; at a shared anchor, right's additions follow left's.
+    the list; at a shared anchor, right's additions follow left's.  The
+    list is kept as a singly linked chain (``after`` maps each key to its
+    successor), so every insertion is O(1).  Right's scan past keys it does
+    not have never revisits a key, so the whole ordering is linear.
     """
-    keys = [n.key() for n in b_nodes]
-    present = set(keys)
-    last = -1
+    head = object()
+    after: dict = {head: None}
+    prev = head
+    for n in b_nodes:
+        k = n.key()
+        after[prev] = k
+        prev = k
+    after[prev] = None
+    anchor = head
     for n in l_nodes:
         k = n.key()
-        if k in present:
-            last = keys.index(k)
-        else:
-            keys.insert(last + 1, k)
-            present.add(k)
-            last += 1
+        if k not in after:
+            after[k] = after[anchor]
+            after[anchor] = k
+        anchor = k
     r_keys = {n.key() for n in r_nodes}
-    last = -1
+    anchor = head
     for n in r_nodes:
         k = n.key()
-        if k in present:
-            last = keys.index(k)
-        else:
-            pos = last + 1
-            while pos < len(keys) and keys[pos] not in r_keys:
-                pos += 1
-            keys.insert(pos, k)
-            present.add(k)
-            last = pos
+        if k not in after:
+            while after[anchor] is not None and after[anchor] not in r_keys:
+                anchor = after[anchor]
+            after[k] = after[anchor]
+            after[anchor] = k
+        anchor = k
+    keys = []
+    k = after[head]
+    while k is not None:
+        keys.append(k)
+        k = after[k]
     return keys
 
 

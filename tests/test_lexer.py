@@ -1,0 +1,119 @@
+"""Lexer: the tokenizer against the per-byte scan it replaced."""
+
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sesame.lexer import (
+    BLOCK_COMMENT,
+    CHAR,
+    CODE,
+    LINE_COMMENT,
+    STRING,
+    code_view,
+    lex_states,
+)
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+_QUOTE = ord('"')
+_APOS = ord("'")
+_BACKSLASH = ord("\\")
+_SLASH = ord("/")
+_STAR = ord("*")
+_NL = ord("\n")
+
+
+def reference_lex_states(data: bytes) -> bytes:
+    """The original byte-at-a-time scanner, kept as the specification."""
+    n = len(data)
+    out = bytearray(n)
+    i = 0
+    while i < n:
+        c = data[i]
+        if c == _QUOTE or c == _APOS:
+            state = STRING if c == _QUOTE else CHAR
+            quote = c
+            out[i] = state
+            i += 1
+            while i < n:
+                c2 = data[i]
+                if c2 == _BACKSLASH and i + 1 < n:
+                    out[i] = state
+                    out[i + 1] = state
+                    i += 2
+                    continue
+                if c2 == _NL:
+                    # unterminated literal: the terminator is ordinary code
+                    break
+                out[i] = state
+                i += 1
+                if c2 == quote:
+                    break
+            continue
+        if c == _SLASH and i + 1 < n and data[i + 1] == _SLASH:
+            while i < n and data[i] != _NL:
+                out[i] = LINE_COMMENT
+                i += 1
+            continue
+        if c == _SLASH and i + 1 < n and data[i + 1] == _STAR:
+            out[i] = BLOCK_COMMENT
+            out[i + 1] = BLOCK_COMMENT
+            i += 2
+            while i < n:
+                if data[i] == _STAR and i + 1 < n and data[i + 1] == _SLASH:
+                    out[i] = BLOCK_COMMENT
+                    out[i + 1] = BLOCK_COMMENT
+                    i += 2
+                    break
+                out[i] = BLOCK_COMMENT
+                i += 1
+            continue
+        out[i] = CODE
+        i += 1
+    return bytes(out)
+
+
+# quotes, escapes, comment openers and closers, LF, and a little code
+lexer_bytes = st.lists(
+    st.sampled_from(list(b"\"'\\/*\n {}();abxy")), max_size=200
+).map(bytes)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(lexer_bytes)
+def test_lex_states_matches_reference(data):
+    assert lex_states(data) == reference_lex_states(data)
+
+
+def test_lex_states_matches_reference_on_corpus():
+    paths = sorted((FIXTURES / "java_corpus").glob("*.java"))
+    paths += sorted((FIXTURES / "java_corpus_bad").glob("*.java"))
+    assert paths
+    for path in paths:
+        data = path.read_bytes()
+        assert lex_states(data) == reference_lex_states(data), path.name
+
+
+@pytest.mark.parametrize(
+    "data,expected",
+    [
+        (b'"a\nb', b"\x01\x01\x00\x00"),  # a literal stops before an LF
+        (b'"\\\n"', b"\x01\x01\x01\x01"),  # an escaped LF stays in the literal
+        (b"'\\", b"\x02\x02"),  # a lone backslash at EOF belongs to it
+        (b"/*/x", b"\x04\x04\x04\x04"),  # '/*/' does not close the comment
+        (b"/**/x", b"\x04\x04\x04\x04\x00"),
+        (b"a//b\nc", b"\x00\x03\x03\x03\x00\x00"),
+    ],
+)
+def test_lex_states_quirks(data, expected):
+    assert lex_states(data) == expected
+
+
+def test_code_view_masks_runs_by_kind():
+    data = b'x = "s" /* c */ // d\n\'q\';'
+    view = code_view(data, lex_states(data))
+    assert view == b'x = \0\0\0 ' + b" " * 7 + b" " * 5 + b"\n\0\0\0;"
+    assert len(view) == len(data)

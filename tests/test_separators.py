@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sesame.lexer import CODE, lex_states
 from sesame.separators import (
     MarkedText,
     MarkingError,
@@ -15,7 +16,7 @@ from sesame.separators import (
     pick_placeholder,
     unmark,
 )
-from sesame.textmerge import count_conflicts, merge_text, render
+from sesame.textmerge import count_conflicts, merge_text, render, split_lines
 
 PH = b"$" * 8
 
@@ -33,7 +34,7 @@ def test_separator_set_from_spec():
 
 @pytest.mark.parametrize(
     "bad",
-    [(), ("{{",), ("\n",), ("$",), ("{", "{")],
+    [(), ("{{",), ("\n",), ("$",), ("{", "{"), ("\u20ac",), ("\u00e2",)],
 )
 def test_separator_set_rejects_invalid(bad):
     with pytest.raises(ValueError):
@@ -148,6 +149,50 @@ def test_roundtrip_arbitrary_bytes(data):
     assert unmark(mark(data)) == data
 
 
+def reference_mark(text, seps=None, placeholder=None):
+    """The original byte-at-a-time ``mark``, kept as the specification."""
+    seps = seps or SeparatorSet()
+    ph = placeholder if placeholder is not None else pick_placeholder([text])
+    sep_bytes = frozenset(ord(s) for s in seps.separators)
+    states = lex_states(text)
+    out = bytearray()
+    pending = False  # next ordinary byte continues on an inserted line
+    for i, c in enumerate(text):
+        if c in sep_bytes and states[i] == CODE:
+            out += b"\n" + ph
+            out.append(c)
+            pending = True
+        elif c == ord("\n"):
+            out.append(c)
+            pending = False
+        else:
+            if pending:
+                out += b"\n" + ph
+                pending = False
+            out.append(c)
+    lines, trailing = split_lines(bytes(out))
+    return MarkedText(lines, ph, trailing)
+
+
+@given(
+    st.lists(
+        st.sampled_from(list(b"{}();\"'\\/*\n\r $ax,.\t")), max_size=120
+    ).map(bytes),
+    st.sampled_from(
+        [None, SeparatorSet((";",)), SeparatorSet((",", ".", " ")), SeparatorSet(("\\", "*", "'"))]
+    ),
+)
+@settings(max_examples=800)
+def test_mark_matches_reference(text, seps):
+    assert mark(text, seps) == reference_mark(text, seps)
+
+
+def test_mark_matches_reference_on_corpus(corpus_dir):
+    for path in sorted(corpus_dir.glob("*.java")):
+        text = path.read_bytes()
+        assert mark(text) == reference_mark(text), path.name
+
+
 def test_containment_original_bytes_survive():
     rng = random.Random(7)
     bits = [b"{", b"}", b";", b"x", b"\n", b'"{"']
@@ -178,6 +223,13 @@ def test_placeholder_grows_past_collisions():
     assert pick_placeholder([b"plain"]) == PH
     assert pick_placeholder([b"$$$$$$$$"]) == PH + PH
     assert pick_placeholder([PH + PH]) == PH * 4
+
+
+def test_mark_rejects_placeholder_in_text():
+    # a line of the text starting with the placeholder would read as a
+    # continuation when unmarked
+    with pytest.raises(MarkingError):
+        mark(b"a;\n$$$$$$$$b", placeholder=PH)
 
 
 def test_mark_uses_collision_free_placeholder():

@@ -3,11 +3,13 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sesame.javaparse import parse_units, print_units
+from sesame.javaparse import DeclNode, parse_units, print_units
 from sesame.separators import SeparatorSet
 from sesame.textmerge import count_conflicts, render
-from sesame.treemerge import match_trees, merge_matched, merge_trees
+from sesame.treemerge import _ordered_keys, match_trees, merge_matched, merge_trees
 
 # how bodies changed on both sides merge: line by line, or through separators
 PLAIN = {"separators": None}
@@ -82,6 +84,50 @@ def test_same_anchor_left_additions_precede_rights():
     merged = merge_sources(base, left, right)
     order = [c.identifier for c in parse_units(merged).root.children[0].children]
     assert order == ["fromLeft()", "fromRight()", "tail()"]
+
+
+def reference_ordered_keys(b_nodes, l_nodes, r_nodes):
+    """The original list-based ordering (quadratic), kept as the specification."""
+    keys = [n.key() for n in b_nodes]
+    present = set(keys)
+    last = -1
+    for n in l_nodes:
+        k = n.key()
+        if k in present:
+            last = keys.index(k)
+        else:
+            keys.insert(last + 1, k)
+            present.add(k)
+            last += 1
+    r_keys = {n.key() for n in r_nodes}
+    last = -1
+    for n in r_nodes:
+        k = n.key()
+        if k in present:
+            last = keys.index(k)
+        else:
+            pos = last + 1
+            while pos < len(keys) and keys[pos] not in r_keys:
+                pos += 1
+            keys.insert(pos, k)
+            present.add(k)
+            last = pos
+    return keys
+
+
+# a side is a reordered subset of the base's names plus names of its own;
+# names 20-29 may be added by both sides
+side_names = st.lists(st.integers(0, 29), unique=True, max_size=25)
+
+
+@given(st.lists(st.integers(0, 19), unique=True, max_size=20), side_names, side_names)
+@settings(max_examples=1000)
+def test_ordered_keys_matches_reference(base, left, right):
+    def nodes(names):
+        return [DeclNode("method", f"m{k}()") for k in names]
+
+    b, l, r = nodes(base), nodes(left), nodes(right)
+    assert _ordered_keys(b, l, r) == reference_ordered_keys(b, l, r)
 
 
 # -- merge rules ---------------------------------------------------------------
