@@ -212,11 +212,14 @@ class _Parser:
     def _parse_type(
         self, start: int, kw_pos: int, kind: str, annotation: bool = False
     ) -> tuple[DeclNode, int]:
+        """Parse the type whose keyword is at kw_pos.
+
+        ``annotation`` marks an ``@interface``.  Callers read a code '@'
+        as a token of its own before the word after it, so they are the
+        ones that see it; a '@' in a comment or literal is not code.
+        """
         word, i = self._read_word(kw_pos)
         is_enum = word == "enum"
-        is_annotation = annotation or (
-            word == "interface" and kw_pos > 0 and self._at_annotation_kw(kw_pos)
-        )
         i = self._skip_insignificant(i)
         name, i = self._read_word(i)
         if not name:
@@ -227,18 +230,13 @@ class _Parser:
             children, tail_start, close = self._parse_enum_body(brace + 1, name)
         else:
             children, tail_start, close = self._parse_members(
-                brace + 1, name, is_annotation
+                brace + 1, name, annotation
             )
         end = close + 1
         end = self._absorb_semicolons(end)
         _check_duplicates(children)
         body = self.data[tail_start:end]
         return DeclNode("type", name, header, body, children), end
-
-    def _at_annotation_kw(self, kw_pos: int) -> bool:
-        """Whether the last non-whitespace byte before kw_pos is '@',
-        comments and literals included."""
-        return self.data[:kw_pos].rstrip(_WS_CHARS).endswith(b"@")
 
     def _find_body_brace(self, i: int) -> int:
         """First '{' in code context at paren depth 0 (skips annotations)."""

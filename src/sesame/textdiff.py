@@ -8,6 +8,12 @@ runs where possible, and otherwise settle at the latest position unless an
 earlier position lines up with a change on the other side.  The alignment
 this produces is what the three-way merge layer builds its stable regions
 from, so the normalization directly shapes where conflicts are reported.
+
+The search skips every subproblem in which one side has no line that
+occurs anywhere in the other sequence: such a range holds no equal pair,
+so the search could only report it unmatched.  The skip is exact, not a
+cost bound, and it makes a rewritten block that shares no line with the
+other side cost linear time instead of quadratic.
 """
 
 from __future__ import annotations
@@ -20,42 +26,43 @@ from typing import Sequence
 class Alignment:
     """Correspondence between two segment sequences.
 
-    ``pairs`` covers every index of both sequences exactly once, in order.
-    A pair with both indices present is a matched, byte-equal segment; a
-    one-sided pair is a deletion (left only) or insertion (right only).
+    Only the matched pairs are stored, in increasing order on both sides,
+    together with both lengths; every other index is a deletion (left) or
+    an insertion (right).  ``pairs`` spells the whole correspondence out.
     """
 
-    pairs: tuple[tuple[int | None, int | None], ...]
+    matched: tuple[tuple[int, int], ...]
+    len_a: int
+    len_b: int
+
+    @property
+    def pairs(self) -> tuple[tuple[int | None, int | None], ...]:
+        """Every index of both sequences exactly once, in order.  A pair
+        with both indices present is a matched, byte-equal segment; a
+        one-sided pair is a deletion (left only) or insertion (right only).
+        """
+        pairs: list[tuple[int | None, int | None]] = []
+        ai = bi = 0
+        for i, j in self.matched:
+            pairs.extend((k, None) for k in range(ai, i))
+            pairs.extend((None, k) for k in range(bi, j))
+            pairs.append((i, j))
+            ai, bi = i + 1, j + 1
+        pairs.extend((k, None) for k in range(ai, self.len_a))
+        pairs.extend((None, k) for k in range(bi, self.len_b))
+        return tuple(pairs)
 
     def matches(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, j in self.pairs if i is not None and j is not None]
+        return list(self.matched)
 
     def match_count(self) -> int:
-        return sum(1 for i, j in self.pairs if i is not None and j is not None)
+        return len(self.matched)
 
 
 def diff2(a: Sequence[bytes], b: Sequence[bytes]) -> Alignment:
     """Align two segment sequences on a longest common subsequence."""
-    matches = lcs_matches(a, b)
-    matches = _shift_boundaries(a, b, matches)
-    pairs: list[tuple[int | None, int | None]] = []
-    ai = bi = 0
-    for i, j in matches:
-        while ai < i:
-            pairs.append((ai, None))
-            ai += 1
-        while bi < j:
-            pairs.append((None, bi))
-            bi += 1
-        pairs.append((i, j))
-        ai, bi = i + 1, j + 1
-    while ai < len(a):
-        pairs.append((ai, None))
-        ai += 1
-    while bi < len(b):
-        pairs.append((None, bi))
-        bi += 1
-    return Alignment(tuple(pairs))
+    matches = _shift_boundaries(a, b, lcs_matches(a, b))
+    return Alignment(tuple(matches), len(a), len(b))
 
 
 def lcs_matches(a: Sequence[bytes], b: Sequence[bytes]) -> list[tuple[int, int]]:
@@ -63,12 +70,15 @@ def lcs_matches(a: Sequence[bytes], b: Sequence[bytes]) -> list[tuple[int, int]]
     table: dict[bytes, int] = {}
     ea = [table.setdefault(x, len(table)) for x in a]
     eb = [table.setdefault(x, len(table)) for x in b]
+    # one flag per line: whether it occurs anywhere in the other sequence
+    fa = bytes(map(set(eb).__contains__, ea))
+    fb = bytes(map(set(ea).__contains__, eb))
     out: list[tuple[int, int]] = []
-    _lcs_recurse(ea, 0, len(ea), eb, 0, len(eb), out)
+    _lcs_recurse(ea, 0, len(ea), eb, 0, len(eb), fa, fb, out)
     return out
 
 
-def _lcs_recurse(a, a0, a1, b, b0, b1, out) -> None:
+def _lcs_recurse(a, a0, a1, b, b0, b1, fa, fb, out) -> None:
     while a0 < a1 and b0 < b1 and a[a0] == b[b0]:
         out.append((a0, b0))
         a0 += 1
@@ -78,13 +88,15 @@ def _lcs_recurse(a, a0, a1, b, b0, b1, out) -> None:
         a1 -= 1
         b1 -= 1
         tail.append((a1, b1))
-    if a0 < a1 and b0 < b1:
+    # a range in which one side shares no line with the other has no match;
+    # an empty range finds no flag either, so both ranges are non-empty here
+    if fa.find(1, a0, a1) >= 0 and fb.find(1, b0, b1) >= 0:
         d, x0, y0, x1, y1 = _middle_snake(a, a0, a1, b, b0, b1)
         if d > 1:
-            _lcs_recurse(a, a0, a0 + x0, b, b0, b0 + y0, out)
+            _lcs_recurse(a, a0, a0 + x0, b, b0, b0 + y0, fa, fb, out)
             for t in range(x1 - x0):
                 out.append((a0 + x0 + t, b0 + y0 + t))
-            _lcs_recurse(a, a0 + x1, a1, b, b0 + y1, b1, out)
+            _lcs_recurse(a, a0 + x1, a1, b, b0 + y1, b1, fa, fb, out)
         else:
             # one insertion or deletion apart: greedy pairing is optimal
             i, j = a0, b0

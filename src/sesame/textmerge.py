@@ -84,8 +84,8 @@ def three_way_chunks(
     content at consistent offsets; every index of each sequence lands in
     exactly one chunk.
     """
-    left_at = {bi: li for bi, li in diff2(base, left).matches()}
-    right_at = {bi: ri for bi, ri in diff2(base, right).matches()}
+    left_at = dict(diff2(base, left).matched)
+    right_at = dict(diff2(base, right).matched)
     chunks: list[Chunk] = []
     bz = lz = rz = 0
 

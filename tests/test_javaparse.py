@@ -117,6 +117,31 @@ def test_annotation_type_members():
     ]
 
 
+def test_at_in_comment_before_interface_is_not_an_annotation_type():
+    tree = parse_units(b"// @\ninterface X { int f(); }")
+    assert kinds_and_ids(tree.root.children[0]) == [("method", "f()")]
+    nested = parse_units(b"class A { /* @ */ interface X { int f(); } }")
+    inner = nested.root.children[0].children[0]
+    assert kinds_and_ids(inner) == [("method", "f()")]
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        b"@interface X { int f(); }",
+        b"@ /* c */ interface X { int f(); }",
+        b"@ // c\ninterface X { int f(); }",
+        b"class A { @ /* c */ interface X { int f(); } }",
+    ],
+)
+def test_annotation_type_across_comments(src):
+    tree = parse_units(src)
+    decl = tree.root.children[0]
+    if decl.identifier == "A":
+        decl = decl.children[0]
+    assert kinds_and_ids(decl) == [("annotation-member", "f()")]
+
+
 def test_nested_types_recurse():
     src = b"class Outer { class Inner { void hi() {} } void out() {} }"
     tree = parse_units(src)

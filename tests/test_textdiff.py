@@ -1,11 +1,16 @@
-"""Two-way diff: LCS optimality, alignment invariants, boundary shifting."""
+"""Two-way diff: LCS optimality, alignment invariants, boundary shifting,
+and the exactness of skipping subproblems that share no line."""
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sesame.textdiff import Alignment, diff2, lcs_matches
+from sesame import textdiff
+from sesame.textdiff import Alignment, _shift_boundaries, diff2, lcs_matches
+from sesame.textmerge import merge_text
 
 ALPHA = [b"a", b"b", b"c"]
 
@@ -111,3 +116,241 @@ def test_lcs_matches_handles_degenerate_inputs():
     assert lcs_matches([], [b"a"]) == []
     assert lcs_matches([b"a"], []) == []
     assert lcs_matches([b"a", b"a"], [b"a", b"a"]) == [(0, 0), (1, 1)]
+
+
+def test_alignment_pairs_cover_every_index():
+    assert diff2([], []).pairs == ()
+    assert diff2([b"a", b"b"], []).pairs == ((0, None), (1, None))
+    assert diff2([], [b"a", b"b"]).pairs == ((None, 0), (None, 1))
+    same = [b"a", b"b", b"a"]
+    assert diff2(same, same).pairs == ((0, 0), (1, 1), (2, 2))
+    rng = random.Random(11)
+    for _ in range(500):
+        a = [ALPHA[rng.randrange(3)] for _ in range(rng.randint(0, 12))]
+        b = [ALPHA[rng.randrange(3)] for _ in range(rng.randint(0, 12))]
+        assert_valid_alignment(a, b, diff2(a, b))
+
+
+# -- exactness of the skip -------------------------------------------------
+
+def reference_diff2(a, b):
+    """The search without the skip, kept as the specification: the full
+    ``pairs`` of the alignment it produced."""
+    matches = reference_lcs_matches(a, b)
+    matches = _shift_boundaries(a, b, matches)
+    pairs = []
+    ai = bi = 0
+    for i, j in matches:
+        while ai < i:
+            pairs.append((ai, None))
+            ai += 1
+        while bi < j:
+            pairs.append((None, bi))
+            bi += 1
+        pairs.append((i, j))
+        ai, bi = i + 1, j + 1
+    while ai < len(a):
+        pairs.append((ai, None))
+        ai += 1
+    while bi < len(b):
+        pairs.append((None, bi))
+        bi += 1
+    return tuple(pairs)
+
+
+def reference_lcs_matches(a, b):
+    table = {}
+    ea = [table.setdefault(x, len(table)) for x in a]
+    eb = [table.setdefault(x, len(table)) for x in b]
+    out = []
+    _reference_lcs_recurse(ea, 0, len(ea), eb, 0, len(eb), out)
+    return out
+
+
+def _reference_lcs_recurse(a, a0, a1, b, b0, b1, out):
+    while a0 < a1 and b0 < b1 and a[a0] == b[b0]:
+        out.append((a0, b0))
+        a0 += 1
+        b0 += 1
+    tail = []
+    while a1 > a0 and b1 > b0 and a[a1 - 1] == b[b1 - 1]:
+        a1 -= 1
+        b1 -= 1
+        tail.append((a1, b1))
+    if a0 < a1 and b0 < b1:
+        d, x0, y0, x1, y1 = _reference_middle_snake(a, a0, a1, b, b0, b1)
+        if d > 1:
+            _reference_lcs_recurse(a, a0, a0 + x0, b, b0, b0 + y0, out)
+            for t in range(x1 - x0):
+                out.append((a0 + x0 + t, b0 + y0 + t))
+            _reference_lcs_recurse(a, a0 + x1, a1, b, b0 + y1, b1, out)
+        else:
+            # one insertion or deletion apart: greedy pairing is optimal
+            i, j = a0, b0
+            while i < a1 and j < b1:
+                if a[i] == b[j]:
+                    out.append((i, j))
+                    i += 1
+                    j += 1
+                elif (a1 - i) > (b1 - j):
+                    i += 1
+                else:
+                    j += 1
+    out.extend(reversed(tail))
+
+
+def _reference_middle_snake(a, a0, a1, b, b0, b1):
+    n = a1 - a0
+    m = b1 - b0
+    delta = n - m
+    odd = delta % 2 != 0
+    maxd = (n + m + 1) // 2 + 1
+    off = maxd + 1
+    vf = [0] * (2 * maxd + 3)
+    vb = [0] * (2 * maxd + 3)
+    vf[off + 1] = 0
+    vb[off + 1] = 0
+    for d in range(maxd + 1):
+        for k in range(-d, d + 1, 2):
+            if k == -d or (k != d and vf[off + k - 1] < vf[off + k + 1]):
+                x = vf[off + k + 1]
+            else:
+                x = vf[off + k - 1] + 1
+            y = x - k
+            xs, ys = x, y
+            while x < n and y < m and a[a0 + x] == b[b0 + y]:
+                x += 1
+                y += 1
+            vf[off + k] = x
+            if odd and -(d - 1) <= delta - k <= d - 1:
+                if vf[off + k] + vb[off + delta - k] >= n:
+                    return 2 * d - 1, xs, ys, x, y
+        for k in range(-d, d + 1, 2):
+            if k == -d or (k != d and vb[off + k - 1] < vb[off + k + 1]):
+                x = vb[off + k + 1]
+            else:
+                x = vb[off + k - 1] + 1
+            y = x - k
+            xs, ys = x, y
+            while x < n and y < m and a[a1 - 1 - x] == b[b1 - 1 - y]:
+                x += 1
+                y += 1
+            vb[off + k] = x
+            if not odd and -d <= delta - k <= d:
+                if vb[off + k] + vf[off + delta - k] >= n:
+                    return 2 * d, n - x, m - y, n - xs, m - ys
+    raise AssertionError("middle snake search failed")
+
+
+def assert_same_as_reference(a, b):
+    al = diff2(a, b)
+    assert al.pairs == reference_diff2(a, b)
+    assert_valid_alignment(a, b, al)
+
+
+SMALL = st.lists(st.sampled_from([b"a", b"b", b"c", b"d"]), max_size=30)
+
+
+@given(SMALL, SMALL)
+@settings(max_examples=500)
+def test_diff2_equals_reference_small_alphabet(a, b):
+    assert_same_as_reference(a, b)
+
+
+@st.composite
+def edited_pairs(draw):
+    """A sequence and a copy changed by deletions, substitutions and
+    insertions of lines old and new."""
+    base = draw(st.lists(st.integers(0, 9), max_size=40))
+    edited = list(base)
+    for _ in range(draw(st.integers(0, 8))):
+        op = draw(st.sampled_from(["delete", "replace", "insert"]))
+        pos = draw(st.integers(0, len(edited)))
+        line = draw(st.integers(0, 14))
+        if op == "insert":
+            edited.insert(pos, line)
+        elif pos < len(edited):
+            if op == "delete":
+                del edited[pos]
+            else:
+                edited[pos] = line
+    return [b"%d" % x for x in base], [b"%d" % x for x in edited]
+
+
+@given(edited_pairs())
+@settings(max_examples=500)
+def test_diff2_equals_reference_on_edits(pair):
+    assert_same_as_reference(*pair)
+
+
+@st.composite
+def pairs_with_unique_runs(draw):
+    """Small-alphabet sequences with runs of lines that occur on one side
+    only, the ranges the search skips."""
+    sides = []
+    for tag in (b"L", b"R"):
+        lines = draw(st.lists(st.sampled_from([b"a", b"b", b"c"]), max_size=20))
+        for run in range(draw(st.integers(0, 3))):
+            pos = draw(st.integers(0, len(lines)))
+            size = draw(st.integers(1, 6))
+            lines[pos:pos] = [tag + b"%d.%d" % (run, k) for k in range(size)]
+        sides.append(lines)
+    return sides
+
+
+@given(pairs_with_unique_runs())
+@settings(max_examples=500)
+def test_diff2_equals_reference_with_one_sided_lines(pair):
+    assert_same_as_reference(*pair)
+
+
+# -- the skip, counted ------------------------------------------------------
+
+@pytest.fixture
+def snake_calls(monkeypatch):
+    """Every (a0, a1, b0, b1) range the middle-snake search is run on."""
+    calls = []
+    search = textdiff._middle_snake
+
+    def counted(a, a0, a1, b, b0, b1):
+        calls.append((a0, a1, b0, b1))
+        return search(a, a0, a1, b, b0, b1)
+
+    monkeypatch.setattr(textdiff, "_middle_snake", counted)
+    return calls
+
+
+def test_share_nothing_runs_no_search(snake_calls):
+    a = [b"a%d" % i for i in range(3000)]
+    b = [b"b%d" % i for i in range(3000)]
+    al = diff2(a, b)
+    assert snake_calls == []
+    assert al.match_count() == 0
+    assert_valid_alignment(a, b, al)
+
+
+@pytest.mark.parametrize("outside_edits", [(), (100, 1900)])
+def test_rewritten_block_is_not_searched(snake_calls, outside_edits):
+    a = [b"line %d" % i for i in range(2000)]
+    b = list(a)
+    b[500:1500] = [b"new %d" % i for i in range(1000)]
+    for i in outside_edits:
+        b[i] = b"edit %d" % i
+    al = diff2(a, b)
+    assert not [
+        c for c in snake_calls
+        if 500 <= c[0] and c[1] <= 1500 and 500 <= c[2] and c[3] <= 1500
+    ]
+    assert bool(snake_calls) == bool(outside_edits)
+    # every line is unique, so the one longest common subsequence is known
+    kept = set(range(500)) | set(range(1500, 2000))
+    assert al.matches() == [(i, i) for i in sorted(kept - set(outside_edits))]
+
+
+def test_merge_text_share_nothing_is_one_conflict():
+    base = b"".join(b"base %d\n" % i for i in range(3000))
+    left = b"".join(b"left %d\n" % i for i in range(3000))
+    right = b"".join(b"right %d\n" % i for i in range(3000))
+    out, conflicts = merge_text(base, left, right)
+    assert conflicts == 1
+    assert out.startswith(b"<<<<<<< left\nleft 0\n")

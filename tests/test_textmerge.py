@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sesame.textdiff import diff2
 from sesame.textmerge import (
+    Chunk,
     Conflict,
     MarkerError,
     MergeOutcome,
@@ -153,6 +155,64 @@ def test_chunks_partition_all_sequences():
                 r0, _ = chunk.right_range
                 assert base[b0:b1] == left[l0:l0 + b1 - b0] == right[r0:r0 + b1 - b0]
         assert pos == [len(base), len(left), len(right)]
+
+
+def reference_three_way_chunks(base, left, right):
+    """The partition as first written, from the per-index ``matches()``
+    list of each alignment, kept as the specification."""
+    left_at = {bi: li for bi, li in diff2(base, left).matches()}
+    right_at = {bi: ri for bi, ri in diff2(base, right).matches()}
+    chunks = []
+    bz = lz = rz = 0
+
+    def emit_gap(b_end, l_end, r_end):
+        nonlocal bz, lz, rz
+        if b_end > bz or l_end > lz or r_end > rz:
+            chunks.append(
+                Chunk("changed", (bz, b_end), (lz, l_end), (rz, r_end))
+            )
+        bz, lz, rz = b_end, l_end, r_end
+
+    i = 0
+    n = len(base)
+    while i < n:
+        if i not in left_at or i not in right_at:
+            i += 1
+            continue
+        start = i
+        while (
+            i + 1 < n
+            and i + 1 in left_at
+            and i + 1 in right_at
+            and left_at[i + 1] == left_at[i] + 1
+            and right_at[i + 1] == right_at[i] + 1
+        ):
+            i += 1
+        emit_gap(start, left_at[start], right_at[start])
+        end = i + 1
+        chunks.append(
+            Chunk(
+                "stable",
+                (start, end),
+                (left_at[start], left_at[start] + end - start),
+                (right_at[start], right_at[start] + end - start),
+            )
+        )
+        bz, lz, rz = end, left_at[start] + end - start, right_at[start] + end - start
+        i = end
+    emit_gap(n, len(left), len(right))
+    return chunks
+
+
+CHUNK_LINES = st.lists(st.sampled_from([b"p", b"q", b"r", b"s", b"t"]), max_size=16)
+
+
+@given(CHUNK_LINES, CHUNK_LINES, CHUNK_LINES)
+@settings(max_examples=400)
+def test_chunks_equal_reference(base, left, right):
+    assert three_way_chunks(base, left, right) == reference_three_way_chunks(
+        base, left, right
+    )
 
 
 # -- merge laws (seeded battery plus hypothesis) -------------------------
