@@ -25,7 +25,7 @@ from .driver import (
     load_config_file,
     merge_files,
 )
-from .harness import ScenarioError, run_harness
+from .harness import ScenarioError, render_report, run_harness
 
 # config keys that engine flags override; each flag stores its value as a
 # string under the key's name with "-" spelled "_"
@@ -169,8 +169,6 @@ def _cmd_harness_run(args: argparse.Namespace) -> int:
         args.scenarios, tools, pairs, args.out, args.export_queue, _engine_config(args)
     )
     if args.out is None:
-        from .harness import render_report
-
         sys.stdout.write(render_report(report))
     return 0
 

@@ -69,10 +69,8 @@ def run_engine(
         else:
             sesame = config.mode is EngineMode.SESAME
             outcome = merge_trees(*trees, config.separators if sesame else None)
-    outcome = replace(outcome, labels=config.labels)
-    return EngineResult(
-        render(outcome, config.base_marker), outcome.conflict_count(), fell_back, reason
-    )
+    rendered = render(outcome, config.labels, config.base_marker)
+    return EngineResult(rendered, outcome.conflict_count(), fell_back, reason)
 
 
 def merge_files(
@@ -169,11 +167,16 @@ def apply_config_values(config: DriverConfig, values: dict[str, str]) -> DriverC
                 raise ValueError("labels must be three comma-separated names")
             config = replace(config, labels=parts)
         elif key == "diff3-style":
-            config = replace(config, base_marker=value.lower() in ("1", "true", "yes"))
+            config = replace(config, base_marker=_boolean(key, value))
         elif key == "fallback":
-            config = replace(
-                config, fallback_on_parse_error=value.lower() in ("1", "true", "yes")
-            )
+            config = replace(config, fallback_on_parse_error=_boolean(key, value))
         else:
             raise ValueError(f"unknown config key: {key!r}")
     return config
+
+
+def _boolean(key: str, value: str) -> bool:
+    word = value.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"{key} must be one of 1/true/yes or 0/false/no, not {value!r}")
+    return word in ("1", "true", "yes")

@@ -4,9 +4,11 @@ A scenario directory materializes one historical merge: ``base/``,
 ``left/``, ``right/`` hold the three input versions and ``merge/`` the
 integration actually recorded in the repository.  The harness replays
 every file through the selected engines, counts conflicts and conflicting
-files, and compares engines pairwise: files where two engines disagree are
-classified as added false positives or negatives against the recorded
-merge, or queued for manual review when neither rule applies.
+files, and compares engines pairwise.  Each file where two engines disagree
+gets one comparison record, which holds both engines' results and the
+recorded merge: it is classified as an added false positive or negative
+against the recorded merge, or queued for manual review when neither rule
+applies.  Files where the engines agree get no record.
 """
 
 from __future__ import annotations
@@ -21,15 +23,11 @@ VERSION_DIRS = ("base", "left", "right", "merge")
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
-AGREE = "agree"
-DIFFER = "differ"
-
 AFP_M = "afp-m"
 AFN_M = "afn-m"
 AFP_N = "afp-n"
 AFN_N = "afn-n"
 UNCLASSIFIED = "unclassified"
-NONE = "none"
 
 
 class ScenarioError(ValueError):
@@ -68,12 +66,12 @@ class ToolResult:
 
 @dataclass
 class ComparisonRecord:
-    tool_m: str
-    tool_n: str
-    scenario: str
-    path: str
-    verdict: str
-    classification: str = NONE
+    """Two engines' differing results on one file, and the recorded merge."""
+
+    m: ToolResult
+    n: ToolResult
+    merge: bytes | None
+    classification: str = UNCLASSIFIED
     reason: str = ""
 
 
@@ -171,32 +169,24 @@ def classify(
     aFP for a tool: it alone reports conflicts while the other tool's clean
     output matches the recorded merge (ignoring whitespace).  aFN for a
     tool: its clean output deviates from the recorded merge while the other
-    tool reports conflicts.  Anything else is queued as unclassified.
+    tool reports conflicts.  Anything else, including a pair in which an
+    engine failed, is queued as unclassified.
     """
-    record = ComparisonRecord(m.tool, n.tool, m.scenario, m.path, DIFFER)
-    if merge_file is None:
-        record.classification = UNCLASSIFIED
+    record = ComparisonRecord(m, n, merge_file)
+    if m.error or n.error:
+        record.reason = "engine error"
+    elif merge_file is None:
         record.reason = "no merge-commit file"
-        return record
-    merged = strip_whitespace(merge_file)
-    if m.conflicting and n.conflicting:
-        record.classification = UNCLASSIFIED
-        record.reason = "both tools report conflicts"
-        return record
-    if m.conflicting and not n.conflicting:
-        if strip_whitespace(n.output) == merged:
-            record.classification = AFP_M
-        else:
-            record.classification = AFN_N
-        return record
-    if n.conflicting and not m.conflicting:
-        if strip_whitespace(m.output) == merged:
-            record.classification = AFP_N
-        else:
-            record.classification = AFN_M
-        return record
-    record.classification = UNCLASSIFIED
-    record.reason = "neither tool reports conflicts"
+    elif m.conflicting == n.conflicting:
+        record.reason = (
+            "both tools report conflicts"
+            if m.conflicting
+            else "neither tool reports conflicts"
+        )
+    else:
+        clean, afp, afn = (n, AFP_M, AFN_N) if m.conflicting else (m, AFP_N, AFN_M)
+        matches = strip_whitespace(clean.output) == strip_whitespace(merge_file)
+        record.classification = afp if matches else afn
     return record
 
 
@@ -239,16 +229,12 @@ def build_report(
     results: list[ToolResult],
     pairs: list[tuple[str, str]],
 ) -> MetricsReport:
-    by_key: dict[tuple[str, str, str], ToolResult] = {
-        (r.tool, r.scenario, r.path): r for r in results
-    }
-    merge_files: dict[tuple[str, str], bytes | None] = {}
+    by_key = {(r.tool, r.scenario, r.path): r for r in results}
     changed_both = 0
     files_total = 0
     for scenario in scenarios:
         for entry in scenario.files:
             files_total += 1
-            merge_files[(scenario.id, entry.path)] = entry.merge
             base = entry.base or b""
             if (entry.left or b"") != base and (entry.right or b"") != base:
                 changed_both += 1
@@ -270,12 +256,7 @@ def build_report(
             for entry in scenario.files:
                 m = by_key.get((tool_m, scenario.id, entry.path))
                 n = by_key.get((tool_n, scenario.id, entry.path))
-                if m is None or n is None:
-                    continue
-                if not tools_differ(m, n):
-                    records.append(
-                        ComparisonRecord(tool_m, tool_n, scenario.id, entry.path, AGREE)
-                    )
+                if m is None or n is None or not tools_differ(m, n):
                     continue
                 totals.differ_count += 1
                 record = classify(m, n, entry.merge)
@@ -288,7 +269,7 @@ def build_report(
                     totals.afn[tool_m] += 1
                 elif record.classification == AFN_N:
                     totals.afn[tool_n] += 1
-                elif record.classification == UNCLASSIFIED:
+                else:
                     totals.unclassified += 1
     return MetricsReport(
         len(scenarios), files_total, changed_both, per_tool, per_pair, records
@@ -340,46 +321,32 @@ def render_report(report: MetricsReport) -> str:
     return "\n".join(lines)
 
 
-def export_queue(
-    report: MetricsReport,
-    results: list[ToolResult],
-    scenarios: list[MergeScenario],
-    queue_dir: str | Path,
-) -> int:
+def export_queue(report: MetricsReport, queue_dir: str | Path) -> int:
     """Write side-by-side outputs for records needing manual review.
 
     Unclassified records and added-false-negative candidates are exported;
     the harness never adjudicates them.
     """
     queue_dir = Path(queue_dir)
-    by_key = {(r.tool, r.scenario, r.path): r for r in results}
-    merge_by_key = {
-        (s.id, e.path): e.merge for s in scenarios for e in s.files
-    }
     exported = 0
     for record in report.records:
         if record.classification not in (UNCLASSIFIED, AFN_M, AFN_N):
             continue
-        slug = record.path.replace("/", "_")
-        case_dir = (
-            queue_dir
-            / f"{record.scenario}__{slug}__{record.tool_m}_vs_{record.tool_n}"
-        )
+        m, n = record.m, record.n
+        slug = m.path.replace("/", "_")
+        case_dir = queue_dir / f"{m.scenario}__{slug}__{m.tool}_vs_{n.tool}"
         case_dir.mkdir(parents=True, exist_ok=True)
-        m = by_key[(record.tool_m, record.scenario, record.path)]
-        n = by_key[(record.tool_n, record.scenario, record.path)]
-        (case_dir / f"{record.tool_m}.out").write_bytes(m.output)
-        (case_dir / f"{record.tool_n}.out").write_bytes(n.output)
-        merge_file = merge_by_key.get((record.scenario, record.path))
-        if merge_file is not None:
-            (case_dir / "merge_commit").write_bytes(merge_file)
+        (case_dir / f"{m.tool}.out").write_bytes(m.output)
+        (case_dir / f"{n.tool}.out").write_bytes(n.output)
+        if record.merge is not None:
+            (case_dir / "merge_commit").write_bytes(record.merge)
         info = (
-            f"scenario: {record.scenario}\n"
-            f"path: {record.path}\n"
-            f"pair: {record.tool_m} vs {record.tool_n}\n"
+            f"scenario: {m.scenario}\n"
+            f"path: {m.path}\n"
+            f"pair: {m.tool} vs {n.tool}\n"
             f"classification: {record.classification}\n"
             f"reason: {record.reason}\n"
-            f"conflicts: {record.tool_m}={m.conflicts} {record.tool_n}={n.conflicts}\n"
+            f"conflicts: {m.tool}={m.conflicts} {n.tool}={n.conflicts}\n"
         )
         (case_dir / "info.txt").write_text(info, encoding="utf-8")
         exported += 1
@@ -403,6 +370,6 @@ def run_harness(
     if out_path is not None:
         Path(out_path).write_text(render_report(report), encoding="utf-8")
     if queue_dir is not None:
-        count = export_queue(report, results, scenarios, queue_dir)
+        count = export_queue(report, queue_dir)
         print(f"exported {count} review case(s) to {queue_dir}", file=sys.stderr)
     return report

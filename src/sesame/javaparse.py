@@ -78,22 +78,20 @@ class DeclNode:
         return (self.kind, self.identifier)
 
 
-@dataclass
-class DeclTree:
-    root: DeclNode
+def parse_units(source: bytes) -> DeclNode:
+    """Parse a compilation unit into its root node.
 
-
-def parse_units(source: bytes) -> DeclTree:
-    """Parse a compilation unit; raises ParseError for unsupported shapes."""
-    tree = _Parser(source).parse()
-    if print_units(tree) != source:
+    Raises ParseError for unsupported shapes, and for declarations nested
+    too deeply for the recursive parser or the round-trip print.
+    """
+    try:
+        root = _Parser(source).parse()
+        printed = root.text()
+    except RecursionError:
+        raise ParseError("declarations nested too deeply") from None
+    if printed != source:
         raise ParseError("parsed tree does not reproduce the source")
-    return tree
-
-
-def print_units(tree: DeclTree) -> bytes:
-    """Emit a tree back to bytes, headers and bodies verbatim."""
-    return tree.root.text()
+    return root
 
 
 class _Parser:
@@ -103,7 +101,7 @@ class _Parser:
         self.view = code_view(data, self.states)
         self.n = len(data)
 
-    def parse(self) -> DeclTree:
+    def parse(self) -> DeclNode:
         children: list[DeclNode] = []
         pos = 0
         while True:
@@ -113,10 +111,7 @@ class _Parser:
             node, pos = self._parse_top_level(pos, sig)
             children.append(node)
         _check_duplicates(children)
-        root = DeclNode(
-            "compilation-unit", "", b"", self.data[pos:], children
-        )
-        return DeclTree(root)
+        return DeclNode("compilation-unit", "", b"", self.data[pos:], children)
 
     # -- shared low-level scanning ------------------------------------
 

@@ -2,10 +2,12 @@
 
 Text is modelled as segments split on LF: a CR preceding the LF stays
 attached to the segment, and a missing terminator on the final line is
-recorded so rendering round-trips byte for byte.  The merge walks regions
-that are stable across all three versions; in the gaps between them a
-one-sided change wins, identical two-sided changes win, and anything else
-becomes a conflict region carrying the left, base, and right payloads.
+recorded so rendering round-trips byte for byte.  ``merge3`` walks the
+two alignments of base with left and with right and appends regions as it
+goes: runs stable across all three versions stay resolved, and in the gaps
+between them a one-sided change wins, identical two-sided changes win, and
+anything else becomes a conflict region carrying the left, base, and right
+payloads.  Outcomes hold no labels; ``render`` takes them.
 """
 
 from __future__ import annotations
@@ -58,96 +60,35 @@ class Conflict:
 @dataclass
 class MergeOutcome:
     regions: list[Resolved | Conflict]
-    labels: tuple[str, str, str] = DEFAULT_LABELS
     trailing_newline: bool = True
 
     def conflict_count(self) -> int:
         return sum(1 for r in self.regions if isinstance(r, Conflict))
 
 
-@dataclass(frozen=True)
-class Chunk:
-    """One slice of the three-way partition of base/left/right."""
-
-    kind: str  # "stable" | "changed"
-    base_range: tuple[int, int]
-    left_range: tuple[int, int]
-    right_range: tuple[int, int]
-
-
-def three_way_chunks(
-    base: list[bytes], left: list[bytes], right: list[bytes]
-) -> list[Chunk]:
-    """Partition all three sequences into stable and changed chunks.
-
-    Stable chunks are runs where base, left, and right carry identical
-    content at consistent offsets; every index of each sequence lands in
-    exactly one chunk.
-    """
-    left_at = dict(diff2(base, left).matched)
-    right_at = dict(diff2(base, right).matched)
-    chunks: list[Chunk] = []
-    bz = lz = rz = 0
-
-    def emit_gap(b_end: int, l_end: int, r_end: int) -> None:
-        nonlocal bz, lz, rz
-        if b_end > bz or l_end > lz or r_end > rz:
-            chunks.append(
-                Chunk("changed", (bz, b_end), (lz, l_end), (rz, r_end))
-            )
-        bz, lz, rz = b_end, l_end, r_end
-
-    i = 0
-    n = len(base)
-    while i < n:
-        if i not in left_at or i not in right_at:
-            i += 1
-            continue
-        start = i
-        while (
-            i + 1 < n
-            and i + 1 in left_at
-            and i + 1 in right_at
-            and left_at[i + 1] == left_at[i] + 1
-            and right_at[i + 1] == right_at[i] + 1
-        ):
-            i += 1
-        emit_gap(start, left_at[start], right_at[start])
-        end = i + 1
-        chunks.append(
-            Chunk(
-                "stable",
-                (start, end),
-                (left_at[start], left_at[start] + end - start),
-                (right_at[start], right_at[start] + end - start),
-            )
-        )
-        bz, lz, rz = end, left_at[start] + end - start, right_at[start] + end - start
-        i = end
-    emit_gap(n, len(left), len(right))
-    return chunks
-
-
 def merge3(
     base: list[bytes],
     left: list[bytes],
     right: list[bytes],
-    labels: tuple[str, str, str] = DEFAULT_LABELS,
     trailing_newline: bool = True,
 ) -> MergeOutcome:
-    """Three-way merge of segment sequences (diff3 semantics)."""
+    """Three-way merge of segment sequences (diff3 semantics).
+
+    A stable run is a maximal run of base lines matched, at consecutive
+    offsets, on both sides; it is kept as one resolved region.  Each gap
+    before, between, and after stable runs is merged on its own.
+    """
+    left_at = dict(diff2(base, left).matched)
+    right_at = dict(diff2(base, right).matched)
     regions: list[Resolved | Conflict] = []
-    for chunk in three_way_chunks(base, left, right):
-        if chunk.kind == "stable":
-            b0, b1 = chunk.base_range
-            regions.append(Resolved(tuple(base[b0:b1])))
-            continue
-        b0, b1 = chunk.base_range
-        l0, l1 = chunk.left_range
-        r0, r1 = chunk.right_range
-        b_gap = base[b0:b1]
-        l_gap = left[l0:l1]
-        r_gap = right[r0:r1]
+    bz = lz = rz = 0  # where the current gap starts in base, left, right
+    i = 0
+    n = len(base)
+    while True:
+        while i < n and (i not in left_at or i not in right_at):
+            i += 1
+        l_end, r_end = (left_at[i], right_at[i]) if i < n else (len(left), len(right))
+        b_gap, l_gap, r_gap = base[bz:i], left[lz:l_end], right[rz:r_end]
         if l_gap == r_gap:
             if l_gap:
                 regions.append(Resolved(tuple(l_gap)))
@@ -159,16 +100,35 @@ def merge3(
                 regions.append(Resolved(tuple(l_gap)))
         else:
             regions.append(Conflict(tuple(l_gap), tuple(b_gap), tuple(r_gap)))
-    return MergeOutcome(regions, labels, trailing_newline)
+        if i == n:
+            return MergeOutcome(regions, trailing_newline)
+        start = i
+        while (
+            i + 1 < n
+            and i + 1 in left_at
+            and i + 1 in right_at
+            and left_at[i + 1] == left_at[i] + 1
+            and right_at[i + 1] == right_at[i] + 1
+        ):
+            i += 1
+        i += 1
+        regions.append(Resolved(tuple(base[start:i])))
+        bz, lz, rz = i, l_end + i - start, r_end + i - start
 
 
-def render(outcome: MergeOutcome, base_marker: bool = False) -> bytes:
+def render(
+    outcome: MergeOutcome,
+    labels: tuple[str, str, str] = DEFAULT_LABELS,
+    base_marker: bool = False,
+) -> bytes:
     """Render an outcome to bytes; conflicts get standard markers.
 
-    With ``base_marker`` the base payload is included diff3-style between
-    a ``|||||||`` line and the ``=======`` separator.
+    ``labels`` name the left, base, and right sides after their markers; an
+    empty label leaves its marker bare.  With ``base_marker`` the base
+    payload is included diff3-style between a ``|||||||`` line and the
+    ``=======`` separator.
     """
-    lname, bname, rname = (s.encode("utf-8") for s in outcome.labels)
+    lname, bname, rname = (s.encode("utf-8") for s in labels)
     out = bytearray()
     for region in outcome.regions:
         if isinstance(region, Resolved):
@@ -199,7 +159,7 @@ def join(outcomes: list[MergeOutcome]) -> MergeOutcome:
     on a line of its own: an open line before it is closed, or dropped when
     empty.  After a conflict with an open end, an empty first line of the
     next fragment only ends the closing marker's line, and any other text
-    starts a new one.  The result carries default labels.
+    starts a new one.
     """
     regions: list[Resolved | Conflict] = []
     lines: list[bytes] = []  # resolved lines not yet stored in a region
@@ -263,18 +223,13 @@ def merge_text(
     base_marker: bool = False,
 ) -> tuple[bytes, int]:
     """Merge three byte strings; returns (rendered output, conflict count)."""
-    outcome = merge_texts_outcome(base, left, right, labels)
-    return render(outcome, base_marker), outcome.conflict_count()
+    outcome = merge_texts_outcome(base, left, right)
+    return render(outcome, labels, base_marker), outcome.conflict_count()
 
 
-def merge_texts_outcome(
-    base: bytes,
-    left: bytes,
-    right: bytes,
-    labels: tuple[str, str, str] = DEFAULT_LABELS,
-) -> MergeOutcome:
+def merge_texts_outcome(base: bytes, left: bytes, right: bytes) -> MergeOutcome:
     b_lines, b_tf = split_lines(base)
     l_lines, l_tf = split_lines(left)
     r_lines, r_tf = split_lines(right)
     trailing = l_tf if l_tf != b_tf else r_tf
-    return merge3(b_lines, l_lines, r_lines, labels, trailing)
+    return merge3(b_lines, l_lines, r_lines, trailing)

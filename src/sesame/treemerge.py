@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .javaparse import DeclNode, DeclTree, ORDERED_KINDS
+from .javaparse import DeclNode, ORDERED_KINDS
 from .separators import SeparatorSet, merge_body
 from .textmerge import MergeOutcome, Resolved, join, merge_texts_outcome, split_lines
 
@@ -34,15 +34,10 @@ class MatchedNode:
         raise ValueError("empty matched node")
 
 
-def match_trees(base: DeclTree, left: DeclTree, right: DeclTree) -> MatchedNode:
+def match_trees(base: DeclNode, left: DeclNode, right: DeclNode) -> MatchedNode:
     """Match three parsed trees level-wise by kind and identifier."""
-    return _match_nodes(base.root, left.root, right.root)
-
-
-def _match_nodes(b: DeclNode, l: DeclNode, r: DeclNode) -> MatchedNode:
-    node = MatchedNode(b, l, r)
-    node.children = _match_children(b.children, l.children, r.children)
-    return node
+    children = _match_children(base.children, left.children, right.children)
+    return MatchedNode(base, left, right, children)
 
 
 def _match_children(
@@ -112,10 +107,7 @@ def _ordered_keys(b_nodes, l_nodes, r_nodes) -> list[tuple[str, str]]:
 
 
 def merge_trees(
-    base: DeclTree,
-    left: DeclTree,
-    right: DeclTree,
-    separators: SeparatorSet | None,
+    base: DeclNode, left: DeclNode, right: DeclNode, separators: SeparatorSet | None
 ) -> MergeOutcome:
     """Merge three parsed files into one outcome.
 

@@ -13,7 +13,7 @@ from pathlib import Path
 from sesame.cli import main as cli_main
 from sesame.driver import DriverConfig, EngineMode, run_engine
 from sesame.harness import AFN_N, AFP_M, UNCLASSIFIED, load_scenarios, run_harness
-from sesame.javaparse import ParseError, parse_units, print_units
+from sesame.javaparse import ParseError, parse_units
 from sesame.separators import mark, merge_body, unmark
 from sesame.textdiff import diff2
 from sesame.textmerge import count_conflicts, merge_text, render
@@ -170,7 +170,7 @@ def test_criterion_5_parser_roundtrip_corpus():
         assert len(corpus) >= 50
         for path in corpus:
             data = path.read_bytes()
-            assert print_units(parse_units(data)) == data, path.name
+            assert parse_units(data).text() == data, path.name
         for path in sorted(Path("tests/fixtures/java_corpus_bad").glob("*.java")):
             data = path.read_bytes()
             try:
@@ -306,8 +306,8 @@ def test_criterion_7_harness_oracle(tmp_path):
         kinds = {}
         for record in report.records:
             kinds.setdefault(record.classification, []).append(record)
-        assert any(r.tool_m == "unstructured" for r in kinds.get(AFP_M, []))
-        assert any(r.tool_n == "sesame" for r in kinds.get(AFN_N, []))
+        assert any(r.m.tool == "unstructured" for r in kinds.get(AFP_M, []))
+        assert any(r.n.tool == "sesame" for r in kinds.get(AFN_N, []))
         both = [r for r in kinds.get(UNCLASSIFIED, []) if "both" in r.reason]
         assert both, "expected one both-conflicting unclassified case"
         assert queue_dir.exists() and any(queue_dir.iterdir())

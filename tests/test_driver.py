@@ -198,6 +198,54 @@ def test_engines_are_identities_on_unchanged_corpus():
             assert not result.fell_back
 
 
+def nested_types(depth, inner):
+    head = "".join(f"class C{i} {{\n" for i in range(depth))
+    return (head + inner + "}\n" * depth).encode()
+
+
+def nested_inputs(depth):
+    return (
+        nested_types(depth, "void m() { a(); }\n"),
+        nested_types(depth, "void m() { a(); }\nvoid n() { }\n"),
+        nested_types(depth, "void m() { b(); }\n"),
+    )
+
+
+@pytest.mark.parametrize("depth", [100, 400, 2000])
+def test_deeply_nested_types_merge_or_fall_back(depth):
+    base, left, right = nested_inputs(depth)
+    plain = run_engine(base, left, right, config(EngineMode.UNSTRUCTURED))
+    for mode in (EngineMode.SEMISTRUCTURED, EngineMode.SESAME):
+        result = run_engine(base, left, right, config(mode))
+        assert result.conflicts == count_conflicts(result.output)
+        # 100 levels are shallow enough for the recursive parser, 400 are not
+        assert result.fell_back == (depth > 100)
+        if result.fell_back:
+            assert result.fallback_reason == "declarations nested too deeply"
+            assert (result.output, result.conflicts) == (plain.output, plain.conflicts)
+        else:
+            assert result.conflicts == 0
+            assert b"void n() { }" in result.output and b"b();" in result.output
+    if depth > 100:
+        strict = config(EngineMode.SESAME, fallback_on_parse_error=False)
+        with pytest.raises(ParseError, match="nested too deeply"):
+            run_engine(base, left, right, strict)
+
+
+def test_cli_deeply_nested_types(tmp_path, capsys):
+    paths = []
+    for role, text in zip(("base", "left", "right"), nested_inputs(400)):
+        paths.append(tmp_path / f"{role}.java")
+        paths[-1].write_bytes(text)
+    out = str(tmp_path / "out.java")
+    for mode in EngineMode:
+        assert run_cli("merge", *map(str, paths), "-o", out, "--mode", mode.value) == 1
+    assert "declarations nested too deeply" in capsys.readouterr().err
+    assert run_cli("merge", *map(str, paths), "-o", out, "--no-fallback") == 2
+    err = capsys.readouterr().err
+    assert "parse failed and fallback is disabled: declarations nested too deeply" in err
+
+
 # -- git driver ---------------------------------------------------------------
 
 def test_git_driver_overwrites_current(tmp_path):
@@ -244,6 +292,45 @@ def test_config_file_parsing(tmp_path):
     assert config.mode is EngineMode.SEMISTRUCTURED
     assert config.separators.separators == ("{", "}")
     assert config.labels == ("a", "b", "c")
+
+
+@pytest.mark.parametrize("value", ["1", "true", "True", "YES", "yes"])
+def test_config_booleans_true(value):
+    values = {"diff3-style": value, "fallback": value}
+    config = apply_config_values(DriverConfig(fallback_on_parse_error=False), values)
+    assert config.base_marker is True
+    assert config.fallback_on_parse_error is True
+
+
+@pytest.mark.parametrize("value", ["0", "false", "FALSE", "No", "no"])
+def test_config_booleans_false(value):
+    values = {"diff3-style": value, "fallback": value}
+    config = apply_config_values(DriverConfig(base_marker=True), values)
+    assert config.base_marker is False
+    assert config.fallback_on_parse_error is False
+
+
+@pytest.mark.parametrize("key", ["diff3-style", "fallback"])
+@pytest.mark.parametrize("value", ["on", "ture", "", "2"])
+def test_config_booleans_reject_other_values(key, value):
+    with pytest.raises(ValueError, match=key):
+        apply_config_values(DriverConfig(), {key: value})
+
+
+def test_cli_unrecognised_boolean_exits_two(tmp_path, capsys):
+    paths = write_inputs(tmp_path, "method_addition")
+    out = tmp_path / "out.java"
+    for line in ("fallback = on", "diff3-style = ture"):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(line + "\n")
+        assert run_cli(
+            "merge", str(paths["base"]), str(paths["left"]), str(paths["right"]),
+            "-o", str(out), "--config", str(cfg),
+        ) == 2
+        err = capsys.readouterr().err
+        assert line.split(" = ")[0] in err
+        assert "parse failed" not in err
+    assert not out.exists()
 
 
 def test_config_file_rejects_unknown_key(tmp_path):

@@ -4,14 +4,13 @@ from pathlib import Path
 
 import pytest
 
+from sesame import harness
 from sesame.driver import DriverConfig, EngineMode
 from sesame.harness import (
     AFN_M,
     AFN_N,
     AFP_M,
     AFP_N,
-    AGREE,
-    DIFFER,
     UNCLASSIFIED,
     ComparisonRecord,
     ScenarioError,
@@ -31,8 +30,8 @@ U, S, X = EngineMode.UNSTRUCTURED, EngineMode.SEMISTRUCTURED, EngineMode.SESAME
 CFG = DriverConfig(labels=("left", "base", "right"))
 
 
-def result(tool="a", conflicts=0, output=b"", path="F.java", scenario="s"):
-    return ToolResult(tool, scenario, path, output, conflicts)
+def result(tool="a", conflicts=0, output=b"", path="F.java", scenario="s", error=None):
+    return ToolResult(tool, scenario, path, output, conflicts, error=error)
 
 
 # -- loading -------------------------------------------------------------------
@@ -192,6 +191,28 @@ def test_classify_missing_merge_commit_unclassified():
     assert "merge-commit" in rec.reason
 
 
+def test_classify_neither_conflicting_unclassified():
+    m = result(tool="m", output=b"one")
+    n = result(tool="n", output=b"two")
+    rec = classify(m, n, b"one")
+    assert rec.classification == UNCLASSIFIED
+    assert rec.reason == "neither tool reports conflicts"
+
+
+@pytest.mark.parametrize("merge_file", [b"", b"clean result", None])
+def test_classify_engine_error_unclassified(merge_file):
+    # an engine that failed has no output to compare; it is never charged
+    # an aFN, and the other engine is never charged an aFP, for the failure
+    failed = result(tool="n", error="boom")
+    conflicting = result(tool="m", conflicts=1, output=b"<<< ...")
+    clean = result(tool="m", output=b"clean result")
+    for m, n in [(conflicting, failed), (clean, failed), (failed, conflicting)]:
+        rec = classify(m, n, merge_file)
+        assert rec.classification == UNCLASSIFIED
+        assert rec.reason == "engine error"
+        assert (rec.m, rec.n, rec.merge) == (m, n, merge_file)
+
+
 def test_classification_exclusive_per_tool():
     # one record can never be both aFP and aFN for the same tool
     for conflicts_m, conflicts_n in [(1, 0), (0, 1)]:
@@ -257,6 +278,69 @@ def test_rendered_report_is_parseable(scenarios_dir, tmp_path):
             values.setdefault(key.strip(), value.strip())
     assert values["scenarios"] == "10"
     assert values["differ_percent"] == "50.00"
+
+
+def test_records_hold_exactly_the_differing_pairs(scenarios_dir):
+    scenarios = load_scenarios(scenarios_dir)
+    results = []
+    for s in scenarios:
+        results.extend(run_tools(s, [U, S, X], CFG))
+    pairs = [("unstructured", "sesame"), ("semistructured", "sesame")]
+    report = build_report(scenarios, results, pairs)
+    expected = []  # pair by pair, then file by file in scenario order
+    for tool_m, tool_n in pairs:
+        for s in scenarios:
+            for entry in s.files:
+                m, n = (
+                    next(r for r in results if (r.tool, r.scenario, r.path) == key)
+                    for key in ((tool_m, s.id, entry.path), (tool_n, s.id, entry.path))
+                )
+                if tools_differ(m, n):
+                    expected.append((m, n, entry.merge))
+    assert [(r.m, r.n, r.merge) for r in report.records] == expected
+    assert [(r.m.tool, r.m.scenario, r.classification) for r in report.records] == [
+        ("unstructured", "s02_method_addition", AFP_M),
+        ("unstructured", "s03_extract_constant", AFP_M),
+        ("unstructured", "s04_chained_call", AFN_N),
+        ("unstructured", "s05_both_rewrite", UNCLASSIFIED),
+        ("unstructured", "s07_same_line", AFP_M),
+        ("semistructured", "s03_extract_constant", AFP_M),
+        ("semistructured", "s04_chained_call", AFN_N),
+        ("semistructured", "s05_both_rewrite", UNCLASSIFIED),
+        ("semistructured", "s07_same_line", AFP_M),
+    ]
+    for record, (m, n, _) in zip(report.records, expected):
+        assert record.m is m and record.n is n  # the objects run_tools returned
+
+
+def test_engine_error_is_unclassified_in_report(scenarios_dir, tmp_path, monkeypatch):
+    real = harness.run_engine
+
+    def failing_sesame(base, left, right, config):
+        if config.mode is X and b"class Chain" in base:
+            raise RuntimeError("boom")
+        return real(base, left, right, config)
+
+    baseline = run_harness(scenarios_dir, [U, X], [(U, X)], config=CFG)
+    monkeypatch.setattr(harness, "run_engine", failing_sesame)
+    out = tmp_path / "report.txt"
+    queue = tmp_path / "queue"
+    report = run_harness(
+        scenarios_dir, [U, X], [(U, X)], out_path=out, queue_dir=queue, config=CFG
+    )
+    assert report.per_tool["sesame"].errors == 1
+    assert "engine_errors=1" in out.read_text()
+    before = baseline.per_pair[("unstructured", "sesame")]
+    after = report.per_pair[("unstructured", "sesame")]
+    # the chained-call file was an aFN for sesame; now it is unclassified
+    assert before.afn == {"unstructured": 0, "sesame": 1}
+    assert after.afn == {"unstructured": 0, "sesame": 0}
+    assert after.afp == before.afp
+    assert after.unclassified == before.unclassified + 1
+    info = queue / "s04_chained_call__Chain.java__unstructured_vs_sesame" / "info.txt"
+    text = info.read_text()
+    assert "classification: unclassified\n" in text
+    assert "reason: engine error\n" in text
 
 
 def test_export_queue_writes_review_cases(scenarios_dir, tmp_path):

@@ -8,7 +8,6 @@ from sesame.javaparse import (
     DuplicateDeclarationError,
     ParseError,
     parse_units,
-    print_units,
 )
 
 
@@ -20,26 +19,26 @@ def kinds_and_ids(node):
 
 def test_empty_file():
     tree = parse_units(b"")
-    assert tree.root.kind == "compilation-unit"
-    assert tree.root.children == []
+    assert tree.kind == "compilation-unit"
+    assert tree.children == []
 
 
 def test_comment_only_file_keeps_bytes():
     src = b"// banner\n/* block */\n"
     tree = parse_units(src)
-    assert tree.root.children == []
-    assert print_units(tree) == src
+    assert tree.children == []
+    assert tree.text() == src
 
 
 def test_utility_class_structure():
     src = Path("tests/fixtures/golden/method_addition/base.java").read_bytes()
     tree = parse_units(src)
-    assert kinds_and_ids(tree.root) == [
+    assert kinds_and_ids(tree) == [
         ("import", "import java.util.ArrayList;"),
         ("import", "import java.util.List;"),
         ("type", "Util"),
     ]
-    util = tree.root.children[-1]
+    util = tree.children[-1]
     assert kinds_and_ids(util) == [
         ("method", "addElementToList(List,T)"),
         ("method", "toString(List)"),
@@ -48,7 +47,7 @@ def test_utility_class_structure():
 
 def test_field_declaration():
     tree = parse_units(b"class A {\n  private int x;\n}\n")
-    field = tree.root.children[0].children[0]
+    field = tree.children[0].children[0]
     assert field.kind == "field"
     assert field.identifier == "x"
     assert field.body_text == b""
@@ -56,7 +55,7 @@ def test_field_declaration():
 
 def test_multi_declarator_field():
     tree = parse_units(b"class A { int a, b = 2, c; }")
-    assert tree.root.children[0].children[0].identifier == "a,b,c"
+    assert tree.children[0].children[0].identifier == "a,b,c"
 
 
 def test_member_kinds():
@@ -71,7 +70,7 @@ def test_member_kinds():
 }
 """
     tree = parse_units(src)
-    assert kinds_and_ids(tree.root.children[0]) == [
+    assert kinds_and_ids(tree.children[0]) == [
         ("initializer", "#0"),
         ("initializer", "#1"),
         ("constructor", "A()"),
@@ -94,7 +93,7 @@ def test_enum_constants_and_members():
 }
 """
     tree = parse_units(src)
-    assert kinds_and_ids(tree.root.children[0]) == [
+    assert kinds_and_ids(tree.children[0]) == [
         ("enum-constant", "RED"),
         ("enum-constant", "GREEN"),
         ("enum-constant", "BLUE"),
@@ -111,7 +110,7 @@ def test_annotation_type_members():
 }
 """
     tree = parse_units(src)
-    assert kinds_and_ids(tree.root.children[0]) == [
+    assert kinds_and_ids(tree.children[0]) == [
         ("annotation-member", "value()"),
         ("annotation-member", "priority()"),
     ]
@@ -119,9 +118,9 @@ def test_annotation_type_members():
 
 def test_at_in_comment_before_interface_is_not_an_annotation_type():
     tree = parse_units(b"// @\ninterface X { int f(); }")
-    assert kinds_and_ids(tree.root.children[0]) == [("method", "f()")]
+    assert kinds_and_ids(tree.children[0]) == [("method", "f()")]
     nested = parse_units(b"class A { /* @ */ interface X { int f(); } }")
-    inner = nested.root.children[0].children[0]
+    inner = nested.children[0].children[0]
     assert kinds_and_ids(inner) == [("method", "f()")]
 
 
@@ -136,7 +135,7 @@ def test_at_in_comment_before_interface_is_not_an_annotation_type():
 )
 def test_annotation_type_across_comments(src):
     tree = parse_units(src)
-    decl = tree.root.children[0]
+    decl = tree.children[0]
     if decl.identifier == "A":
         decl = decl.children[0]
     assert kinds_and_ids(decl) == [("annotation-member", "f()")]
@@ -145,7 +144,7 @@ def test_annotation_type_across_comments(src):
 def test_nested_types_recurse():
     src = b"class Outer { class Inner { void hi() {} } void out() {} }"
     tree = parse_units(src)
-    outer = tree.root.children[0]
+    outer = tree.children[0]
     assert [(c.kind, c.identifier) for c in outer.children] == [
         ("type", "Inner"),
         ("method", "out()"),
@@ -156,7 +155,7 @@ def test_nested_types_recurse():
 def test_comments_attach_to_following_declaration():
     src = b"class A {\n  // doc for x\n  int x;\n  int y;\n}\n"
     tree = parse_units(src)
-    x = tree.root.children[0].children[0]
+    x = tree.children[0].children[0]
     assert b"// doc for x" in x.header_text
 
 
@@ -182,15 +181,15 @@ def test_comments_attach_to_following_declaration():
 def test_signature_normalization(header, expected):
     src = b"class A { " + header + b" {} }"
     tree = parse_units(src)
-    assert tree.root.children[0].children[0].identifier == expected
+    assert tree.children[0].children[0].identifier == expected
 
 
 def test_signature_key_stable_under_reformatting():
     a = parse_units(b"class A { void m(List<String> xs, int n) {} }")
     b = parse_units(b"class A {\n  void m(\n      List< String > xs,\n      int n) {}\n}")
     assert (
-        a.root.children[0].children[0].identifier
-        == b.root.children[0].children[0].identifier
+        a.children[0].children[0].identifier
+        == b.children[0].children[0].identifier
     )
 
 
@@ -198,7 +197,7 @@ def test_overloads_get_distinct_keys():
     tree = parse_units(
         b"class A { void p(int v) {} void p(long v) {} void p(int v, int i) {} }"
     )
-    ids = [c.identifier for c in tree.root.children[0].children]
+    ids = [c.identifier for c in tree.children[0].children]
     assert len(set(ids)) == 3
 
 
@@ -209,7 +208,7 @@ def test_corpus_roundtrip(corpus_dir):
     assert len(files) >= 50
     for path in files:
         data = path.read_bytes()
-        assert print_units(parse_units(data)) == data, path.name
+        assert parse_units(data).text() == data, path.name
 
 
 def test_golden_fixture_roundtrip(golden_dir):
@@ -217,7 +216,7 @@ def test_golden_fixture_roundtrip(golden_dir):
         data = path.read_bytes()
         if b"<<<<<<<" in data:
             continue  # expected conflict outputs are not parse inputs
-        assert print_units(parse_units(data)) == data, path
+        assert parse_units(data).text() == data, path
 
 
 # -- failure modes ------------------------------------------------------------

@@ -50,7 +50,7 @@ def outcome(data: bytes) -> dict:
         tree = parse_units(data)
     except ParseError as exc:
         return {"error": [type(exc).__name__, str(exc)]}
-    return {"tree": tree_of(tree.root)}
+    return {"tree": tree_of(tree)}
 
 
 def digest(result: dict) -> str:

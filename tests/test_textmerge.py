@@ -1,6 +1,7 @@
 """Three-way merge semantics, rendering, and conflict counting."""
 
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from sesame.textdiff import diff2
 from sesame.textmerge import (
-    Chunk,
     Conflict,
     MarkerError,
     MergeOutcome,
@@ -21,7 +21,6 @@ from sesame.textmerge import (
     merge_texts_outcome,
     render,
     split_lines,
-    three_way_chunks,
 )
 
 LINES = st.lists(st.sampled_from([b"p", b"q", b"r", b"s"]), max_size=8)
@@ -127,39 +126,34 @@ def test_custom_labels():
 
 
 def test_empty_labels_render_bare_markers():
-    outcome = merge3([b"m"], [b"l"], [b"r"], labels=("", "", ""))
-    assert render(outcome) == b"<<<<<<<\nl\n=======\nr\n>>>>>>>\n"
+    outcome = merge3([b"m"], [b"l"], [b"r"])
+    assert render(outcome, ("", "", "")) == b"<<<<<<<\nl\n=======\nr\n>>>>>>>\n"
+    assert render(outcome, ("", "", ""), base_marker=True) == (
+        b"<<<<<<<\nl\n|||||||\nm\n=======\nr\n>>>>>>>\n"
+    )
 
 
-# -- chunks ---------------------------------------------------------------
+# -- reference merge ----------------------------------------------------------
 
-def test_chunks_partition_all_sequences():
-    rng = random.Random(99)
-    alpha = [b"p", b"q", b"r"]
-    for _ in range(300):
-        base = [alpha[rng.randrange(3)] for _ in range(rng.randint(0, 8))]
-        left = [alpha[rng.randrange(3)] for _ in range(rng.randint(0, 8))]
-        right = [alpha[rng.randrange(3)] for _ in range(rng.randint(0, 8))]
-        chunks = three_way_chunks(base, left, right)
-        pos = [0, 0, 0]
-        for chunk in chunks:
-            for axis, rng_ in enumerate(
-                (chunk.base_range, chunk.left_range, chunk.right_range)
-            ):
-                assert rng_[0] == pos[axis]
-                assert rng_[1] >= rng_[0]
-                pos[axis] = rng_[1]
-            if chunk.kind == "stable":
-                b0, b1 = chunk.base_range
-                l0, _ = chunk.left_range
-                r0, _ = chunk.right_range
-                assert base[b0:b1] == left[l0:l0 + b1 - b0] == right[r0:r0 + b1 - b0]
-        assert pos == [len(base), len(left), len(right)]
+@dataclass(frozen=True)
+class Chunk:
+    """One slice of the three-way partition of base/left/right."""
+
+    kind: str  # "stable" | "changed"
+    base_range: tuple[int, int]
+    left_range: tuple[int, int]
+    right_range: tuple[int, int]
 
 
 def reference_three_way_chunks(base, left, right):
-    """The partition as first written, from the per-index ``matches()``
-    list of each alignment, kept as the specification."""
+    """Partition all three sequences into stable and changed chunks, from
+    the per-index ``matches()`` list of each alignment, kept as the
+    specification.
+
+    Stable chunks are runs where base, left, and right carry identical
+    content at consistent offsets; every index of each sequence lands in
+    exactly one chunk.
+    """
     left_at = {bi: li for bi, li in diff2(base, left).matches()}
     right_at = {bi: ri for bi, ri in diff2(base, right).matches()}
     chunks = []
@@ -204,14 +198,69 @@ def reference_three_way_chunks(base, left, right):
     return chunks
 
 
+def reference_merge3(base, left, right, trailing_newline=True):
+    """The merge as a walk over the reference partition: stable chunks
+    stay, and each changed chunk is resolved by the gap rule."""
+    regions = []
+    for chunk in reference_three_way_chunks(base, left, right):
+        if chunk.kind == "stable":
+            b0, b1 = chunk.base_range
+            regions.append(Resolved(tuple(base[b0:b1])))
+            continue
+        b0, b1 = chunk.base_range
+        l0, l1 = chunk.left_range
+        r0, r1 = chunk.right_range
+        b_gap = base[b0:b1]
+        l_gap = left[l0:l1]
+        r_gap = right[r0:r1]
+        if l_gap == r_gap:
+            if l_gap:
+                regions.append(Resolved(tuple(l_gap)))
+        elif l_gap == b_gap:
+            if r_gap:
+                regions.append(Resolved(tuple(r_gap)))
+        elif r_gap == b_gap:
+            if l_gap:
+                regions.append(Resolved(tuple(l_gap)))
+        else:
+            regions.append(Conflict(tuple(l_gap), tuple(b_gap), tuple(r_gap)))
+    return MergeOutcome(regions, trailing_newline)
+
+
+def test_chunks_partition_all_sequences():
+    # the reference partition covers every index once, and merge3 walks it
+    rng = random.Random(99)
+    alpha = [b"p", b"q", b"r"]
+    for _ in range(300):
+        base = [alpha[rng.randrange(3)] for _ in range(rng.randint(0, 8))]
+        left = [alpha[rng.randrange(3)] for _ in range(rng.randint(0, 8))]
+        right = [alpha[rng.randrange(3)] for _ in range(rng.randint(0, 8))]
+        chunks = reference_three_way_chunks(base, left, right)
+        pos = [0, 0, 0]
+        for chunk in chunks:
+            for axis, rng_ in enumerate(
+                (chunk.base_range, chunk.left_range, chunk.right_range)
+            ):
+                assert rng_[0] == pos[axis]
+                assert rng_[1] >= rng_[0]
+                pos[axis] = rng_[1]
+            if chunk.kind == "stable":
+                b0, b1 = chunk.base_range
+                l0, _ = chunk.left_range
+                r0, _ = chunk.right_range
+                assert base[b0:b1] == left[l0:l0 + b1 - b0] == right[r0:r0 + b1 - b0]
+        assert pos == [len(base), len(left), len(right)]
+        assert merge3(base, left, right) == reference_merge3(base, left, right)
+
+
 CHUNK_LINES = st.lists(st.sampled_from([b"p", b"q", b"r", b"s", b"t"]), max_size=16)
 
 
-@given(CHUNK_LINES, CHUNK_LINES, CHUNK_LINES)
+@given(CHUNK_LINES, CHUNK_LINES, CHUNK_LINES, st.booleans())
 @settings(max_examples=400)
-def test_chunks_equal_reference(base, left, right):
-    assert three_way_chunks(base, left, right) == reference_three_way_chunks(
-        base, left, right
+def test_merge3_equals_reference(base, left, right, trailing):
+    assert merge3(base, left, right, trailing) == reference_merge3(
+        base, left, right, trailing
     )
 
 
@@ -277,8 +326,8 @@ def test_merge_laws_hypothesis(b, l, r, tb, tl, tr):
 )
 @settings(max_examples=400)
 def test_count_conflicts_matches_outcome(regions, trailing, base_marker):
-    outcome = MergeOutcome(list(regions), ("left", "base", "right"), trailing)
-    rendered = render(outcome, base_marker)
+    outcome = MergeOutcome(list(regions), trailing)
+    rendered = render(outcome, base_marker=base_marker)
     assert count_conflicts(rendered) == outcome.conflict_count()
 
 

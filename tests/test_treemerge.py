@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sesame.javaparse import DeclNode, parse_units, print_units
+from sesame.javaparse import DeclNode, parse_units
 from sesame.separators import SeparatorSet
 from sesame.textmerge import count_conflicts, render
 from sesame.treemerge import _ordered_keys, match_trees, merge_matched, merge_trees
@@ -73,7 +73,7 @@ def test_added_declarations_anchor_after_predecessors():
     left = b"class A { void one() {} void afterOne() {} void two() {} }"
     right = b"class A { void one() {} void two() {} void atEnd() {} }"
     merged = merge_sources(base, left, right)
-    order = [c.identifier for c in parse_units(merged).root.children[0].children]
+    order = [c.identifier for c in parse_units(merged).children[0].children]
     assert order == ["one()", "afterOne()", "two()", "atEnd()"]
 
 
@@ -82,7 +82,7 @@ def test_same_anchor_left_additions_precede_rights():
     left = b"class A { void fromLeft() {} void tail() {} }"
     right = b"class A { void fromRight() {} void tail() {} }"
     merged = merge_sources(base, left, right)
-    order = [c.identifier for c in parse_units(merged).root.children[0].children]
+    order = [c.identifier for c in parse_units(merged).children[0].children]
     assert order == ["fromLeft()", "fromRight()", "tail()"]
 
 
@@ -282,8 +282,8 @@ def test_juxtaposition_commutative_in_member_set():
     fwd = merge_sources(base, left, right)
     rev = merge_sources(base, right, left)
     assert count_conflicts(fwd) == count_conflicts(rev) == 0
-    fwd_ids = {c.identifier for c in parse_units(fwd).root.children[0].children}
-    rev_ids = {c.identifier for c in parse_units(rev).root.children[0].children}
+    fwd_ids = {c.identifier for c in parse_units(fwd).children[0].children}
+    rev_ids = {c.identifier for c in parse_units(rev).children[0].children}
     assert fwd_ids == rev_ids
 
 
@@ -331,4 +331,4 @@ def test_body_delegation_takes_changed_side():
 def test_merge_matched_root_is_printable():
     base = parse_units(golden("method_addition", "base"))
     m = match_trees(base, base, base)
-    assert render(merge_matched(m, None)) == print_units(base)
+    assert render(merge_matched(m, None)) == base.text()
