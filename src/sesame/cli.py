@@ -88,19 +88,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--export-queue", default=None, metavar="DIR",
         help="export unclassified and added-false-negative cases for review",
     )
-    run.add_argument("--separators", default=None)
-    run.add_argument("--diff3-style", action="store_const", const="true")
+    _add_engine_options(run, mode=False)  # --tools names the engines
     run.set_defaults(func=_cmd_harness_run)
     return parser
 
 
-def _add_engine_options(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument(
-        "--mode",
-        choices=[m.value for m in EngineMode],
-        default=None,
-        help="merge engine (default: sesame)",
-    )
+def _add_engine_options(cmd: argparse.ArgumentParser, mode: bool = True) -> None:
+    if mode:
+        cmd.add_argument(
+            "--mode",
+            choices=[m.value for m in EngineMode],
+            default=None,
+            help="merge engine (default: sesame)",
+        )
     cmd.add_argument(
         "--separators",
         default=None,
@@ -132,7 +132,7 @@ def _add_engine_options(cmd: argparse.ArgumentParser) -> None:
 
 def _engine_config(args: argparse.Namespace) -> DriverConfig:
     """The config file's settings, if one is given, overridden by the flags."""
-    values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    values = load_config_file(args.config) if args.config else {}
     for key in _FLAG_KEYS:
         flag = getattr(args, key.replace("-", "_"), None)
         if flag:
@@ -151,7 +151,13 @@ def _cmd_git_driver(args: argparse.Namespace) -> int:
 
 
 def _cmd_harness_run(args: argparse.Namespace) -> int:
-    tools = [EngineMode(name.strip()) for name in args.tools.split(",") if name.strip()]
+    tools: list[EngineMode] = []
+    for name in args.tools.split(","):
+        if name.strip():
+            mode = EngineMode(name.strip())
+            if mode in tools:
+                raise ValueError(f"engine repeated in --tools: {mode.value}")
+            tools.append(mode)
     pairs: list[tuple[EngineMode, EngineMode]] = []
     for chunk in args.pairs.split(","):
         chunk = chunk.strip()
@@ -160,7 +166,12 @@ def _cmd_harness_run(args: argparse.Namespace) -> int:
         m_name, sep, n_name = chunk.partition(":")
         if not sep:
             raise ValueError(f"malformed pair (expected M:N): {chunk!r}")
-        pairs.append((EngineMode(m_name.strip()), EngineMode(n_name.strip())))
+        pair = (EngineMode(m_name.strip()), EngineMode(n_name.strip()))
+        if pair in pairs:
+            raise ValueError(
+                f"pair repeated in --pairs: {pair[0].value}:{pair[1].value}"
+            )
+        pairs.append(pair)
     for pair in pairs:
         for mode in pair:
             if mode not in tools:

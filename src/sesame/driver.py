@@ -16,7 +16,7 @@ import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .javaparse import ParseError, parse_units
+from .javaparse import ParseError, parse_versions
 from .separators import SeparatorSet
 from .textmerge import DEFAULT_LABELS, merge_texts_outcome, render
 from .treemerge import merge_trees
@@ -60,7 +60,7 @@ def run_engine(
         outcome = merge_texts_outcome(base, left, right)
     else:
         try:
-            trees = [parse_units(text) for text in (base, left, right)]
+            trees = parse_versions(base, left, right)
         except ParseError as exc:
             if not config.fallback_on_parse_error:
                 raise

@@ -333,7 +333,8 @@ def export_queue(report: MetricsReport, queue_dir: str | Path) -> int:
         if record.classification not in (UNCLASSIFIED, AFN_M, AFN_N):
             continue
         m, n = record.m, record.n
-        slug = m.path.replace("/", "_")
+        # percent-encoding '%' and '/' keeps distinct paths apart
+        slug = m.path.replace("%", "%25").replace("/", "%2F")
         case_dir = queue_dir / f"{m.scenario}__{slug}__{m.tool}_vs_{n.tool}"
         case_dir.mkdir(parents=True, exist_ok=True)
         (case_dir / f"{m.tool}.out").write_bytes(m.output)

@@ -12,6 +12,20 @@ separators inside literals or comments never influence structure.  Each
 file is scanned through one code view, a copy of its bytes in which
 comment bytes read as blanks and literal bytes as NUL, so compiled ``re``
 patterns and ``find`` calls on the view see only code.
+
+The versions of one merge are parsed with one shared member table
+(``parse_versions``), so a member that is byte for byte the same in base,
+left and right is parsed once.  A field, method, constructor or annotation
+member starting at ``pos`` is keyed by its enclosing type's name, whether
+that type is an ``@interface``, and its bytes from ``pos`` through the
+first code '{' or ';'; a lookup hits only if the stored header and body
+text both follow at ``pos``, and the new node then shares the stored
+``bytes`` objects.  This is exact: ``pos`` always follows a code '}', ';'
+or '{', so no literal or comment crosses it and the lexer reads the
+member's bytes the same wherever they stand, and such a member's parse
+reads only its own bytes, the last of which is code.  Types (which read
+past their end for stray ';' and have children) and initializers (whose
+``#n`` counts the initializers before them) never enter the table.
 """
 
 from __future__ import annotations
@@ -46,6 +60,8 @@ _WORD = re.compile(rb"[A-Za-z0-9_$]*")
 # what a member header reacts to: words and the punctuation below
 _HEADER_TOKEN = re.compile(rb"([A-Za-z0-9_$]+)|[@<>()=,;{}]")
 _TYPE_HEADER_TOKEN = re.compile(rb"[(){;]")
+# a member's head, the member table's key: up to its first code '{' or ';'
+_MEMBER_HEAD = re.compile(rb"[^{;]*[{;]?")
 _PARAM_PUNCT = re.compile(rb"[(<\[{)>\]},]")
 _UNCOMMENTED_RUN = re.compile(rb"[\x00-\x02]+")  # lexer states CODE to CHAR
 _ANGLE_SPLIT = re.compile(rb"([<>])")
@@ -78,14 +94,19 @@ class DeclNode:
         return (self.kind, self.identifier)
 
 
-def parse_units(source: bytes) -> DeclNode:
+MemberTable = dict[tuple[str, bool, bytes], tuple[str, str, bytes, bytes]]
+
+
+def parse_units(source: bytes, members: MemberTable | None = None) -> DeclNode:
     """Parse a compilation unit into its root node.
 
+    ``members`` is a member table shared with other parses (see
+    ``parse_versions``); by default the parse has a table of its own.
     Raises ParseError for unsupported shapes, and for declarations nested
     too deeply for the recursive parser or the round-trip print.
     """
     try:
-        root = _Parser(source).parse()
+        root = _Parser(source, {} if members is None else members).parse()
         printed = root.text()
     except RecursionError:
         raise ParseError("declarations nested too deeply") from None
@@ -94,9 +115,21 @@ def parse_units(source: bytes) -> DeclNode:
     return root
 
 
+def parse_versions(*sources: bytes) -> list[DeclNode]:
+    """Parse the versions of one merge with one shared member table.
+
+    Each tree, or the first ParseError, is the one ``parse_units`` gives
+    for that source alone; members already parsed in an earlier version
+    are reused instead of parsed again.
+    """
+    members: MemberTable = {}
+    return [parse_units(source, members) for source in sources]
+
+
 class _Parser:
-    def __init__(self, data: bytes) -> None:
+    def __init__(self, data: bytes, members: MemberTable) -> None:
         self.data = data
+        self.members = members
         self.states = lex_states(data)
         self.view = code_view(data, self.states)
         self.n = len(data)
@@ -315,21 +348,40 @@ class _Parser:
         Returns (children, tail_start, close_brace_index): the parent keeps
         data[tail_start:close+1...] as its residual body text.
         """
+        data, view, members = self.data, self.view, self.members
         children: list[DeclNode] = []
         counters = {"initializer": 0}
         while True:
             sig = self._skip_insignificant(pos)
             if sig >= self.n:
                 raise ParseError("unterminated type body")
-            if self.view[sig] == _RBRACE:
+            if view[sig] == _RBRACE:
                 return children, pos, sig
-            if self.view[sig] == _SEMI:
+            if view[sig] == _SEMI:
                 if not children:
                     raise ParseError("stray ';' at start of type body")
-                children[-1].body_text += self.data[pos:sig + 1]
+                children[-1].body_text += data[pos:sig + 1]
                 pos = sig + 1
                 continue
-            node, pos = self._parse_member(pos, sig, enclosing, in_annotation, counters)
+            head_end = _MEMBER_HEAD.match(view, sig).end()
+            key = (enclosing, in_annotation, data[pos:head_end])
+            entry = members.get(key)
+            if (
+                entry is not None
+                and data.startswith(entry[2], pos)
+                and data.startswith(entry[3], pos + len(entry[2]))
+            ):
+                node = DeclNode(*entry)
+                pos += len(entry[2]) + len(entry[3])
+            else:
+                node, pos = self._parse_member(
+                    pos, sig, enclosing, in_annotation, counters
+                )
+                if node.kind not in ("type", "initializer"):
+                    members.setdefault(
+                        key,
+                        (node.kind, node.identifier, node.header_text, node.body_text),
+                    )
             children.append(node)
 
     def _parse_member(
@@ -429,7 +481,7 @@ class _Parser:
                         f"brace-bodied member without parameter list near byte {i}"
                     )
                 name = last_word_before_paren
-                kind = self._method_kind(words, name, enclosing, in_annotation)
+                kind = _method_kind(significant, name, enclosing, in_annotation)
                 ident = self._signature(name, param_span)
                 node = DeclNode(
                     kind, ident, data[start:i + 1], data[i + 1:close + 1]
@@ -442,31 +494,14 @@ class _Parser:
     ) -> DeclNode:
         text = self.data[start:semi + 1]
         if param_span is not None:
-            name = ""
-            kind = "method"
             # name is the word right before the parameter list
-            head = self.data[sig:param_span[0]]
-            name = _trailing_word(head)
-            if in_annotation:
-                kind = "annotation-member"
-            ident = self._signature(name, param_span)
-            return DeclNode(kind, ident, text)
+            name = _trailing_word(self.data[sig:param_span[0]])
+            kind = "annotation-member" if in_annotation else "method"
+            return DeclNode(kind, self._signature(name, param_span), text)
         names = _field_names(words)
         if not names:
             raise ParseError(f"could not read field declarator near byte {sig}")
         return DeclNode("field", ",".join(names), text)
-
-    def _method_kind(
-        self, words: list[str], name: str, enclosing: str, in_annotation: bool
-    ) -> str:
-        if in_annotation:
-            return "annotation-member"
-        significant = [w for w in words if w not in MODIFIER_WORDS]
-        if significant and significant[-1] == name:
-            significant = significant[:-1]
-        if name == enclosing and not significant:
-            return "constructor"
-        return "method"
 
     # -- signatures -------------------------------------------------------
 
@@ -506,6 +541,18 @@ class _Parser:
             for a, b in zip(bounds[::2], bounds[1::2])
         ]
         return [c for c in chunks if c.strip()]
+
+
+def _method_kind(
+    significant: list[str], name: str, enclosing: str, in_annotation: bool
+) -> str:
+    """Kind of a brace-bodied member; ``significant`` is its header's words
+    other than modifiers, up to the parameter list."""
+    if in_annotation:
+        return "annotation-member"
+    if name == enclosing and significant in ([], [name]):
+        return "constructor"
+    return "method"
 
 
 def _trailing_word(head: bytes) -> str:

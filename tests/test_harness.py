@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from sesame import harness
+from sesame.cli import main
 from sesame.driver import DriverConfig, EngineMode
 from sesame.harness import (
     AFN_M,
@@ -359,3 +360,99 @@ def test_export_queue_writes_review_cases(scenarios_dir, tmp_path):
         assert "info.txt" in names
         assert "merge_commit" in names
         assert any(n.endswith(".out") for n in names)
+
+
+def _write_scenario(root: Path, files: dict[str, dict[str, bytes]]) -> None:
+    """One scenario ``s`` under root: {path: {version dir: content}}."""
+    for sub in ("base", "left", "right", "merge"):
+        (root / "s" / sub).mkdir(parents=True, exist_ok=True)
+    for rel, versions in files.items():
+        for sub, data in versions.items():
+            target = root / "s" / sub / rel
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(data)
+
+
+def _method_addition() -> dict[str, bytes]:
+    golden = Path(__file__).parent / "fixtures" / "golden" / "method_addition"
+    return {
+        role: (golden / f"{role}.java").read_bytes()
+        for role in ("base", "left", "right")
+    }
+
+
+def test_export_queue_keeps_distinct_paths_apart(tmp_path):
+    # no merge file: the differing pair is queued as unclassified
+    paths = ("a/b.java", "a_b.java", "a%2Fb.java")
+    _write_scenario(tmp_path / "scenarios", {rel: _method_addition() for rel in paths})
+    queue = tmp_path / "queue"
+    report = run_harness(
+        tmp_path / "scenarios", [U, X], [(U, X)], queue_dir=queue, config=CFG
+    )
+    assert [r.classification for r in report.records] == [UNCLASSIFIED] * 3
+    by_name = {p.name: p for p in queue.iterdir()}
+    assert sorted(by_name) == [
+        "s__a%252Fb.java__unstructured_vs_sesame",
+        "s__a%2Fb.java__unstructured_vs_sesame",
+        "s__a_b.java__unstructured_vs_sesame",
+    ]
+    for slug, rel in (("a%2Fb.java", "a/b.java"), ("a_b.java", "a_b.java"),
+                      ("a%252Fb.java", "a%2Fb.java")):
+        info = (by_name[f"s__{slug}__unstructured_vs_sesame"] / "info.txt").read_text()
+        assert f"path: {rel}\n" in info
+
+
+# -- the harness run command -----------------------------------------------------
+
+def test_cli_rejects_repeated_engine(scenarios_dir, capsys):
+    code = main([
+        "harness", "run", str(scenarios_dir),
+        "--tools", "sesame,sesame,unstructured", "--pairs", "unstructured:sesame",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "engine repeated in --tools: sesame" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_rejects_repeated_pair(scenarios_dir, capsys):
+    code = main([
+        "harness", "run", str(scenarios_dir), "--tools", "sesame,unstructured",
+        "--pairs", "unstructured:sesame, unstructured:sesame",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "pair repeated in --pairs: unstructured:sesame" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_harness_engine_options(scenarios_dir, tmp_path):
+    args = ["harness", "run", str(scenarios_dir), "--tools", "unstructured,sesame",
+            "--pairs", "unstructured:sesame"]
+    flag, from_config = tmp_path / "flag.txt", tmp_path / "config.txt"
+    cfg = tmp_path / "cfg"
+    cfg.write_text("diff3-style = true\nlabels = mine, old, theirs\n")
+    assert main(
+        args + ["--out", str(flag), "--diff3-style", "--labels", "mine,old,theirs"]
+    ) == 0
+    queue = tmp_path / "queue"
+    assert main(args + ["--out", str(from_config), "--config", str(cfg),
+                        "--export-queue", str(queue)]) == 0
+    assert flag.read_text() == from_config.read_text()
+    case = queue / "s05_both_rewrite__Gate.java__unstructured_vs_sesame"
+    out = (case / "unstructured.out").read_bytes()
+    assert b"<<<<<<< mine\n" in out and b"||||||| old\n" in out
+
+
+def test_cli_harness_no_fallback(tmp_path, capsys):
+    broken = {
+        "base": b"class A {\n", "left": b"class A { int x;\n", "right": b"class A {\n"
+    }
+    _write_scenario(tmp_path / "scenarios", {"A.java": broken})
+    args = ["harness", "run", str(tmp_path / "scenarios"), "--tools", "sesame",
+            "--pairs", ""]
+    assert main(args) == 0
+    assert "parse_fallbacks=1\n" in capsys.readouterr().out
+    assert main(args + ["--no-fallback"]) == 0
+    out = capsys.readouterr().out
+    assert "engine_errors=1\n" in out and "parse_fallbacks=0\n" in out

@@ -1,13 +1,18 @@
 """Shallow parser: structure, round trips, signatures, and failure modes."""
 
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sesame.javaparse import (
     DuplicateDeclarationError,
     ParseError,
+    _Parser,
     parse_units,
+    parse_versions,
 )
 
 
@@ -244,3 +249,215 @@ def test_eof_inside_literal_raises():
 def test_duplicate_import_raises():
     with pytest.raises(DuplicateDeclarationError):
         parse_units(b"import java.util.List;\nimport java.util.List;\nclass A {}\n")
+
+
+# -- one member table for the versions of a merge ------------------------------
+
+FIXTURES = Path(__file__).parent / "fixtures"
+CORPUS_FILES = sorted((FIXTURES / "java_corpus").glob("*.java")) + sorted(
+    (FIXTURES / "java_corpus_bad").glob("*.java")
+)
+# lexer and parser punctuation, keywords and whole members
+_INSERTS = (
+    '"', "'", "\\", "/", "*", "/*", "*/", "//", "\n", " ", "{", "}", "(", ")",
+    ";", ",", "=", "<", ">", "@", ".", "x", "class ", "enum ", "interface ",
+    "static ", ";;", "{}", "int y;", "void q() {}", "static { q(); }",
+)
+
+
+def shape(node):
+    return (
+        node.kind, node.identifier, node.header_text, node.body_text,
+        [shape(c) for c in node.children],
+    )
+
+
+def separate(sources):
+    """Trees of three independent parses, or the first parse's error."""
+    try:
+        return [shape(parse_units(s)) for s in sources]
+    except ParseError as exc:
+        return (type(exc), str(exc))
+
+
+def shared(sources):
+    try:
+        return [shape(tree) for tree in parse_versions(*sources)]
+    except ParseError as exc:
+        return (type(exc), str(exc))
+
+
+def mutate(data: bytes, mutations) -> bytes:
+    for pos, ndel, ins in mutations:
+        pos %= len(data) + 1
+        data = data[:pos] + ins.encode("latin-1") + data[pos + ndel:]
+    return data
+
+
+def _triple(rng: random.Random, data: bytes) -> list[bytes]:
+    def edits(count):
+        return [
+            (rng.randrange(1 << 30), rng.choice((0, 0, 1, 2)), rng.choice(_INSERTS))
+            for _ in range(count)
+        ]
+
+    base = mutate(data, edits(rng.choice((0, 0, 1))))
+    return [base] + [mutate(base, edits(rng.randrange(3))) for _ in range(2)]
+
+
+def test_shared_table_equals_separate_parses_on_corpus_mutations():
+    rng = random.Random(20241018)
+    assert len(CORPUS_FILES) >= 60
+    for path in CORPUS_FILES:
+        data = path.read_bytes()
+        for _ in range(15):
+            sources = _triple(rng, data)
+            assert shared(sources) == separate(sources), path.name
+
+
+_mutation = st.tuples(
+    st.integers(0, 1 << 30), st.sampled_from((0, 0, 1, 2)), st.sampled_from(_INSERTS)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(CORPUS_FILES),
+    st.lists(_mutation, max_size=1),
+    st.lists(_mutation, max_size=3),
+    st.lists(_mutation, max_size=3),
+    st.permutations(range(3)),
+)
+def test_shared_table_equals_separate_parses(
+    path, base_edits, left_edits, right_edits, order
+):
+    base = mutate(path.read_bytes(), base_edits)
+    versions = [base, mutate(base, left_edits), mutate(base, right_edits)]
+    sources = [versions[k] for k in order]
+    assert shared(sources) == separate(sources)
+
+
+@pytest.mark.parametrize(
+    "sources",
+    [
+        pytest.param(  # a stray ';' joins the body of the member before it
+            [
+                b"class A { void f() {}; int x; }",
+                b"class A { void f() {} int x; }",
+                b"class A { void f() {};; int x; }",
+            ],
+            id="stray-semicolon",
+        ),
+        pytest.param(  # an initializer's #n counts the initializers before it
+            [
+                b"class A { static { a(); } { b(); } static { c(); } void f() {} }",
+                b"class A { static { a(); } { b2(); } static { c(); } void f() {} }",
+                b"class A { { z(); } static { a(); } { b(); } static { c(); } void f() {} }",
+            ],
+            id="initializers",
+        ),
+        pytest.param(  # 'B() {}' is a constructor only inside B
+            [
+                b"class B { B() {} }",
+                b"class C { B() {} }",
+                b"class A { class B { B() {} } class C { B() {} } }",
+            ],
+            id="enclosing-type",
+        ),
+        pytest.param(  # 'int f();' is an annotation member only in an @interface
+            [
+                b"@interface M { int f(); }",
+                b"interface M { int f(); }",
+                b"class A { @interface M { int f(); } } class B { interface M { int f(); } }",
+            ],
+            id="annotation-type",
+        ),
+        pytest.param(
+            [
+                b"enum E { A, B; void f() {} int x; }",
+                b"enum E { A, B, C; void f() {} int x; }",
+                b"enum E { A, B; void f() { g(); } int x; }",
+            ],
+            id="enum-members-after-constants",
+        ),
+        pytest.param(  # the head is the key; the body must match too
+            [
+                b"class A { void f() { a(); } int x; }",
+                b"class A { void f() { b(); } int x; }",
+                b"class A { void f() { a(); } int y; }",
+            ],
+            id="edited-body",
+        ),
+    ],
+)
+def test_shared_table_cases(sources):
+    assert shared(sources) == separate(sources)
+    assert shared(sources[::-1]) == separate(sources[::-1])
+
+
+def test_shared_table_kinds():
+    b, c, a = parse_versions(*[
+        b"class B { B() {} }",
+        b"class C { B() {} }",
+        b"class A { class B { B() {} } class C { B() {} } }",
+    ])
+    assert kinds_and_ids(b.children[0]) == [("constructor", "B()")]
+    assert kinds_and_ids(c.children[0]) == [("method", "B()")]
+    assert [kinds_and_ids(t) for t in a.children[0].children] == [
+        [("constructor", "B()")], [("method", "B()")],
+    ]
+    base, left, right = parse_versions(*[
+        b"class A { void f() {}; int x; }",
+        b"class A { void f() {} int x; }",
+        b"class A { void f() {};; int x; }",
+    ])
+    assert [t.children[0].children[0].body_text for t in (base, left, right)] == [
+        b"};", b"}", b"};;",
+    ]
+
+
+def _class_source(n: int, edited: set[int], tag: str) -> bytes:
+    members = []
+    for k in range(n):
+        body = f"return a + {k}{tag if k in edited else ''};"
+        if k % 4 == 3:
+            members.append(f"  private int f{k} = {k};\n")
+        else:
+            members.append(f"  int m{k}(int a, java.util.List<String> xs) {{ {body} }}\n")
+    return ("class Big {\n" + "".join(members) + "}\n").encode()
+
+
+@pytest.mark.parametrize("k", [0, 1, 20])
+def test_shared_table_parses_each_unchanged_member_once(monkeypatch, k):
+    n = 400
+    calls = []
+    real = _Parser._parse_member
+
+    def counting(self, *args):
+        calls.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(_Parser, "_parse_member", counting)
+    rng = random.Random(k)
+    methods = [i for i in range(n) if i % 4 != 3]
+    left_edits = set(rng.sample(methods, k))
+    right_edits = set(rng.sample([i for i in methods if i not in left_edits], k))
+    sources = [
+        _class_source(n, set(), ""),
+        _class_source(n, left_edits, " + 1"),
+        _class_source(n, right_edits, " + 2"),
+    ]
+    trees = parse_versions(*sources)
+    assert len(calls) == n + 2 * k
+    assert [t.text() for t in trees] == sources
+    calls.clear()
+    assert [shape(parse_units(s)) for s in sources] == [shape(t) for t in trees]
+    assert len(calls) == 3 * n
+    # an unchanged member reuses the base's bytes objects, not copies of them
+    base, left, right = (t.children[0].children for t in trees)
+    for i in range(n):
+        if i not in left_edits:
+            assert left[i].header_text is base[i].header_text
+            assert left[i].body_text is base[i].body_text
+        if i not in right_edits:
+            assert right[i].body_text is base[i].body_text
