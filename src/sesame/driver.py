@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import dataclass, field, replace
@@ -126,11 +127,21 @@ def git_driver_entry(
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` through a temporary file beside it.
+
+    The result keeps the mode of the file it replaces; a new file gets the
+    mode ``open`` would give it, 0666 less the umask.
+    """
     directory = path.parent if str(path.parent) else Path(".")
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = 0o666 & ~_umask()
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sesame-")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
+        os.chmod(tmp, mode)  # mkstemp creates the file with mode 0600
         os.replace(tmp, path)
     except OSError:
         try:
@@ -138,6 +149,12 @@ def _write_atomic(path: Path, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def _umask() -> int:
+    mask = os.umask(0)  # the umask can only be read by setting it
+    os.umask(mask)
+    return mask
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:

@@ -76,10 +76,16 @@ class ComparisonRecord:
 
 
 def load_scenarios(root: str | Path) -> list[MergeScenario]:
-    """Load every scenario directory under ``root``, sorted by name."""
+    """Load every scenario directory under ``root``, sorted by name.
+
+    Hidden entries, those whose path below the root or below a version
+    directory has a part starting with '.', are skipped.
+    """
     root = Path(root)
     scenarios: list[MergeScenario] = []
-    for entry in sorted(p for p in root.iterdir() if p.is_dir()):
+    for entry in sorted(
+        p for p in root.iterdir() if p.is_dir() and not p.name.startswith(".")
+    ):
         for sub in VERSION_DIRS:
             if not (entry / sub).is_dir():
                 raise ScenarioError(
@@ -89,8 +95,9 @@ def load_scenarios(root: str | Path) -> list[MergeScenario]:
         for sub in VERSION_DIRS:
             base_dir = entry / sub
             for file in base_dir.rglob("*"):
-                if file.is_file() and not file.name.startswith("."):
-                    paths.add(file.relative_to(base_dir).as_posix())
+                parts = file.relative_to(base_dir).parts
+                if file.is_file() and not any(part.startswith(".") for part in parts):
+                    paths.add("/".join(parts))
         files = [
             FileEntry(
                 rel,

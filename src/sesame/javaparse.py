@@ -26,6 +26,13 @@ member's bytes the same wherever they stand, and such a member's parse
 reads only its own bytes, the last of which is code.  Types (which read
 past their end for stray ';' and have children) and initializers (whose
 ``#n`` counts the initializers before them) never enter the table.
+
+A member or enum constant keeps the parse's lexer states over its text,
+so separator marking need not lex it again; a reused member shares the
+states of the node it was taken from.  These states equal those of the
+text lexed on its own: such a declaration starts right after a code '{',
+'}', ';' or ',' and ends on a code byte, so no literal or comment
+crosses either end.
 """
 
 from __future__ import annotations
@@ -76,12 +83,15 @@ _BRACKETS = {_LPAREN: _PARENS, _LBRACE: re.compile(rb"[{}]")}
 ORDERED_KINDS = frozenset({"package", "import"})
 
 
-@dataclass
+@dataclass(slots=True)
 class DeclNode:
     kind: str
     identifier: str
     header_text: bytes = b""
     body_text: bytes = b""
+    # for a member or enum constant, the parse's lexer states over text();
+    # types, packages, imports and nodes built by hand have none
+    states: bytes | None = field(default=None, compare=False, repr=False)
     children: list["DeclNode"] = field(default_factory=list)
 
     def text(self) -> bytes:
@@ -94,7 +104,7 @@ class DeclNode:
         return (self.kind, self.identifier)
 
 
-MemberTable = dict[tuple[str, bool, bytes], tuple[str, str, bytes, bytes]]
+MemberTable = dict[tuple[str, bool, bytes], tuple[str, str, bytes, bytes, bytes]]
 
 
 def parse_units(source: bytes, members: MemberTable | None = None) -> DeclNode:
@@ -144,7 +154,9 @@ class _Parser:
             node, pos = self._parse_top_level(pos, sig)
             children.append(node)
         _check_duplicates(children)
-        return DeclNode("compilation-unit", "", b"", self.data[pos:], children)
+        return DeclNode(
+            "compilation-unit", "", b"", self.data[pos:], children=children
+        )
 
     # -- shared low-level scanning ------------------------------------
 
@@ -264,7 +276,7 @@ class _Parser:
         end = self._absorb_semicolons(end)
         _check_duplicates(children)
         body = self.data[tail_start:end]
-        return DeclNode("type", name, header, body, children), end
+        return DeclNode("type", name, header, body, children=children), end
 
     def _find_body_brace(self, i: int) -> int:
         """First '{' in code context at paren depth 0 (skips annotations)."""
@@ -311,11 +323,15 @@ class _Parser:
             if self.view[sig] == _SEMI:
                 if not constants:
                     raise ParseError("enum body starting with ';'")
-                constants[-1].header_text += self.data[pos:sig + 1]
+                last = constants[-1]
+                last.header_text += self.data[pos:sig + 1]
+                last.states += self.states[pos:sig + 1]
                 pos = sig + 1
                 break
-            node, pos = self._parse_enum_constant(pos, sig)
+            node, end = self._parse_enum_constant(pos, sig)
+            node.states = self.states[pos:end]
             constants.append(node)
+            pos = end
         members, tail_start, close = self._parse_members(pos, enclosing, False)
         return constants + members, tail_start, close
 
@@ -360,7 +376,10 @@ class _Parser:
             if view[sig] == _SEMI:
                 if not children:
                     raise ParseError("stray ';' at start of type body")
-                children[-1].body_text += data[pos:sig + 1]
+                last = children[-1]
+                last.body_text += data[pos:sig + 1]
+                if last.states is not None:  # a type keeps no states
+                    last.states += self.states[pos:sig + 1]
                 pos = sig + 1
                 continue
             head_end = _MEMBER_HEAD.match(view, sig).end()
@@ -372,17 +391,21 @@ class _Parser:
                 and data.startswith(entry[3], pos + len(entry[2]))
             ):
                 node = DeclNode(*entry)
-                pos += len(entry[2]) + len(entry[3])
+                end = pos + len(entry[2]) + len(entry[3])
             else:
-                node, pos = self._parse_member(
+                node, end = self._parse_member(
                     pos, sig, enclosing, in_annotation, counters
                 )
+                if node.kind != "type":
+                    node.states = self.states[pos:end]
                 if node.kind not in ("type", "initializer"):
                     members.setdefault(
                         key,
-                        (node.kind, node.identifier, node.header_text, node.body_text),
+                        (node.kind, node.identifier, node.header_text,
+                         node.body_text, node.states),
                     )
             children.append(node)
+            pos = end
 
     def _parse_member(
         self,

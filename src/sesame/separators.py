@@ -10,7 +10,10 @@ prefixes; it recovers the original bytes of a marked text, and
 the merged outcome.
 
 Separators inside string literals, character literals, and comments are
-never split; see ``lexer``.
+never split; see ``lexer``.  A declaration's lexer states come from the
+parse, which lexes each version once and keeps the states over each
+member (see ``javaparse``); ``merge_body`` hands them to ``mark``, which
+lexes only a text it is given no states for.
 """
 
 from __future__ import annotations
@@ -88,6 +91,7 @@ def mark(
     text: bytes,
     seps: SeparatorSet | None = None,
     placeholder: bytes | None = None,
+    states: bytes | None = None,
 ) -> MarkedText:
     """Isolate each code-context separator onto its own placeholder line.
 
@@ -96,7 +100,9 @@ def mark(
     separator on the same original line continues on a fresh placeholder
     line, so consecutive separators yield consecutive one-character lines.
     A placeholder that occurs in the text could not be told from the
-    inserted prefixes, so it raises MarkingError.
+    inserted prefixes, so it raises MarkingError.  ``states`` are the
+    lexer states of ``text`` when the caller has them already; without
+    them the text is lexed here.
     """
     seps = seps or SeparatorSet()
     ph = placeholder if placeholder is not None else pick_placeholder([text])
@@ -112,7 +118,9 @@ def mark(
     code: list[bytes] = []
     hidden: list[bytes] = []
     copied = 0
-    for start, end in non_code_spans(lex_states(text)):
+    if states is None:
+        states = lex_states(text)
+    for start, end in non_code_spans(states):
         code.append(text[copied:start])
         hidden.append(text[start:end])
         copied = end
@@ -141,18 +149,20 @@ def unmark(marked: MarkedText) -> bytes:
     line prefix cannot have come from marking and raises MarkingError.
     """
     ph = marked.placeholder
-    out = bytearray()
-    for idx, line in enumerate(marked.lines):
-        if line.startswith(ph):
-            line = line[len(ph):]
-        elif idx:
-            out += b"\n"
-        if ph in line:
-            raise MarkingError("placeholder found mid-line")
-        out += line
+    text = b"\n".join(marked.lines)
+    if text.startswith(ph):
+        text = text[len(ph):]
+    # Dropping each inserted break with the prefix after it leaves the
+    # original.  The check puts an LF back in each break's place, so every
+    # line stays apart and '$'s ending one line and starting the next
+    # never read as a placeholder.
+    parts = text.split(b"\n" + ph)
+    if ph in b"\n".join(parts):
+        raise MarkingError("placeholder found mid-line")
+    out = b"".join(parts)
     if marked.trailing_newline and marked.lines:
         out += b"\n"
-    return bytes(out)
+    return out
 
 
 def merge_body(
@@ -160,19 +170,22 @@ def merge_body(
     left: bytes,
     right: bytes,
     seps: SeparatorSet | None = None,
+    states: Sequence[bytes | None] = (None, None, None),
 ) -> MergeOutcome:
     """Merge three body texts through the separator preprocessing.
 
     Marks all three versions with one collision-free placeholder, merges
     the marked line sequences, then projects the outcome back to plain
     text with ``unmark``: each run of resolved regions, and each conflict
-    side, separately.
+    side, separately.  ``states`` holds the lexer states of base, left
+    and right where the caller has them, as ``mark`` takes them.
     """
     seps = seps or SeparatorSet()
     ph = pick_placeholder([base, left, right])
-    mb = mark(base, seps, ph)
-    ml = mark(left, seps, ph)
-    mr = mark(right, seps, ph)
+    base_states, left_states, right_states = states
+    mb = mark(base, seps, ph, base_states)
+    ml = mark(left, seps, ph, left_states)
+    mr = mark(right, seps, ph, right_states)
     trailing = ml.trailing_newline if ml.trailing_newline != mb.trailing_newline else mr.trailing_newline
     raw = merge3(mb.lines, ml.lines, mr.lines, trailing_newline=trailing)
 

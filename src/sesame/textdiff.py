@@ -14,11 +14,22 @@ occurs anywhere in the other sequence: such a range holds no equal pair,
 so the search could only report it unmatched.  The skip is exact, not a
 cost bound, and it makes a rewritten block that shares no line with the
 other side cost linear time instead of quadratic.
+
+The search, the encoding and the boundary shift do the work of the
+textbook loops with less of it in the interpreter, and produce the same
+pairs, pair for pair.  Lines are encoded as the first equal ``bytes``
+object seen, which keeps equality as it is.  The middle snake indexes
+local copies of its ranges, so every stored position, past the end or
+not, is the loop's own.  A snake is followed by comparing slices, which
+stops where a line-by-line walk stops.  The shift jumps over unchanged
+lines with ``find``, counting them off run by run as the walk would.
+The tests keep the loops as references and compare against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 
@@ -59,17 +70,21 @@ class Alignment:
         return len(self.matched)
 
 
+_FLIP = bytes((1, 0)) + bytes(254)  # a changed flag -> an unchanged flag
+
+
 def diff2(a: Sequence[bytes], b: Sequence[bytes]) -> Alignment:
     """Align two segment sequences on a longest common subsequence."""
     matches = _shift_boundaries(a, b, lcs_matches(a, b))
-    return Alignment(tuple(matches), len(a), len(b))
+    return Alignment(matches, len(a), len(b))
 
 
 def lcs_matches(a: Sequence[bytes], b: Sequence[bytes]) -> list[tuple[int, int]]:
     """Matched index pairs of one longest common subsequence of a and b."""
-    table: dict[bytes, int] = {}
-    ea = [table.setdefault(x, len(table)) for x in a]
-    eb = [table.setdefault(x, len(table)) for x in b]
+    # equal lines become one shared object, so a match compares by identity
+    table: dict[bytes, bytes] = {}
+    ea = list(map(table.setdefault, a, a))
+    eb = list(map(table.setdefault, b, b))
     # one flag per line: whether it occurs anywhere in the other sequence
     fa = bytes(map(set(eb).__contains__, ea))
     fb = bytes(map(set(ea).__contains__, eb))
@@ -94,8 +109,7 @@ def _lcs_recurse(a, a0, a1, b, b0, b1, fa, fb, out) -> None:
         d, x0, y0, x1, y1 = _middle_snake(a, a0, a1, b, b0, b1)
         if d > 1:
             _lcs_recurse(a, a0, a0 + x0, b, b0, b0 + y0, fa, fb, out)
-            for t in range(x1 - x0):
-                out.append((a0 + x0 + t, b0 + y0 + t))
+            out.extend(zip(range(a0 + x0, a0 + x1), range(b0 + y0, b0 + y1)))
             _lcs_recurse(a, a0 + x1, a1, b, b0 + y1, b1, fa, fb, out)
         else:
             # one insertion or deletion apart: greedy pairing is optimal
@@ -117,47 +131,80 @@ def _middle_snake(a, a0, a1, b, b0, b1):
 
     Returns (edit_distance, x0, y0, x1, y1) with snake coordinates local to
     the subproblem.
+
+    The search runs on copies of the two ranges, forward and reversed, so
+    every index is local.  The V arrays are indexed by diagonal directly, a
+    negative one counting from the end.  Before each round the diagonals
+    just outside it are set to -1, so the outermost ones take their only
+    possible move through the same test as the others.  Every value stored,
+    positions past n or m included, is the one the textbook loop stores.
     """
+    fa = a[a0:a1]
+    fb = b[b0:b1]
+    ra = fa[::-1]
+    rb = fb[::-1]
     n = a1 - a0
     m = b1 - b0
     delta = n - m
     odd = delta % 2 != 0
     maxd = (n + m + 1) // 2 + 1
-    off = maxd + 1
     vf = [0] * (2 * maxd + 3)
     vb = [0] * (2 * maxd + 3)
-    vf[off + 1] = 0
-    vb[off + 1] = 0
     for d in range(maxd + 1):
+        # the diagonals on which a forward path can meet a reverse one;
+        # (1, 0) is an empty range
+        lo, hi = (delta - d + 1, delta + d - 1) if odd else (1, 0)
+        vf[-d - 1] = vf[d + 1] = -1
         for k in range(-d, d + 1, 2):
-            if k == -d or (k != d and vf[off + k - 1] < vf[off + k + 1]):
-                x = vf[off + k + 1]
+            if vf[k - 1] < vf[k + 1]:
+                x = vf[k + 1]
             else:
-                x = vf[off + k - 1] + 1
+                x = vf[k - 1] + 1
             y = x - k
-            xs, ys = x, y
-            while x < n and y < m and a[a0 + x] == b[b0 + y]:
-                x += 1
-                y += 1
-            vf[off + k] = x
-            if odd and -(d - 1) <= delta - k <= d - 1:
-                if vf[off + k] + vb[off + delta - k] >= n:
-                    return 2 * d - 1, xs, ys, x, y
+            xs = x
+            if x < n and y < m and fa[x] == fb[y]:
+                x, y = _snake_end(fa, fb, x, y, n, m)
+            vf[k] = x
+            if lo <= k <= hi and x + vb[delta - k] >= n:
+                return 2 * d - 1, xs, xs - k, x, y
+        lo, hi = (1, 0) if odd else (delta - d, delta + d)
+        vb[-d - 1] = vb[d + 1] = -1
         for k in range(-d, d + 1, 2):
-            if k == -d or (k != d and vb[off + k - 1] < vb[off + k + 1]):
-                x = vb[off + k + 1]
+            if vb[k - 1] < vb[k + 1]:
+                x = vb[k + 1]
             else:
-                x = vb[off + k - 1] + 1
+                x = vb[k - 1] + 1
             y = x - k
-            xs, ys = x, y
-            while x < n and y < m and a[a1 - 1 - x] == b[b1 - 1 - y]:
-                x += 1
-                y += 1
-            vb[off + k] = x
-            if not odd and -d <= delta - k <= d:
-                if vb[off + k] + vf[off + delta - k] >= n:
-                    return 2 * d, n - x, m - y, n - xs, m - ys
+            xs = x
+            if x < n and y < m and ra[x] == rb[y]:
+                x, y = _snake_end(ra, rb, x, y, n, m)
+            vb[k] = x
+            if lo <= k <= hi and x + vf[delta - k] >= n:
+                return 2 * d, n - x, m - y, n - xs, m - xs + k
     raise AssertionError("middle snake search failed")
+
+
+def _snake_end(p, q, x, y, n, m):
+    """Follow the snake that starts with p[x] == q[y] to its end.
+
+    Compares slices of doubling, then halving length: the first slice that
+    differs or passes n or m brackets the end, and halving finds it, the
+    same end as comparing one line at a time, in a logarithmic number of
+    steps.
+    """
+    x += 1
+    y += 1
+    step = 1
+    while p[x:x + step] == q[y:y + step] and x + step <= n and y + step <= m:
+        x += step
+        y += step
+        step += step
+    while step > 1:
+        step >>= 1
+        if p[x:x + step] == q[y:y + step] and x + step <= n and y + step <= m:
+            x += step
+            y += step
+    return x, y
 
 
 def _shift_boundaries(a, b, matches):
@@ -169,20 +216,11 @@ def _shift_boundaries(a, b, matches):
         b_changed[j] = 0
     _shift_side(a, a_changed, b_changed)
     _shift_side(b, b_changed, a_changed)
-    out = []
-    i = j = 0
-    n, m = len(a), len(b)
-    while True:
-        while i < n and a_changed[i]:
-            i += 1
-        while j < m and b_changed[j]:
-            j += 1
-        if i >= n or j >= m:
-            break
-        out.append((i, j))
-        i += 1
-        j += 1
-    return out
+    # the k-th unchanged line of a matches the k-th unchanged line of b
+    return tuple(zip(
+        compress(range(len(a)), a_changed.translate(_FLIP)),
+        compress(range(len(b)), b_changed.translate(_FLIP)),
+    ))
 
 
 def _shift_side(lines, changed, other_changed) -> None:
@@ -193,11 +231,27 @@ def _shift_side(lines, changed, other_changed) -> None:
     i_end = len(lines)
     j_end = len(other_changed)
     while True:
-        while i < i_end and not changed[i]:
-            while j < j_end and other_changed[j]:
-                j += 1
-            j += 1
-            i += 1
+        # Jump over the unchanged lines before the next run, and move j
+        # past as many unchanged lines of the other sequence, one run of
+        # them at a time.
+        stop = changed.find(1, i)
+        if stop < 0:
+            stop = i_end
+        count = stop - i
+        i = stop
+        while count:
+            k = other_changed.find(0, j)
+            if k < 0:
+                # no unchanged line is left: each step moves j by one
+                j = max(j, j_end) + count
+                break
+            j = k
+            run_end = other_changed.find(1, j)
+            if run_end < 0:
+                run_end = j_end
+            step = min(count, run_end - j)
+            j += step
+            count -= step
         if i >= i_end:
             break
         start = i

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .textdiff import diff2
+from .textdiff import Alignment, diff2
 
 DEFAULT_LABELS = ("left", "base", "right")
 
@@ -78,14 +78,14 @@ def merge3(
     offsets, on both sides; it is kept as one resolved region.  Each gap
     before, between, and after stable runs is merged on its own.
     """
-    left_at = dict(diff2(base, left).matched)
-    right_at = dict(diff2(base, right).matched)
+    left_at = _partners(diff2(base, left))
+    right_at = _partners(diff2(base, right))
     regions: list[Resolved | Conflict] = []
     bz = lz = rz = 0  # where the current gap starts in base, left, right
     i = 0
     n = len(base)
     while True:
-        while i < n and (i not in left_at or i not in right_at):
+        while i < n and (left_at[i] < 0 or right_at[i] < 0):
             i += 1
         l_end, r_end = (left_at[i], right_at[i]) if i < n else (len(left), len(right))
         b_gap, l_gap, r_gap = base[bz:i], left[lz:l_end], right[rz:r_end]
@@ -105,8 +105,6 @@ def merge3(
         start = i
         while (
             i + 1 < n
-            and i + 1 in left_at
-            and i + 1 in right_at
             and left_at[i + 1] == left_at[i] + 1
             and right_at[i + 1] == right_at[i] + 1
         ):
@@ -114,6 +112,14 @@ def merge3(
         i += 1
         regions.append(Resolved(tuple(base[start:i])))
         bz, lz, rz = i, l_end + i - start, r_end + i - start
+
+
+def _partners(alignment: Alignment) -> list[int]:
+    """For each line of the first sequence, its partner's index, or -1."""
+    at = [-1] * alignment.len_a
+    for i, j in alignment.matched:
+        at[i] = j
+    return at
 
 
 def render(

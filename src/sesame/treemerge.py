@@ -129,7 +129,9 @@ def merge_matched(
             return _merge_container(matched, separators)
         if b.kind in ORDERED_KINDS:
             separators = None
-        return _merge_fragment(b.text(), l.text(), r.text(), separators)
+        # the parse kept each declaration's lexer states for the marking
+        states = (b.states, l.states, r.states)
+        return _merge_fragment(b.text(), l.text(), r.text(), separators, states)
     if b is None:
         if l is not None and r is not None:
             return _merge_fragment(b"", l.text(), r.text())
@@ -171,7 +173,11 @@ def _import_text(cu: DeclNode) -> bytes:
 
 
 def _merge_fragment(
-    bt: bytes, lt: bytes, rt: bytes, separators: SeparatorSet | None = None
+    bt: bytes,
+    lt: bytes,
+    rt: bytes,
+    separators: SeparatorSet | None = None,
+    states: tuple[bytes | None, ...] = (None, None, None),
 ) -> MergeOutcome:
     if lt == bt:
         return _taken(rt)
@@ -179,7 +185,7 @@ def _merge_fragment(
         return _taken(lt)
     if separators is None:
         return merge_texts_outcome(bt, lt, rt)
-    return merge_body(bt, lt, rt, separators)
+    return merge_body(bt, lt, rt, separators, states)
 
 
 def _taken(text: bytes) -> MergeOutcome:

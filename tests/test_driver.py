@@ -1,5 +1,7 @@
 """Merge driver: exit codes, fallback, git calling convention, CLI."""
 
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -423,3 +425,33 @@ def test_cli_rejects_bad_separators(tmp_path, capsys):
     )
     assert code == 2
     assert "sesame:" in capsys.readouterr().err
+
+
+# -- output file mode --------------------------------------------------------
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def test_cli_merge_to_new_file_gets_umask_mode(tmp_path, umask_022):
+    paths = write_inputs(tmp_path, "method_addition")
+    out = tmp_path / "out.java"
+    assert run_cli(
+        "merge", str(paths["base"]), str(paths["left"]), str(paths["right"]),
+        "-o", str(out),
+    ) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644
+
+
+def test_cli_git_driver_keeps_the_current_file_mode(tmp_path, umask_022):
+    paths = write_inputs(tmp_path, "method_addition")
+    paths["left"].chmod(0o755)
+    assert run_cli(
+        "git-driver", str(paths["base"]), str(paths["left"]), str(paths["right"])
+    ) == 0
+    assert stat.S_IMODE(paths["left"].stat().st_mode) == 0o755
+    expected = (GOLDEN / "method_addition/expected_sesame.java").read_bytes()
+    assert paths["left"].read_bytes() == expected

@@ -1,5 +1,6 @@
 """Scenario loading, engine comparison, classification, and reporting."""
 
+import shutil
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,32 @@ def test_load_synthetic_dataset(scenarios_dir):
     entry = added.files[0]
     assert entry.base is None and entry.right is None
     assert entry.left is not None and entry.merge is not None
+
+
+def test_cli_skips_hidden_scenario_directory(scenarios_dir, tmp_path, capsys):
+    root = tmp_path / "scenarios"
+    shutil.copytree(scenarios_dir, root)
+    (root / ".cache" / "v1").mkdir(parents=True)
+    (root / ".cache" / "v1" / "blob").write_bytes(b"x")
+    assert main(["harness", "run", str(root)]) == 0
+    out = capsys.readouterr().out
+    assert "scenarios=10\n" in out and "files_total=10\n" in out
+
+
+def test_hidden_directories_inside_versions_are_not_replayed(scenarios_dir, tmp_path):
+    root = tmp_path / "scenarios"
+    shutil.copytree(scenarios_dir, root)
+    for sub in ("base", "left", "right", "merge"):
+        idea = root / "s02_method_addition" / sub / ".idea"
+        idea.mkdir()
+        (idea / "workspace.xml").write_bytes(b"<project/>\n")
+        (idea / "misc.xml").write_bytes(b"<project %s/>\n" % sub.encode())
+    scenario = next(
+        s for s in load_scenarios(root) if s.id == "s02_method_addition"
+    )
+    assert [e.path for e in scenario.files] == ["Util.java"]
+    report = run_harness(root, [U, S, X], [(U, X), (S, X)], config=CFG)
+    assert report.files_total == 10
 
 
 # -- running -------------------------------------------------------------------

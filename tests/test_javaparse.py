@@ -14,6 +14,7 @@ from sesame.javaparse import (
     parse_units,
     parse_versions,
 )
+from sesame.lexer import lex_states
 
 
 def kinds_and_ids(node):
@@ -461,3 +462,75 @@ def test_shared_table_parses_each_unchanged_member_once(monkeypatch, k):
             assert left[i].body_text is base[i].body_text
         if i not in right_edits:
             assert right[i].body_text is base[i].body_text
+
+
+# -- each node's lexer states, cut from its parse ----------------------------
+
+def _placed(node, start):
+    """Each node of the tree with the offset its text starts at."""
+    yield node, start
+    start += len(node.header_text)
+    for child in node.children:
+        yield from _placed(child, start)
+        start += len(child.text())
+
+
+def assert_states_sliced_exactly(source: bytes, tree) -> None:
+    """Every node that separator marking can be handed keeps the whole
+    file's states over its text, and they equal the states of its text
+    lexed on its own."""
+    whole = lex_states(source)
+    for node, start in _placed(tree, 0):
+        text = node.text()
+        assert source[start:start + len(text)] == text
+        if node.kind in ("compilation-unit", "type", "package", "import"):
+            assert node.states is None
+        else:
+            assert node.states == whole[start:start + len(text)]
+            assert node.states == lex_states(text), (node.kind, node.identifier)
+
+
+def test_node_states_equal_lexing_the_node_on_corpus():
+    for path in sorted((FIXTURES / "java_corpus").glob("*.java")):
+        source = path.read_bytes()
+        assert_states_sliced_exactly(source, parse_units(source))
+
+
+@pytest.mark.parametrize(
+    "golden", sorted(p.name for p in (FIXTURES / "golden").iterdir())
+)
+def test_node_states_equal_lexing_the_node_on_goldens(golden):
+    sources = [
+        (FIXTURES / "golden" / golden / f"{role}.java").read_bytes()
+        for role in ("base", "left", "right")
+    ]
+    # a member reused from an earlier version shares that version's states
+    for source, tree in zip(sources, parse_versions(*sources)):
+        assert_states_sliced_exactly(source, tree)
+
+
+def test_node_states_on_corpus_mutations():
+    rng = random.Random(7018)
+    for path in CORPUS_FILES:
+        data = path.read_bytes()
+        for _ in range(5):
+            sources = _triple(rng, data)
+            try:
+                trees = parse_versions(*sources)
+            except ParseError:
+                continue
+            for source, tree in zip(sources, trees):
+                assert_states_sliced_exactly(source, tree)
+
+
+def test_reused_members_share_their_states():
+    sources = [
+        _class_source(40, set(), ""),
+        _class_source(40, {1, 5}, " + 1"),
+        _class_source(40, {2}, " + 2"),
+    ]
+    base, left, right = (t.children[0].children for t in parse_versions(*sources))
+    for i, node in enumerate(base):
+        assert left[i].states is node.states or i in (1, 5)
+        assert right[i].states is node.states or i == 2
+    assert left[1].states == lex_states(left[1].text())

@@ -250,6 +250,81 @@ def test_unmark_rejects_midline_placeholder():
         unmark(bad)
 
 
+def reference_unmark(marked: MarkedText) -> bytes:
+    """The line-at-a-time ``unmark``, kept as the specification."""
+    ph = marked.placeholder
+    out = bytearray()
+    for idx, line in enumerate(marked.lines):
+        if line.startswith(ph):
+            line = line[len(ph):]
+        elif idx:
+            out += b"\n"
+        if ph in line:
+            raise MarkingError("placeholder found mid-line")
+        out += line
+    if marked.trailing_newline and marked.lines:
+        out += b"\n"
+    return bytes(out)
+
+
+def unmark_result(function, marked):
+    try:
+        return function(marked)
+    except MarkingError:
+        return MarkingError
+
+
+# lines built from '$' runs shorter than, as long as and longer than the
+# placeholder, so runs meet across line ends and inside lines
+_UNMARK_PIECES = st.sampled_from([b"", b"x", b"$", b"$$$", b"$$$$$$$", PH, PH + b"$", b";", b"\r"])
+_UNMARK_LINES = st.lists(st.lists(_UNMARK_PIECES, max_size=4).map(b"".join), max_size=8)
+
+
+@given(_UNMARK_LINES, st.booleans())
+@settings(max_examples=1000)
+def test_unmark_equals_reference(lines, trailing):
+    marked = MarkedText(lines, PH, trailing)
+    assert unmark_result(unmark, marked) == unmark_result(reference_unmark, marked)
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        # '$'s ending a line, then a placeholder line: together they would
+        # spell a placeholder, but each line on its own holds none
+        [b"x$$$$", PH + b"$$$$;"],
+        [b"$$$$$$$", PH + b"$"],
+        [PH + b"$$$", PH + b"$$$$$"],
+        # a placeholder left inside a line after its prefix is dropped
+        [b"a", PH + PH],
+        [b"a$$$$", PH + b"$$$$" + PH],
+        [PH + b"x" + PH],
+        [],
+        [b""],
+        [PH],
+    ],
+)
+def test_unmark_equals_reference_on_dollar_runs(lines):
+    for trailing in (False, True):
+        marked = MarkedText(lines, PH, trailing)
+        assert unmark_result(unmark, marked) == unmark_result(reference_unmark, marked)
+
+
+def test_unmark_keeps_dollars_that_meet_across_a_join():
+    marked = MarkedText([b"x$$$$", PH + b"$$$$;"], PH, False)
+    assert unmark(marked) == b"x$$$$$$$$;"
+
+
+@given(
+    st.lists(
+        st.sampled_from(list(b"{}();\"'\\/*\n\r $ax,.\t")), max_size=120
+    ).map(bytes),
+)
+@settings(max_examples=300)
+def test_mark_with_given_states_equals_mark_that_lexes(text):
+    assert mark(text, None, None, lex_states(text)) == mark(text)
+
+
 # -- merge_body ---------------------------------------------------------------
 
 def test_merge_body_clean_on_unrelated_edits():

@@ -354,3 +354,184 @@ def test_merge_text_share_nothing_is_one_conflict():
     out, conflicts = merge_text(base, left, right)
     assert conflicts == 1
     assert out.startswith(b"<<<<<<< left\nleft 0\n")
+
+
+# -- the middle snake and the boundary shift against the plain loops -------
+
+def reference_shift_boundaries(a, b, matches):
+    """The boundary shift walked one line at a time, kept as the
+    specification of ``_shift_boundaries``."""
+    a_changed = bytearray([1]) * len(a)
+    b_changed = bytearray([1]) * len(b)
+    for i, j in matches:
+        a_changed[i] = 0
+        b_changed[j] = 0
+    _reference_shift_side(a, a_changed, b_changed)
+    _reference_shift_side(b, b_changed, a_changed)
+    out = []
+    i = j = 0
+    n, m = len(a), len(b)
+    while True:
+        while i < n and a_changed[i]:
+            i += 1
+        while j < m and b_changed[j]:
+            j += 1
+        if i >= n or j >= m:
+            break
+        out.append((i, j))
+        i += 1
+        j += 1
+    return out
+
+
+def _reference_shift_side(lines, changed, other_changed):
+    i = 0
+    j = 0
+    i_end = len(lines)
+    j_end = len(other_changed)
+    while True:
+        while i < i_end and not changed[i]:
+            while j < j_end and other_changed[j]:
+                j += 1
+            j += 1
+            i += 1
+        if i >= i_end:
+            break
+        start = i
+        i += 1
+        while i < i_end and changed[i]:
+            i += 1
+        while j < j_end and other_changed[j]:
+            j += 1
+        while True:
+            runlength = i - start
+            while start > 0 and lines[start - 1] == lines[i - 1]:
+                changed[start - 1] = 1
+                changed[i - 1] = 0
+                start -= 1
+                i -= 1
+                while start > 0 and changed[start - 1]:
+                    start -= 1
+                j -= 1
+                while j > 0 and other_changed[j]:
+                    j -= 1
+            corresponding = i if j > 0 and other_changed[j - 1] else i_end
+            while i < i_end and lines[start] == lines[i]:
+                changed[start] = 0
+                changed[i] = 1
+                start += 1
+                i += 1
+                while i < i_end and changed[i]:
+                    i += 1
+                j += 1
+                while j < j_end and other_changed[j]:
+                    corresponding = i
+                    j += 1
+            if runlength == i - start:
+                break
+        while corresponding < i:
+            changed[start - 1] = 1
+            changed[i - 1] = 0
+            start -= 1
+            i -= 1
+            while start > 0 and changed[start - 1]:
+                start -= 1
+            j -= 1
+            while j > 0 and other_changed[j]:
+                j -= 1
+
+
+@st.composite
+def subproblems(draw):
+    """Two sequences, often one an edited copy of the other so that long
+    snakes occur, and a subrange of each; either range may be empty."""
+    alphabet = draw(st.integers(1, 5))
+    a = draw(st.lists(st.integers(0, alphabet - 1), max_size=60))
+    if draw(st.booleans()):
+        b = list(a)
+        for _ in range(draw(st.integers(0, 6))):
+            pos = draw(st.integers(0, len(b)))
+            if draw(st.booleans()) and pos < len(b):
+                del b[pos]
+            else:
+                b.insert(pos, draw(st.integers(0, alphabet)))
+    else:
+        b = draw(st.lists(st.integers(0, alphabet - 1), max_size=60))
+    a0 = draw(st.integers(0, len(a)))
+    a1 = draw(st.integers(a0, len(a)))
+    b0 = draw(st.integers(0, len(b)))
+    b1 = draw(st.integers(b0, len(b)))
+    return a, a0, a1, b, b0, b1
+
+
+@given(subproblems())
+@settings(max_examples=1500)
+def test_middle_snake_equals_reference(problem):
+    a, a0, a1, b, b0, b1 = problem
+    if a1 - a0 + b1 - b0 == 0:
+        return  # the search is only run on a non-empty pair of ranges
+    assert textdiff._middle_snake(*problem) == _reference_middle_snake(*problem)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # both searches store positions past n or m, with odd and even
+        # differences of length
+        ([], [1, 2, 3]),
+        ([1, 2, 3], []),
+        ([], [1, 2]),
+        ([1, 2, 3, 4], [5, 6]),
+        ([1], [2, 1, 2, 2, 1, 2]),
+        ([2, 1, 2, 2, 1, 2], [1]),
+        # one shared run at either end
+        ([0] * 40 + [1], [0] * 40),
+        ([1] + [0] * 40, [0] * 40 + [2]),
+        # snakes of every length up to past 2**7, ending at n and at m
+        (list(range(130)), [-1] + list(range(130))),
+        (list(range(130)) + [-1], list(range(130))),
+    ],
+)
+def test_middle_snake_equals_reference_at_the_edges(a, b):
+    for a0, b0 in ((0, 0), (1, 0), (0, 1)):
+        if a0 <= len(a) and b0 <= len(b) and len(a) - a0 + len(b) - b0 > 0:
+            problem = (a, a0, len(a), b, b0, len(b))
+            assert textdiff._middle_snake(*problem) == _reference_middle_snake(*problem)
+
+
+def test_middle_snake_equals_reference_on_long_edited_copies():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        a = [rng.randrange(4) for _ in range(rng.randint(50, 400))]
+        b = list(a)
+        for _ in range(rng.randint(1, 12)):
+            pos = rng.randrange(len(b) + 1)
+            if rng.random() < 0.5 and pos < len(b):
+                del b[pos]
+            else:
+                b.insert(pos, rng.randrange(6))
+        a0, b0 = rng.randrange(5), rng.randrange(5)
+        a1, b1 = len(a) - rng.randrange(5), len(b) - rng.randrange(5)
+        problem = (a, a0, a1, b, b0, b1)
+        assert textdiff._middle_snake(*problem) == _reference_middle_snake(*problem)
+
+
+@given(edited_pairs())
+@settings(max_examples=500)
+def test_shift_boundaries_equals_reference(pair):
+    a, b = pair
+    matches = reference_lcs_matches(a, b)
+    assert list(_shift_boundaries(a, b, matches)) == reference_shift_boundaries(
+        a, b, matches
+    )
+
+
+def test_shift_boundaries_equals_reference_on_small_alphabets():
+    rng = random.Random(7)
+    for _ in range(3000):
+        a = [ALPHA[rng.randrange(3)] for _ in range(rng.randint(0, 30))]
+        b = [ALPHA[rng.randrange(3)] for _ in range(rng.randint(0, 30))]
+        matches = reference_lcs_matches(a, b)
+        assert list(_shift_boundaries(a, b, matches)) == reference_shift_boundaries(
+            a, b, matches
+        )
