@@ -129,10 +129,13 @@ def git_driver_entry(
 def _write_atomic(path: Path, data: bytes) -> None:
     """Replace ``path`` with ``data`` through a temporary file beside it.
 
-    The result keeps the mode of the file it replaces; a new file gets the
-    mode ``open`` would give it, 0666 less the umask.
+    A symlink is followed to the file it names, so the link stays and its
+    target gets the data; a dangling link creates its target.  The result
+    keeps the mode of the file it replaces; a new file gets the mode
+    ``open`` would give it, 0666 less the umask.
     """
-    directory = path.parent if str(path.parent) else Path(".")
+    path = Path(os.path.realpath(path))
+    directory = path.parent
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:

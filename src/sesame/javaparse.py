@@ -13,6 +13,16 @@ file is scanned through one code view, a copy of its bytes in which
 comment bytes read as blanks and literal bytes as NUL, so compiled ``re``
 patterns and ``find`` calls on the view see only code.
 
+A declaration's key is its kind and identifier.  A package or import is
+identified by its text with whitespace runs made one blank, a type or enum
+constant by its name, a field by the names it declares, an initializer by
+``#n`` (n initializers precede it in its type), and a method, constructor
+or annotation member by ``name(T1,T2)``: the last header word before its
+parameter list, then each parameter's type as written, less generic
+sections, annotations with their arguments, ``final`` and the parameter's
+own name.  Both parts are read from the code view, so comments and
+whitespace only separate tokens, and a literal is never part of a key.
+
 The versions of one merge are parsed with one shared member table
 (``parse_versions``), so a member that is byte for byte the same in base,
 left and right is parsed once.  A field, method, constructor or annotation
@@ -59,8 +69,6 @@ MODIFIER_WORDS = frozenset(
     }
 )
 _TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
-_WS_CHARS = b" \t\r\n\x0b\x0c"
-_WORD_CHARS = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_$"
 
 _WS_RUN = re.compile(rb"[ \t\r\n\x0b\x0c]*")
 _WORD = re.compile(rb"[A-Za-z0-9_$]*")
@@ -69,16 +77,19 @@ _HEADER_TOKEN = re.compile(rb"([A-Za-z0-9_$]+)|[@<>()=,;{}]")
 _TYPE_HEADER_TOKEN = re.compile(rb"[(){;]")
 # a member's head, the member table's key: up to its first code '{' or ';'
 _MEMBER_HEAD = re.compile(rb"[^{;]*[{;]?")
-_PARAM_PUNCT = re.compile(rb"[(<\[{)>\]},]")
-_UNCOMMENTED_RUN = re.compile(rb"[\x00-\x02]+")  # lexer states CODE to CHAR
-_ANGLE_SPLIT = re.compile(rb"([<>])")
-_ANNOTATION = re.compile(rb"@[A-Za-z0-9_$.]*[ \t\r\n\x0b\x0c]*")
-_PARENS = re.compile(rb"[()]")
-_PARAM_TOKEN = re.compile(rb"[A-Za-z0-9_$.]+|[\[\]]")
+# what a method key reads in its parameter list, by group: the '(' of an
+# annotation's arguments (an annotation without them matches no group), a
+# name (maybe qualified), dots, an opening bracket, a closing one, a comma
+_PARAM_TOKEN = re.compile(
+    rb"@\s*[A-Za-z0-9_$]+(?:\s*\.\s*[A-Za-z0-9_$]+)*(\s*\()?"
+    rb"|([A-Za-z0-9_$]+(?:\.[A-Za-z0-9_$]+)*)"
+    rb"|(\.+)|([(<\[{])|([)>\]}])|(,)"
+)
+_ARGUMENTS, _NAME, _DOTS, _OPENER, _CLOSER, _COMMA_TOKEN = range(1, 7)
 
 _AT, _DOT, _COMMA, _SEMI, _EQ = b"@.,;="
 _LPAREN, _RPAREN, _LBRACE, _RBRACE, _LT, _GT = b"(){}<>"
-_BRACKETS = {_LPAREN: _PARENS, _LBRACE: re.compile(rb"[{}]")}
+_BRACKETS = {_LPAREN: re.compile(rb"[()]"), _LBRACE: re.compile(rb"[{}]")}
 
 ORDERED_KINDS = frozenset({"package", "import"})
 
@@ -418,11 +429,11 @@ class _Parser:
         data, view = self.data, self.view
         i = sig
         words: list[str] = []
-        last_word_before_paren = ""
         paren_depth = 0
         angle_depth = 0
         seen_eq = False
-        param_span: tuple[int, int] | None = None
+        name = ""  # the word before the parameter list
+        signature: str | None = None  # the key, once the list is read
         while True:
             # comments, literals and other punctuation change no state here
             m = _HEADER_TOKEN.search(view, i)
@@ -436,36 +447,35 @@ class _Parser:
                     word in _TYPE_KEYWORDS
                     and paren_depth == 0
                     and not seen_eq
-                    and param_span is None
+                    and signature is None
                 ):
                     return self._parse_type(start, i, "type")
                 if (
                     not seen_eq
                     and angle_depth == 0
                     and paren_depth == 0
-                    and param_span is None
+                    and signature is None
                 ):
                     words.append(word)
                 i = m.end()
                 continue
             c = view[i]
-            if c == _AT and paren_depth == 0 and not seen_eq and param_span is None:
+            if c == _AT and paren_depth == 0 and not seen_eq and signature is None:
                 peek = self._skip_insignificant(i + 1)
                 word, _ = self._read_word(peek)
                 if word == "interface":
                     return self._parse_type(start, peek, "type", annotation=True)
                 i = self._skip_annotation(i)
                 continue
-            if c == _LT and param_span is None and not seen_eq:
+            if c == _LT and signature is None and not seen_eq:
                 angle_depth += 1
             elif c == _GT and angle_depth > 0:
                 angle_depth -= 1
             elif c == _LPAREN:
-                if paren_depth == 0 and not seen_eq and param_span is None:
-                    open_pos = i
+                if paren_depth == 0 and not seen_eq and signature is None:
                     close_pos = self._match_delim(i)
-                    param_span = (open_pos, close_pos)
-                    last_word_before_paren = words[-1] if words else ""
+                    name = words[-1] if words else ""
+                    signature = self._signature(name, i, close_pos)
                     i = close_pos + 1
                     continue
                 paren_depth += 1
@@ -477,13 +487,13 @@ class _Parser:
                 c == _COMMA
                 and paren_depth == 0
                 and angle_depth == 0
-                and param_span is None
+                and signature is None
             ):
                 seen_eq = False
                 words.append(",")
             elif c == _SEMI and paren_depth == 0:
                 return self._finish_bodyless(
-                    start, sig, i, words, param_span, enclosing, in_annotation
+                    start, sig, i, words, signature, in_annotation
                 ), i + 1
             elif c == _LBRACE and paren_depth == 0:
                 if seen_eq:
@@ -491,7 +501,7 @@ class _Parser:
                     continue
                 close = self._match_delim(i)
                 significant = [w for w in words if w not in MODIFIER_WORDS]
-                if param_span is None and not significant:
+                if signature is None and not significant:
                     ident = f"#{counters['initializer']}"
                     counters["initializer"] += 1
                     node = DeclNode(
@@ -499,28 +509,24 @@ class _Parser:
                         data[start:i + 1], data[i + 1:close + 1],
                     )
                     return node, close + 1
-                if param_span is None:
+                if signature is None:
                     raise ParseError(
                         f"brace-bodied member without parameter list near byte {i}"
                     )
-                name = last_word_before_paren
                 kind = _method_kind(significant, name, enclosing, in_annotation)
-                ident = self._signature(name, param_span)
                 node = DeclNode(
-                    kind, ident, data[start:i + 1], data[i + 1:close + 1]
+                    kind, signature, data[start:i + 1], data[i + 1:close + 1]
                 )
                 return node, close + 1
             i += 1
 
     def _finish_bodyless(
-        self, start, sig, semi, words, param_span, enclosing, in_annotation
+        self, start, sig, semi, words, signature, in_annotation
     ) -> DeclNode:
         text = self.data[start:semi + 1]
-        if param_span is not None:
-            # name is the word right before the parameter list
-            name = _trailing_word(self.data[sig:param_span[0]])
+        if signature is not None:
             kind = "annotation-member" if in_annotation else "method"
-            return DeclNode(kind, self._signature(name, param_span), text)
+            return DeclNode(kind, signature, text)
         names = _field_names(words)
         if not names:
             raise ParseError(f"could not read field declarator near byte {sig}")
@@ -528,42 +534,62 @@ class _Parser:
 
     # -- signatures -------------------------------------------------------
 
-    def _signature(self, name: str, param_span: tuple[int, int]) -> str:
-        """Matching key: name plus normalized parameter types.
+    def _signature(self, name: str, open_pos: int, close_pos: int) -> str:
+        """Matching key of the method ``name`` whose parameter list runs
+        from the '(' at open_pos to the ')' at close_pos: ``name(T1,T2)``.
 
-        Whitespace, comments, parameter names, annotations, and generic
-        argument sections do not influence the key.
+        One pass over the code view keeps one ``(<[{`` depth and ends a
+        parameter at each comma of depth 0.  A parameter's type is its
+        names, dots and ``[]`` outside generic sections, less ``final`` and
+        its last name, the parameter's own, unless that is its only name.
+        Annotations with their arguments, comments and whitespace never
+        reach the key, and neither does a parameter that leaves nothing.
         """
-        open_pos, close_pos = param_span
-        types = [
-            _param_type(chunk)
-            for chunk in self._split_params(open_pos + 1, close_pos)
-        ]
-        return f"{name}({','.join(t for t in types if t)})"
-
-    def _split_params(self, start: int, end: int) -> list[bytes]:
-        """Code-level comma-separated pieces of data[start:end], comments
-        dropped and literals kept."""
-        view, states, data = self.view, self.states, self.data
-        bounds = [start]
-        depth = 0
-        for m in _PARAM_PUNCT.finditer(view, start, end):
-            c = m.group()
-            if c in b"(<[{":
+        types: list[bytes] = []
+        kept: list[bytes] = []  # the current parameter's tokens
+        name_at = depth = 0  # name_at: index of its last name in kept
+        generic = -1  # the depth just outside the generic section read
+        skip_to = 0  # the end of the annotation arguments last read
+        for m in _PARAM_TOKEN.finditer(self.view, open_pos + 1, close_pos):
+            if m.start() < skip_to:
+                continue
+            kind = m.lastindex
+            if kind == _OPENER:
+                if generic < 0:
+                    if m.group() == b"<":
+                        generic = depth
+                    elif m.group() == b"[":
+                        kept.append(b"[")
                 depth += 1
-            elif c in b")>]}":
-                depth -= 1
-            elif depth == 0:
-                bounds += m.span()
-        bounds.append(end)
-        chunks = [
-            b"".join(
-                data[r.start():r.end()]
-                for r in _UNCOMMENTED_RUN.finditer(states, a, b)
-            )
-            for a, b in zip(bounds[::2], bounds[1::2])
-        ]
-        return [c for c in chunks if c.strip()]
+            elif kind == _CLOSER:
+                if depth:
+                    depth -= 1
+                if depth == generic:
+                    generic = -1
+                elif generic < 0 and m.group() == b"]":
+                    kept.append(b"]")
+            elif kind == _COMMA_TOKEN:
+                if depth == 0:
+                    types.append(_without_name(kept, name_at))
+                    kept, name_at = [], 0
+            elif kind == _ARGUMENTS:
+                skip_to = self._match_delim(m.end() - 1) + 1
+            elif generic >= 0:
+                continue
+            elif kind == _NAME:
+                if m.group() != b"final":
+                    name_at = len(kept)
+                    kept.append(m.group())
+            elif kind == _DOTS:
+                kept.append(m.group())
+        types.append(_without_name(kept, name_at))
+        return f"{name}({b','.join(t for t in types if t).decode('latin-1')})"
+
+
+def _without_name(kept: list[bytes], name_at: int) -> bytes:
+    if name_at:
+        del kept[name_at]
+    return b"".join(kept)
 
 
 def _method_kind(
@@ -576,11 +602,6 @@ def _method_kind(
     if name == enclosing and significant in ([], [name]):
         return "constructor"
     return "method"
-
-
-def _trailing_word(head: bytes) -> str:
-    head = head.rstrip(_WS_CHARS)
-    return head[len(head.rstrip(_WORD_CHARS)):].decode("latin-1")
 
 
 def _field_names(words: list[str]) -> list[str]:
@@ -597,47 +618,6 @@ def _field_names(words: list[str]) -> list[str]:
             return []
         names.append(bare[-1] if idx == 0 else bare[0])
     return names
-
-
-def _param_type(chunk: bytes) -> str:
-    # erase generic argument sections, then strip annotations and 'final'
-    pieces = _ANGLE_SPLIT.split(chunk)  # text, bracket, text, ...
-    kept = pieces[:1]
-    depth = 0
-    for k in range(1, len(pieces), 2):
-        depth = depth + 1 if pieces[k] == b"<" else max(0, depth - 1)
-        if depth == 0:
-            kept.append(pieces[k + 1])
-    text = b"".join(kept)
-    # an annotation's name and argument list read as one blank
-    kept = []
-    pos = 0
-    while m := _ANNOTATION.search(text, pos):
-        kept += (text[pos:m.start()], b" ")
-        pos = m.end()
-        if text[pos:pos + 1] == b"(":
-            pos = _skip_parens(text, pos)
-    kept.append(text[pos:])
-    text = b"".join(kept)
-    tokens = [
-        t.decode("latin-1") for t in _PARAM_TOKEN.findall(text) if t != b"final"
-    ]
-    # drop the parameter name: the last token that is not '[', ']' or '...'
-    for k in range(len(tokens) - 1, 0, -1):
-        if tokens[k] not in ("[", "]", "..."):
-            del tokens[k]
-            break
-    return "".join(tokens)
-
-
-def _skip_parens(text: bytes, i: int) -> int:
-    """Index after the ')' closing the '(' at i, or the end of text."""
-    depth = 0
-    for m in _PARENS.finditer(text, i):
-        depth += 1 if text[m.start()] == _LPAREN else -1
-        if depth == 0:
-            return m.end()
-    return len(text)
 
 
 def _check_duplicates(children: list[DeclNode]) -> None:

@@ -114,15 +114,18 @@ def merge_trees(
     Declarations changed on both sides merge through ``separators`` when
     given, and line by line when it is None.
     """
-    merged = merge_matched(match_trees(base, left, right), separators)
-    assert merged is not None  # the compilation unit is never removed
-    return merged
+    return merge_matched(match_trees(base, left, right), separators)
 
 
 def merge_matched(
     matched: MatchedNode, separators: SeparatorSet | None
-) -> MergeOutcome | None:
-    """Merge one matched node; None means the declaration was removed."""
+) -> MergeOutcome:
+    """Merge one matched node.
+
+    A version without the declaration takes part as empty text, so a
+    removal honoured against an untouched counterpart merges to an empty
+    outcome, which joins as nothing.
+    """
     b, l, r = matched.base, matched.left, matched.right
     if b is not None and l is not None and r is not None:
         if b.kind in ("compilation-unit", "type"):
@@ -132,18 +135,7 @@ def merge_matched(
         # the parse kept each declaration's lexer states for the marking
         states = (b.states, l.states, r.states)
         return _merge_fragment(b.text(), l.text(), r.text(), separators, states)
-    if b is None:
-        if l is not None and r is not None:
-            return _merge_fragment(b"", l.text(), r.text())
-        return _taken((l or r).text())
-    if l is None and r is None:
-        return None
-    other = l if l is not None else r
-    if other.text() == b.text():
-        return None
-    left_text = l.text() if l is not None else b""
-    right_text = r.text() if r is not None else b""
-    return _merge_fragment(b.text(), left_text, right_text)
+    return _merge_fragment(*(b"" if n is None else n.text() for n in (b, l, r)))
 
 
 def _merge_container(
@@ -161,9 +153,7 @@ def _merge_container(
                     _merge_fragment(_import_text(b), _import_text(l), _import_text(r))
                 )
             continue
-        merged = merge_matched(child, separators)
-        if merged is not None:
-            parts.append(merged)
+        parts.append(merge_matched(child, separators))
     parts.append(_merge_fragment(b.body_text, l.body_text, r.body_text))
     return join(parts)
 

@@ -248,6 +248,23 @@ def test_cli_deeply_nested_types(tmp_path, capsys):
     assert "parse failed and fallback is disabled: declarations nested too deeply" in err
 
 
+def test_overload_with_a_literal_in_an_annotation_merges_structurally():
+    # both overloads must key apart: '<' inside a literal opens no generics
+    base = (
+        b"class A {\n"
+        b"  void f(long b) {\n    one();\n  }\n"
+        b'  void f(@A("<") int a, long b) {\n    two();\n  }\n'
+        b"}\n"
+    )
+    left = base.replace(b"one();", b"one(1);")
+    right = base.replace(b"two();", b"two(2);")
+    expected = base.replace(b"one();", b"one(1);").replace(b"two();", b"two(2);")
+    for mode in (EngineMode.SEMISTRUCTURED, EngineMode.SESAME):
+        result = run_engine(base, left, right, config(mode))
+        assert not result.fell_back, result.fallback_reason
+        assert (result.output, result.conflicts) == (expected, 0)
+
+
 # -- git driver ---------------------------------------------------------------
 
 def test_git_driver_overwrites_current(tmp_path):
@@ -455,3 +472,53 @@ def test_cli_git_driver_keeps_the_current_file_mode(tmp_path, umask_022):
     assert stat.S_IMODE(paths["left"].stat().st_mode) == 0o755
     expected = (GOLDEN / "method_addition/expected_sesame.java").read_bytes()
     assert paths["left"].read_bytes() == expected
+
+
+# -- output through a symlink --------------------------------------------------
+
+def test_cli_merge_through_a_symlink_writes_its_target(tmp_path, umask_022):
+    paths = write_inputs(tmp_path, "method_addition")
+    real = tmp_path / "real.java"
+    real.write_bytes(b"old\n")
+    real.chmod(0o600)
+    link = tmp_path / "out.java"
+    link.symlink_to("real.java")
+    assert run_cli(
+        "merge", str(paths["base"]), str(paths["left"]), str(paths["right"]),
+        "-o", str(link),
+    ) == 0
+    expected = (GOLDEN / "method_addition/expected_sesame.java").read_bytes()
+    assert link.is_symlink() and os.readlink(link) == "real.java"
+    assert real.read_bytes() == expected
+    assert stat.S_IMODE(real.stat().st_mode) == 0o600
+
+
+def test_cli_git_driver_on_a_symlinked_current_file(tmp_path):
+    paths = write_inputs(tmp_path, "method_addition")
+    elsewhere = tmp_path / "sub"
+    elsewhere.mkdir()
+    real = elsewhere / "Current.java"
+    paths["left"].rename(real)
+    paths["left"].symlink_to(real)
+    assert run_cli(
+        "git-driver", str(paths["base"]), str(paths["left"]), str(paths["right"])
+    ) == 0
+    expected = (GOLDEN / "method_addition/expected_sesame.java").read_bytes()
+    assert paths["left"].is_symlink()
+    assert real.read_bytes() == expected
+    assert sorted(p.name for p in elsewhere.iterdir()) == ["Current.java"]
+
+
+def test_cli_merge_through_a_dangling_symlink_creates_its_target(tmp_path, umask_022):
+    paths = write_inputs(tmp_path, "method_addition")
+    (tmp_path / "sub").mkdir()
+    link = tmp_path / "out.java"
+    link.symlink_to("sub/new.java")
+    assert run_cli(
+        "merge", str(paths["base"]), str(paths["left"]), str(paths["right"]),
+        "-o", str(link),
+    ) == 0
+    target = tmp_path / "sub" / "new.java"
+    expected = (GOLDEN / "method_addition/expected_sesame.java").read_bytes()
+    assert link.is_symlink() and target.read_bytes() == expected
+    assert stat.S_IMODE(target.stat().st_mode) == 0o644

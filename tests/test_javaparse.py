@@ -207,6 +207,131 @@ def test_overloads_get_distinct_keys():
     assert len(set(ids)) == 3
 
 
+def member_ids(src):
+    return [c.identifier for c in parse_units(src).children[0].children]
+
+
+@pytest.mark.parametrize(
+    "src,expected",
+    [
+        # no blank after a generic section's '>'
+        (b"class A { void f(List<String>x) {} }", ["f(List)"]),
+        # a comment between two words keeps them apart
+        (b"class A { void f(final/**/String s) {} }", ["f(String)"]),
+        # a literal in an annotation argument is no bracket
+        (
+            b'class A { void f(@A("<") int a, long b) {} void f(long b) {} }',
+            ["f(int,long)", "f(long)"],
+        ),
+        # a comment between the name and '(' of a bodyless method
+        (
+            b"abstract class A { abstract void f /* c */ ();"
+            b" abstract void g /* c */ (); }",
+            ["f()", "g()"],
+        ),
+        (b"interface I { void f\n// c\n(int x); }", ["f(int)"]),
+        # varargs written against the name or with a blank before '...'
+        (b"class A { void f(String...xs) {} void g(int ...ys) {} }",
+         ["f(String...)", "g(int...)"]),
+        # an operator in an annotation argument is no bracket either
+        (b"class A { void f(@A(n = 1 << 2) int a, @B(2 > 1) long b) {} }",
+         ["f(int,long)"]),
+    ],
+)
+def test_method_key_reads_code_tokens(src, expected):
+    assert member_ids(src) == expected
+
+
+# -- method keys of generated parameter lists -----------------------------------
+#
+# A generated list is a sequence of tokens, and the key it must get is
+# computed from the same model: a parameter's type with its generic
+# sections, annotations, 'final' and name left out.  Every boundary between
+# two tokens gets a blank, a comment, or nothing where the two would not
+# merge into one word.
+
+_GAPS = ("", " ", "\n  ", "/* c */", "/*<(,*/", "/**/", "// ),<\n", "\t")
+_ANNOTATIONS = (
+    ["@", "A"],
+    ["@", "a", ".", "B"],
+    ["@", "A", "(", '"<>,()"', ")"],
+    ["@", "B", "(", "v", "=", "{", '"("', ",", "'<'", "}", ",", "n", "=", "1",
+     "<<", "2", ")"],
+    ["@", "C", "(", "2", ">", "1", ")"],
+    ["@", "D", "(", "')'", ")"],
+)
+_TYPE_NAMES = (["int"], ["String"], ["T"], ["java", ".", "util", ".", "List"],
+               ["Map", ".", "Entry"])
+
+
+def _dims(n):
+    return ["[", "]"] * n
+
+
+@st.composite
+def _java_type(draw, depth=0):
+    """(tokens, key) of a type: maybe qualified, maybe generic, maybe an
+    array."""
+    name = draw(st.sampled_from(_TYPE_NAMES))
+    tokens = list(name)
+    if name != ["int"] and depth < 2 and draw(st.booleans()):
+        tokens.append("<")
+        for k in range(draw(st.integers(1, 3))):
+            if k:
+                tokens.append(",")
+            wildcard = draw(st.sampled_from(([], ["?"], ["?", "extends"], ["?", "super"])))
+            tokens += wildcard
+            if wildcard != ["?"]:
+                tokens += draw(_java_type(depth + 1))[0]
+        tokens.append(">")
+    dims = draw(st.integers(0, 2))
+    return tokens + _dims(dims), "".join(name) + "[]" * dims
+
+
+@st.composite
+def _parameter(draw, last):
+    """(tokens, key) of one formal parameter."""
+    prefix = [draw(st.sampled_from(_ANNOTATIONS)) for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        prefix.insert(draw(st.integers(0, len(prefix))), ["final"])
+    tokens, key = draw(_java_type())
+    tokens = [t for part in prefix for t in part] + tokens
+    if last and draw(st.booleans()):
+        return tokens + ["...", draw(st.sampled_from(("xs", "rest")))], key + "..."
+    dims = draw(st.integers(0, 1))
+    name = draw(st.sampled_from(("a", "x$1", "_v", "value")))
+    return tokens + [name] + _dims(dims), key + "[]" * dims
+
+
+@st.composite
+def _method(draw):
+    """(source, expected key) of a class holding one generated method."""
+    count = draw(st.integers(0, 4))
+    params = [draw(_parameter(last=k == count - 1)) for k in range(count)]
+    tokens = ["<", "T", ">"] if draw(st.booleans()) else []
+    tokens += ["void", "f", "("]
+    for k, (param_tokens, _) in enumerate(params):
+        tokens += ([","] if k else []) + param_tokens
+    tokens.append(")")
+    bodyless = draw(st.booleans())
+    tokens.append(";" if bodyless else "{}")
+    text = tokens[0]
+    for prev, token in zip(tokens, tokens[1:]):
+        joins = all(c.isalnum() or c in "_$" for c in prev[-1] + token[0])
+        gaps = _GAPS[1:] if joins else _GAPS  # _GAPS[0] is no gap at all
+        text += draw(st.sampled_from(gaps)) + token
+    modifier = "abstract " if bodyless else ""
+    source = f"abstract class K {{ {modifier}{text} }}".encode()
+    return source, "f(" + ",".join(key for _, key in params) + ")"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_method())
+def test_generated_parameter_lists_key_as_their_model(method):
+    source, expected = method
+    assert member_ids(source) == [expected]
+
+
 # -- round trips -----------------------------------------------------------
 
 def test_corpus_roundtrip(corpus_dir):

@@ -9,6 +9,21 @@ depend on a random generator.  The fixture was written by the parser
 before its scanning moved from per-byte loops to ``re`` and ``find``
 scans; any change in how the parser reads bytes shows up here.
 
+It was regenerated once since, when method keys came to be read from the
+code view in one pass: before, a key was built from the bytes with the
+comments cut out, so words on both sides of a comment, a literal or a
+stray '>' were glued into one, and a bodyless method's name was the word
+just before '(' in the raw bytes, even inside a comment.  Every unmutated
+outcome stayed the same; three mutation outcomes changed, each a header
+that is not valid Java:
+
+* GenBuilder85.java, '>' inserted, ``append(String par>t)``:
+  ``append(String)`` became ``append(Stringpar)``;
+* GenRepository50.java, ',' inserted, ``new java.util.H,ashMap<>();``
+  (no longer a field): ``()`` became ``ashMap()``;
+* Operation.java, '*' inserted, ``int apply*(int x, int y);``:
+  ``(int,int)`` became ``apply(int,int)``.
+
 Regenerate (only when a parser change is meant to alter results):
 
     PYTHONPATH=src python tests/test_parse_pins.py
