@@ -167,6 +167,8 @@ def _cmd_harness_run(args: argparse.Namespace) -> int:
         if not sep:
             raise ValueError(f"malformed pair (expected M:N): {chunk!r}")
         pair = (EngineMode(m_name.strip()), EngineMode(n_name.strip()))
+        if pair[0] is pair[1]:
+            raise ValueError(f"pair names one engine twice: {pair[0].value}")
         if pair in pairs:
             raise ValueError(
                 f"pair repeated in --pairs: {pair[0].value}:{pair[1].value}"

@@ -5,6 +5,12 @@ git merge driver: read three versions, merge per the configured mode into
 one ``MergeOutcome``, render it once with the configured labels and marker
 style, write the result, and exit 0 when clean, 1 when the outcome holds
 conflict regions, 2 on I/O or internal errors.
+
+The structured engines merge the three versions parsed and matched by
+``match_versions``.  A caller that runs both on one file, as the harness
+does, matches once and hands the result, or the exception that parsing
+raised, to each ``run_engine`` call; each engine then falls back or fails
+on it exactly as it would after parsing for itself.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from pathlib import Path
 from .javaparse import ParseError, parse_versions
 from .separators import SeparatorSet
 from .textmerge import DEFAULT_LABELS, merge_texts_outcome, render
-from .treemerge import merge_trees
+from .treemerge import MatchedNode, match_trees, merge_matched
 
 
 class EngineMode(enum.Enum):
@@ -46,30 +52,44 @@ class EngineResult:
     fallback_reason: str = ""
 
 
+def match_versions(base: bytes, left: bytes, right: bytes) -> MatchedNode | Exception:
+    """The three versions parsed and matched, or the exception that raised."""
+    try:
+        return match_trees(*parse_versions(base, left, right))
+    except Exception as exc:  # handed to each engine, which reports it
+        return exc
+
+
 def run_engine(
-    base: bytes, left: bytes, right: bytes, config: DriverConfig
+    base: bytes,
+    left: bytes,
+    right: bytes,
+    config: DriverConfig,
+    matched: MatchedNode | Exception | None = None,
 ) -> EngineResult:
     """Merge three file contents per the configured engine mode.
 
-    In the declaration-aware modes a parse failure falls back to the
-    unstructured engine when ``fallback_on_parse_error`` is set, otherwise
-    the ParseError propagates.  The conflict count is the number of
-    conflict regions in the merge outcome.
+    The declaration-aware modes merge ``matched``, the result of
+    ``match_versions`` on these contents; when it is None they compute it.
+    A parse failure falls back to the unstructured engine when
+    ``fallback_on_parse_error`` is set; otherwise the ParseError, like any
+    other exception from parsing or matching, propagates.  The conflict
+    count is the number of conflict regions in the merge outcome.
     """
     fell_back, reason = False, ""
     if config.mode is EngineMode.UNSTRUCTURED:
         outcome = merge_texts_outcome(base, left, right)
     else:
-        try:
-            trees = parse_versions(base, left, right)
-        except ParseError as exc:
-            if not config.fallback_on_parse_error:
-                raise
+        if matched is None:
+            matched = match_versions(base, left, right)
+        if isinstance(matched, ParseError) and config.fallback_on_parse_error:
             outcome = merge_texts_outcome(base, left, right)
-            fell_back, reason = True, str(exc)
+            fell_back, reason = True, str(matched)
+        elif isinstance(matched, Exception):
+            raise matched
         else:
             sesame = config.mode is EngineMode.SESAME
-            outcome = merge_trees(*trees, config.separators if sesame else None)
+            outcome = merge_matched(matched, config.separators if sesame else None)
     rendered = render(outcome, config.labels, config.base_marker)
     return EngineResult(rendered, outcome.conflict_count(), fell_back, reason)
 

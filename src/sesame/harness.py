@@ -9,6 +9,12 @@ gets one comparison record, which holds both engines' results and the
 recorded merge: it is classified as an added false positive or negative
 against the recorded merge, or queued for manual review when neither rule
 applies.  Files where the engines agree get no record.
+
+Each file is parsed and matched once for all structured engines: the
+first one to run fills a per-file memo with the matched versions, or with
+the exception that parsing raised, and every structured engine merges
+from it.  A parse failure therefore still counts once per structured
+engine, as a fallback or, with fallback off, as an engine error.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .driver import DriverConfig, EngineMode, run_engine
+from .driver import DriverConfig, EngineMode, match_versions, run_engine
 
 VERSION_DIRS = ("base", "left", "right", "merge")
 
@@ -124,36 +130,39 @@ def run_tools(
     """Merge every file of a scenario with every engine.
 
     An absent base is treated as an empty file; a file present on exactly
-    one of left/right is adopted verbatim without merging.  Engine errors
-    are recorded on the result, not raised.
+    one of left/right is adopted verbatim without merging.  The structured
+    engines share one parse and match of each file.  Engine errors are
+    recorded on the result, not raised.
     """
     config = config or DriverConfig()
     results: list[ToolResult] = []
     for entry in scenario.files:
+        one_sided = (entry.left is None) != (entry.right is None)
+        if one_sided and entry.base is None:
+            adopted = entry.left if entry.left is not None else entry.right
+            results.extend(
+                ToolResult(mode.value, scenario.id, entry.path, adopted, 0)
+                for mode in modes
+            )
+            continue
+        versions = (entry.base or b"", entry.left or b"", entry.right or b"")
+        matched = None  # filled by the first structured engine
         for mode in modes:
-            results.append(_run_one(entry, mode, scenario.id, config))
+            tool = mode.value
+            if mode is not EngineMode.UNSTRUCTURED and matched is None:
+                matched = match_versions(*versions)  # never raises
+            try:
+                result = run_engine(*versions, replace(config, mode=mode), matched)
+            except Exception as exc:  # engine errors stay per-file
+                results.append(
+                    ToolResult(tool, scenario.id, entry.path, b"", 0, error=str(exc))
+                )
+                continue
+            results.append(ToolResult(
+                tool, scenario.id, entry.path, result.output, result.conflicts,
+                fell_back=result.fell_back,
+            ))
     return results
-
-
-def _run_one(
-    entry: FileEntry, mode: EngineMode, scenario_id: str, config: DriverConfig
-) -> ToolResult:
-    tool = mode.value
-    one_sided = (entry.left is None) != (entry.right is None)
-    if one_sided and entry.base is None:
-        adopted = entry.left if entry.left is not None else entry.right
-        return ToolResult(tool, scenario_id, entry.path, adopted, 0)
-    base = entry.base or b""
-    left = entry.left or b""
-    right = entry.right or b""
-    try:
-        result = run_engine(base, left, right, replace(config, mode=mode))
-    except Exception as exc:  # engine errors stay per-file
-        return ToolResult(tool, scenario_id, entry.path, b"", 0, error=str(exc))
-    return ToolResult(
-        tool, scenario_id, entry.path, result.output, result.conflicts,
-        fell_back=result.fell_back,
-    )
 
 
 def strip_whitespace(data: bytes) -> bytes:

@@ -106,23 +106,13 @@ def _ordered_keys(b_nodes, l_nodes, r_nodes) -> list[tuple[str, str]]:
     return keys
 
 
-def merge_trees(
-    base: DeclNode, left: DeclNode, right: DeclNode, separators: SeparatorSet | None
-) -> MergeOutcome:
-    """Merge three parsed files into one outcome.
-
-    Declarations changed on both sides merge through ``separators`` when
-    given, and line by line when it is None.
-    """
-    return merge_matched(match_trees(base, left, right), separators)
-
-
 def merge_matched(
     matched: MatchedNode, separators: SeparatorSet | None
 ) -> MergeOutcome:
-    """Merge one matched node.
+    """Merge one matched node, such as a whole file from ``match_trees``.
 
-    A version without the declaration takes part as empty text, so a
+    Declarations changed on both sides merge through ``separators`` when
+    given, and line by line when it is None.  A version without the declaration takes part as empty text, so a
     removal honoured against an untouched counterpart merges to an empty
     outcome, which joins as nothing.
     """

@@ -1,13 +1,15 @@
 """Scenario loading, engine comparison, classification, and reporting."""
 
+import random
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from sesame import harness
+from sesame import driver, harness, javaparse
 from sesame.cli import main
-from sesame.driver import DriverConfig, EngineMode
+from sesame.driver import DriverConfig, EngineMode, run_engine
 from sesame.harness import (
     AFN_M,
     AFN_N,
@@ -15,6 +17,8 @@ from sesame.harness import (
     AFP_N,
     UNCLASSIFIED,
     ComparisonRecord,
+    FileEntry,
+    MergeScenario,
     ScenarioError,
     ToolResult,
     build_report,
@@ -149,6 +153,165 @@ def test_run_tools_records_fallback(scenarios_dir):
     assert by_tool["sesame"].fell_back
     outputs = {r.output for r in res}
     assert len(outputs) == 1  # all tools agree on the fallback result
+
+
+# -- one parse per file for all structured engines ---------------------------------
+
+FIXTURE_MERGED = 9  # s09_added_file is adopted, not merged
+FIXTURE_PARSED = 8  # no version of s10_fallback parses
+
+
+def _corpus_scenario() -> MergeScenario:
+    """Seeded edit triples of the corpus, as ``test_merge_digest`` builds them."""
+    from test_merge_digest import _edit
+
+    rng = random.Random(20261019)
+    files = []
+    for path in sorted((Path(__file__).parent / "fixtures" / "java_corpus").glob("*.java")):
+        base = path.read_bytes()
+        left = _edit(rng, base, rng.randint(1, 3))
+        right = _edit(rng, base, rng.randint(1, 3))
+        files.append(FileEntry(path.name, base, left, right, None))
+    return MergeScenario("corpus", files)
+
+
+def _replayed(scenarios_dir) -> list[MergeScenario]:
+    return load_scenarios(scenarios_dir) + [_corpus_scenario()]
+
+
+def _alone(entry: FileEntry, mode: EngineMode, config: DriverConfig) -> tuple:
+    """What ``run_engine`` gives for one engine on its own: the fields of a
+    ToolResult, with an exception as its error."""
+    versions = (entry.base or b"", entry.left or b"", entry.right or b"")
+    try:
+        result = run_engine(*versions, replace(config, mode=mode))
+    except Exception as exc:
+        return b"", 0, False, str(exc)
+    return result.output, result.conflicts, result.fell_back, None
+
+
+def _merged(scenario: MergeScenario) -> list[FileEntry]:
+    """The files the engines merge: all but those adopted from one side."""
+    return [e for e in scenario.files
+            if e.base is not None or (e.left is None) == (e.right is None)]
+
+
+@pytest.mark.parametrize("fallback", [True, False])
+def test_shared_parse_gives_each_engine_its_own_result(scenarios_dir, fallback):
+    config = replace(CFG, fallback_on_parse_error=fallback)
+    outcomes = {"fell_back": 0, "error": 0, "clean": 0}
+    for scenario in _replayed(scenarios_dir):
+        merged = {e.path for e in _merged(scenario)}
+        results = iter(run_tools(scenario, [U, S, X], config))
+        for entry in scenario.files:
+            for mode in (U, S, X):
+                got = next(results)
+                assert (got.tool, got.scenario, got.path) == (
+                    mode.value, scenario.id, entry.path
+                )
+                if entry.path not in merged:
+                    continue
+                want = _alone(entry, mode, config)
+                assert (got.output, got.conflicts, got.fell_back, got.error) == want
+                if mode is X:
+                    outcomes["fell_back" if got.fell_back else
+                             "error" if got.error else "clean"] += 1
+        assert next(results, None) is None
+    # the inputs reach every branch: merges, and parse failures of both kinds
+    assert outcomes["clean"] > 50
+    assert outcomes["fell_back" if fallback else "error"] > 10
+
+
+def _count_calls(monkeypatch, module, name: str) -> list[int]:
+    calls = [0]
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _parse_work(entry: FileEntry) -> tuple[int, int]:
+    """The ``parse_units`` and ``match_trees`` calls that parsing and
+    matching one file's versions makes: parsing stops at the first version
+    that fails, and only a file that parses is matched."""
+    for count, data in enumerate((entry.base, entry.left, entry.right), 1):
+        try:
+            javaparse.parse_units(data or b"")
+        except javaparse.ParseError:
+            return count, 0
+    return 3, 1
+
+
+@pytest.mark.parametrize("modes", [[U, S, X], [X, U, S], [S], [U]])
+def test_each_merged_file_is_parsed_and_matched_once(scenarios_dir, monkeypatch, modes):
+    scenarios = _replayed(scenarios_dir)
+    work = [_parse_work(e) for s in scenarios for e in _merged(s)]
+    fixture_work = [_parse_work(e) for s in scenarios[:-1] for e in _merged(s)]
+    assert len(fixture_work) == FIXTURE_MERGED
+    assert sum(matches for _, matches in fixture_work) == FIXTURE_PARSED
+    parses = _count_calls(monkeypatch, javaparse, "parse_units")
+    matches = _count_calls(monkeypatch, driver, "match_trees")
+    for scenario in scenarios:
+        run_tools(scenario, modes, CFG)
+    if modes == [U]:
+        assert (parses[0], matches[0]) == (0, 0)
+    else:
+        assert (parses[0], matches[0]) == tuple(map(sum, zip(*work)))
+
+
+def test_a_parse_error_of_another_kind_is_each_structured_engines_error(
+    scenarios_dir, monkeypatch
+):
+    baseline = run_harness(scenarios_dir, [U, S, X], [(U, X), (S, X)], config=CFG)
+    unstructured = [
+        r for s in load_scenarios(scenarios_dir) for r in run_tools(s, [U], CFG)
+    ]
+
+    def broken_parse(source, members=None):
+        raise RuntimeError("parser broke")
+
+    monkeypatch.setattr(javaparse, "parse_units", broken_parse)
+    results = [
+        r for s in load_scenarios(scenarios_dir) for r in run_tools(s, [U, S, X], CFG)
+    ]
+    merged = {(r.scenario, r.path) for r in results if r.tool == "sesame" and r.error}
+    assert len(merged) == FIXTURE_MERGED
+    for r in results:
+        if r.tool == "unstructured":
+            continue
+        if (r.scenario, r.path) in merged:
+            assert (r.output, r.conflicts, r.fell_back, r.error) == (
+                b"", 0, False, "parser broke"
+            )
+        else:  # adopted without a merge
+            assert r.error is None
+    assert [r for r in results if r.tool == "unstructured"] == unstructured
+    report = run_harness(scenarios_dir, [U, S, X], [(U, X), (S, X)], config=CFG)
+    assert report.per_tool["unstructured"] == baseline.per_tool["unstructured"]
+    for tool in ("semistructured", "sesame"):
+        assert report.per_tool[tool].errors == FIXTURE_MERGED
+        assert report.per_tool[tool].fallbacks == 0
+
+
+def test_no_fallback_reports_the_parse_error_on_each_structured_engine(scenarios_dir):
+    scenario = next(
+        s for s in load_scenarios(scenarios_dir) if s.id == "s10_fallback"
+    )
+    entry = scenario.files[0]
+    with pytest.raises(javaparse.ParseError) as raised:
+        javaparse.parse_units(entry.base)
+    strict = replace(CFG, fallback_on_parse_error=False)
+    by_tool = {r.tool: r for r in run_tools(scenario, [S, U, X], strict)}
+    assert str(raised.value) == "unterminated type body"
+    for tool in ("semistructured", "sesame"):
+        result = by_tool[tool]
+        assert (result.output, result.conflicts, result.fell_back) == (b"", 0, False)
+        assert result.error == str(raised.value)
+    assert by_tool["unstructured"].error is None
 
 
 # -- differ / classify ------------------------------------------------------------
@@ -344,7 +507,7 @@ def test_records_hold_exactly_the_differing_pairs(scenarios_dir):
 def test_engine_error_is_unclassified_in_report(scenarios_dir, tmp_path, monkeypatch):
     real = harness.run_engine
 
-    def failing_sesame(base, left, right, config):
+    def failing_sesame(base, left, right, config, matched=None):
         if config.mode is X and b"class Chain" in base:
             raise RuntimeError("boom")
         return real(base, left, right, config)
@@ -439,6 +602,17 @@ def test_cli_rejects_repeated_engine(scenarios_dir, capsys):
     assert code == 2
     captured = capsys.readouterr()
     assert "engine repeated in --tools: sesame" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_rejects_a_pair_of_one_engine(scenarios_dir, capsys):
+    code = main([
+        "harness", "run", str(scenarios_dir), "--tools", "sesame",
+        "--pairs", "sesame:sesame",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "pair names one engine twice: sesame" in captured.err
     assert captured.out == ""
 
 

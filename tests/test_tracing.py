@@ -16,6 +16,7 @@ from sesame import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "fixtures" / "golden"
+SCENARIOS = ROOT / "tests" / "fixtures" / "scenarios"
 
 # the layers a merge through the command line runs; the others are the
 # harness's and the marker counter, which no merge calls
@@ -92,6 +93,22 @@ def test_sesame_merge_lexes_each_version_once(tracer, tmp_path):
     assert stats["separators.mark"]["calls"] == 3 * bodies
     assert stats["textdiff.diff2"]["calls"] == 2 * stats["textmerge.merge3"]["calls"]
     assert stats["separators.mark"]["lines_out"] > stats["separators.mark"]["lines_in"]
+
+
+def test_harness_run_parses_each_file_once_for_all_engines(tracer):
+    tracer.begin_op()
+    assert cli.main(["harness", "run", str(SCENARIOS)]) == 0
+    stats = tracer.stats
+    # of the 10 fixture files, 9 are merged; 8 parse, and parsing
+    # s10_fallback stops at its base, the first version that fails
+    merged, parsed = 9, 8
+    versions = 3 * parsed + 1
+    assert stats["javaparse.parse_units"]["calls"] == versions
+    assert stats["javaparse.parse_units"]["errors"] == 1
+    assert stats["lexer.lex_states"]["calls"] == versions
+    assert stats["treemerge.match_trees"]["calls"] == parsed
+    assert stats["driver.run_engine"]["calls"] == 3 * merged
+    assert stats["driver.run_engine"]["fallbacks"] == 2
 
 
 def test_uninstall_restores_every_original():

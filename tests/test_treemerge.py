@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sesame.javaparse import DeclNode, parse_units
 from sesame.separators import SeparatorSet
 from sesame.textmerge import count_conflicts, render
-from sesame.treemerge import _ordered_keys, match_trees, merge_matched, merge_trees
+from sesame.treemerge import _ordered_keys, match_trees, merge_matched
 
 # how bodies changed on both sides merge: line by line, or through separators
 PLAIN = {"separators": None}
@@ -17,9 +17,8 @@ ENHANCED = {"separators": SeparatorSet()}
 
 
 def merge_sources(base, left, right, policy=PLAIN):
-    outcome = merge_trees(
-        parse_units(base), parse_units(left), parse_units(right), **policy
-    )
+    matched = match_trees(parse_units(base), parse_units(left), parse_units(right))
+    outcome = merge_matched(matched, **policy)
     return render(outcome)
 
 
