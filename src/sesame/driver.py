@@ -130,8 +130,11 @@ def merge_files(
         )
     try:
         _write_atomic(Path(out_path), result.output)
-    except OSError as exc:
-        print(f"sesame: cannot write output: {exc}", file=sys.stderr)
+    except OSError as exc:  # it may name the temporary file: name the output
+        print(
+            f"sesame: cannot write output: {out_path}: {exc.strerror or exc}",
+            file=sys.stderr,
+        )
         return 2
     return 1 if result.conflicts else 0
 

@@ -43,6 +43,23 @@ states of the node it was taken from.  These states equal those of the
 text lexed on its own: such a declaration starts right after a code '{',
 '}', ';' or ',' and ends on a code byte, so no literal or comment
 crosses either end.
+
+Each version after the first lexes only what it does not share with the
+first.  The first parse leaves its code view in the table, with the
+offset, head and entry of each member it added.  A later parse walks
+those members in order and finds where its own text repeats them (by
+head search, see ``_repeats``); over each repeat it copies the first
+version's states and view, and it lexes and views the text between
+repeats with one ``lex_states`` and one ``code_view`` call on that text
+joined.  The result equals lexing the version whole, because every cut
+falls right after a code byte other than '/'.  A repeated member ends on
+a code '}' or ';' and was lexed in the first version just as on its own;
+each stretch of lexed text that a repeat follows is checked, once
+lexed, to end on such a byte, and from the first one that does not, the
+rest of the version is lexed whole.  Lexing that restarts right after
+such a byte reads what follows as lexing the whole file does (see
+``lexer``), so no literal or comment crosses a cut, and each piece has
+in place the states it has on its own.
 """
 
 from __future__ import annotations
@@ -50,7 +67,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .lexer import code_view, lex_states
+from .lexer import CODE, code_view, lex_states
 
 
 class ParseError(ValueError):
@@ -87,7 +104,7 @@ _PARAM_TOKEN = re.compile(
 )
 _ARGUMENTS, _NAME, _DOTS, _OPENER, _CLOSER, _COMMA_TOKEN = range(1, 7)
 
-_AT, _DOT, _COMMA, _SEMI, _EQ = b"@.,;="
+_AT, _DOT, _COMMA, _SEMI, _EQ, _SLASH = b"@.,;=/"
 _LPAREN, _RPAREN, _LBRACE, _RBRACE, _LT, _GT = b"(){}<>"
 _BRACKETS = {_LPAREN: re.compile(rb"[()]"), _LBRACE: re.compile(rb"[{}]")}
 
@@ -115,7 +132,24 @@ class DeclNode:
         return (self.kind, self.identifier)
 
 
-MemberTable = dict[tuple[str, bool, bytes], tuple[str, str, bytes, bytes, bytes]]
+class MemberTable(dict):
+    """Members parsed so far, for the parses of one merge to share.
+
+    Keys are ``(enclosing type, in an @interface, head)`` and values
+    ``(kind, identifier, header_text, body_text, states)``.  Once the first
+    parse is done, ``view`` is its code view, and ``starts``, ``heads`` and
+    ``entries`` give, in file order, the offset, head and entry of each
+    member it added.
+    """
+
+    __slots__ = ("view", "starts", "heads", "entries")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.view: bytearray | None = None
+        self.starts: list[int] = []
+        self.heads: list[bytes] = []
+        self.entries: list[tuple[str, str, bytes, bytes, bytes]] = []
 
 
 def parse_units(source: bytes, members: MemberTable | None = None) -> DeclNode:
@@ -127,7 +161,7 @@ def parse_units(source: bytes, members: MemberTable | None = None) -> DeclNode:
     too deeply for the recursive parser or the round-trip print.
     """
     try:
-        root = _Parser(source, {} if members is None else members).parse()
+        root = _Parser(source, MemberTable() if members is None else members).parse()
         printed = root.text()
     except RecursionError:
         raise ParseError("declarations nested too deeply") from None
@@ -141,19 +175,152 @@ def parse_versions(*sources: bytes) -> list[DeclNode]:
 
     Each tree, or the first ParseError, is the one ``parse_units`` gives
     for that source alone; members already parsed in an earlier version
-    are reused instead of parsed again.
+    are reused instead of parsed again, and each version after the first
+    lexes only what it does not share with the first.
     """
-    members: MemberTable = {}
+    members = MemberTable()
     return [parse_units(source, members) for source in sources]
+
+
+def _follows(data: bytes, at: int, entry: tuple) -> bool:
+    """Whether the text of the table entry ``entry`` follows at ``at``."""
+    return data.startswith(entry[2], at) and data.startswith(
+        entry[3], at + len(entry[2])
+    )
+
+
+def _find_head(data: bytes, head: bytes, lo: int, hi: int) -> int:
+    """First offset in [lo, hi) at which ``head`` starts in ``data``, or -1."""
+    return data.find(head, lo, hi + len(head) - 1)
+
+
+def _size(entry: tuple) -> int:
+    return len(entry[2]) + len(entry[3])
+
+
+def _repeats(data: bytes, table: MemberTable) -> list[list]:
+    """Runs of the table's first version's members that ``data`` repeats:
+    ``[at, start, stop, states]`` for bytes ``start:stop`` there, made of
+    the members whose states are ``states``, repeated at offset ``at``.
+
+    The walk takes the first version's members in order.  Where the next
+    one does not follow the last repeat, it resumes at that member or the
+    one after it, whichever has its head start first; a member is looked
+    for only before the head of the one after it.  Both are looked for in
+    windows that start one member long and double, so a member that is
+    gone or edited costs a scan about as long as the text before its
+    successor, not one to the end.  A member whose head is found but whose
+    text does not follow is passed over.  Failed searches may scan
+    ``len(data)`` offsets in all; once they have, the walk stops.
+    """
+    starts, heads, entries = table.starts, table.heads, table.entries
+    n = budget = len(data)
+
+    def search(k: int, lo: int, hi: int) -> int:
+        nonlocal budget
+        hi = min(hi, lo + budget)
+        at = _find_head(data, heads[k], lo, hi)
+        if at < 0:
+            budget -= hi - lo
+        return at
+
+    def resume(j: int, lo: int) -> tuple[int, int]:
+        """Member j or j + 1, whichever's head starts first at or after
+        ``lo``, and where; ``(j + 2, -1)`` if neither is found."""
+        width = _size(entries[j])
+        while lo < n and budget > 0:
+            hi = min(n, lo + width)
+            after = search(j + 1, lo, hi) if j + 1 < len(heads) else -1
+            at = search(j, lo, hi if after < 0 else after)
+            if at >= 0:
+                return j, at
+            if after >= 0:
+                return j + 1, after
+            lo, width = hi, 2 * width
+        return j + 2, -1
+
+    runs: list[list] = []
+    pos = lo = j = 0  # pos: end of the last repeat; lo: where searches start
+    while j < len(heads) and budget > 0:
+        at = pos
+        if lo != pos or not _follows(data, pos, entries[j]):
+            j, at = resume(j, lo)
+            if at < 0:
+                continue
+            if not _follows(data, at, entries[j]):
+                lo, j = at + 1, j + 1
+                continue
+        entry = entries[j]
+        start, size = starts[j], _size(entry)
+        if not runs or at != pos or start != runs[-1][2]:
+            runs.append([at, start, start, []])
+        runs[-1][2] += size
+        runs[-1][3].append(entry[4])
+        pos = lo = at + size
+        j += 1
+    return runs
+
+
+def _lex_reusing(data: bytes, table: MemberTable) -> tuple[bytes, bytes]:
+    """``lex_states(data)`` and ``code_view`` of it, for a later version of
+    the table's first one.
+
+    Over each run of members that ``_repeats`` finds, both are copied from
+    the first version; the text between runs, the gaps, is lexed and
+    viewed with one call each on the gaps joined.  A gap followed by a run
+    must end on a code byte other than '/', so that no literal or comment
+    crosses into the run; from the first gap that does not, the rest of
+    ``data`` is lexed whole.
+    """
+    runs = _repeats(data, table)
+    gaps, end = [], 0
+    for at, start, stop, _ in runs:
+        gaps.append((end, at))
+        end = at + stop - start
+    gaps.append((end, len(data)))
+    text = memoryview(data)
+    joined = b"".join([text[a:b] for a, b in gaps])
+    states = lex_states(joined)
+    off = 0
+    for i, (a, b) in enumerate(gaps[:-1]):
+        if a < b and (states[off + b - a - 1] != CODE or data[b - 1] == _SLASH):
+            del runs[i:]
+            gaps[i:] = [(a, len(data))]
+            joined = joined[:off] + data[a:]
+            states = states[:off] + lex_states(data[a:])
+            break
+        off += b - a
+    view = code_view(joined, states)
+    state_parts: list = []
+    view_parts: list = []
+    states, view = memoryview(states), memoryview(view)
+    first_view = memoryview(table.view)
+    off = 0
+    for i, (a, b) in enumerate(gaps):
+        state_parts.append(states[off:off + b - a])
+        view_parts.append(view[off:off + b - a])
+        off += b - a
+        if i < len(runs):
+            _, start, stop, run_states = runs[i]
+            state_parts.extend(run_states)
+            view_parts.append(first_view[start:stop])
+    return b"".join(state_parts), b"".join(view_parts)
 
 
 class _Parser:
     def __init__(self, data: bytes, members: MemberTable) -> None:
         self.data = data
         self.members = members
-        self.states = lex_states(data)
-        self.view = code_view(data, self.states)
+        if members.view is None:
+            self.states = lex_states(data)
+            self.view = code_view(data, self.states)
+        else:
+            self.states, self.view = _lex_reusing(data, members)
         self.n = len(data)
+        # offset, head and entry of each member this parse adds to the table
+        self.starts: list[int] = []
+        self.heads: list[bytes] = []
+        self.entries: list[tuple[str, str, bytes, bytes, bytes]] = []
 
     def parse(self) -> DeclNode:
         children: list[DeclNode] = []
@@ -165,6 +332,10 @@ class _Parser:
             node, pos = self._parse_top_level(pos, sig)
             children.append(node)
         _check_duplicates(children)
+        if self.members.view is None:
+            self.members.view = self.view
+            self.members.starts = self.starts
+            self.members.heads, self.members.entries = self.heads, self.entries
         return DeclNode(
             "compilation-unit", "", b"", self.data[pos:], children=children
         )
@@ -396,25 +567,23 @@ class _Parser:
             head_end = _MEMBER_HEAD.match(view, sig).end()
             key = (enclosing, in_annotation, data[pos:head_end])
             entry = members.get(key)
-            if (
-                entry is not None
-                and data.startswith(entry[2], pos)
-                and data.startswith(entry[3], pos + len(entry[2]))
-            ):
+            if entry is not None and _follows(data, pos, entry):
                 node = DeclNode(*entry)
-                end = pos + len(entry[2]) + len(entry[3])
+                end = pos + _size(entry)
             else:
                 node, end = self._parse_member(
                     pos, sig, enclosing, in_annotation, counters
                 )
                 if node.kind != "type":
                     node.states = self.states[pos:end]
-                if node.kind not in ("type", "initializer"):
-                    members.setdefault(
-                        key,
-                        (node.kind, node.identifier, node.header_text,
-                         node.body_text, node.states),
+                if node.kind not in ("type", "initializer") and entry is None:
+                    entry = members[key] = (
+                        node.kind, node.identifier, node.header_text,
+                        node.body_text, node.states,
                     )
+                    self.starts.append(pos)
+                    self.heads.append(key[2])
+                    self.entries.append(entry)
             children.append(node)
             pos = end
 

@@ -13,6 +13,14 @@ rest of the file.  A backslash escapes the byte after it, a line feed
 included, and a backslash at the end of the input still belongs to its
 literal.  A block comment closes at the first ``*/`` after its opening
 ``/*`` (so ``/*/`` does not close it) or runs to the end of the input.
+
+Lexing can restart right after a code byte other than '/'.  No token
+covers that byte, and no token can start on it and run into the bytes
+after it, so every token before it ends inside what precedes it and is
+found the same whatever follows.  The whole input's states are therefore
+those of the text up to the byte, lexed on its own, followed by those of
+the rest lexed on its own.  A '/' does not qualify: a '/' or '*' after it
+makes it the start of a comment.
 """
 
 from __future__ import annotations

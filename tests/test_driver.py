@@ -1,5 +1,6 @@
 """Merge driver: exit codes, fallback, git calling convention, CLI."""
 
+import errno
 import os
 import stat
 from pathlib import Path
@@ -451,6 +452,48 @@ def umask_022():
     old = os.umask(0o022)
     yield
     os.umask(old)
+
+
+def _tree(path):
+    return sorted((p, p.is_dir() or p.read_bytes()) for p in path.rglob("*"))
+
+
+@pytest.mark.parametrize(
+    "out,reason",
+    [("existing-dir", "Is a directory"), ("missing/o.java", "No such file or directory")],
+)
+def test_cli_merge_write_failure_names_the_output(tmp_path, capsys, out, reason):
+    paths = write_inputs(tmp_path, "method_addition")
+    (tmp_path / "existing-dir").mkdir()
+    target = str(tmp_path / out)
+    before = _tree(tmp_path)
+    assert run_cli(
+        "merge", str(paths["base"]), str(paths["left"]), str(paths["right"]),
+        "-o", target,
+    ) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write output: {target}: {reason}" in err
+    assert ".sesame-" not in err
+    assert _tree(tmp_path) == before
+
+
+def test_cli_git_driver_write_failure_names_the_current_file(
+    tmp_path, capsys, monkeypatch
+):
+    paths = write_inputs(tmp_path, "method_addition")
+    before = _tree(tmp_path)
+
+    def read_only(src, dst):  # what a read-only file system does
+        raise OSError(errno.EROFS, os.strerror(errno.EROFS), src, dst)
+
+    monkeypatch.setattr(os, "replace", read_only)
+    assert run_cli(
+        "git-driver", str(paths["base"]), str(paths["left"]), str(paths["right"])
+    ) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write output: {paths['left']}: {os.strerror(errno.EROFS)}" in err
+    assert ".sesame-" not in err
+    assert _tree(tmp_path) == before
 
 
 def test_cli_merge_to_new_file_gets_umask_mode(tmp_path, umask_022):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sesame import javaparse
 from sesame.javaparse import (
     DuplicateDeclarationError,
     ParseError,
@@ -14,7 +15,7 @@ from sesame.javaparse import (
     parse_units,
     parse_versions,
 )
-from sesame.lexer import lex_states
+from sesame.lexer import code_view, lex_states
 
 
 def kinds_and_ids(node):
@@ -659,3 +660,215 @@ def test_reused_members_share_their_states():
         assert left[i].states is node.states or i in (1, 5)
         assert right[i].states is node.states or i == 2
     assert left[1].states == lex_states(left[1].text())
+
+
+# -- later versions copy the first version's lexing --------------------------
+
+_MEMBER_KINDS = {"field", "method", "constructor", "annotation-member"}
+
+
+def _member_spans(source: bytes) -> list[tuple[int, int]]:
+    """(start, end) of each member that can enter the member table, in
+    file order; none if ``source`` does not parse."""
+    try:
+        tree = parse_units(source)
+    except ParseError:
+        return []
+    return [
+        (start, start + len(node.text()))
+        for node, start in _placed(tree, 0)
+        if node.kind in _MEMBER_KINDS
+    ]
+
+
+def _resync_versions(rng: random.Random, data: bytes) -> list[bytes]:
+    """Later versions of ``data``, the first equal to it, shaped to mislead
+    the search for repeated members; the last one is the one before it
+    with CRLF line endings."""
+    versions = [data, mutate(data, [
+        (rng.randrange(1 << 30), rng.choice((0, 1, 2)), rng.choice(_INSERTS))
+        for _ in range(rng.randrange(1, 4))
+    ])]
+    spans = _member_spans(data)
+    if spans:
+        a, b = rng.choice(spans)
+        text = data[a:b]
+        # the member, or its head, copied into a comment or literal before it
+        cover = rng.choice((
+            b"/*" + text + b"*/", b"/*" + text, b"//" + text, b'"' + text,
+            b"'" + text, b"/*" + text[:len(text) // 2] + b"*/",
+        ))
+        versions.append(data[:a] + cover + data[a:])
+        # an unterminated comment or literal inside an edited member
+        k = rng.randrange(a, b + 1)
+        versions.append(data[:k] + rng.choice((b"/*", b'"', b"'", b"//")) + data[k:])
+        # runs of members deleted, duplicated and swapped
+        i = rng.randrange(len(spans))
+        j = rng.randrange(i, min(len(spans), i + 4))
+        run_a, run_b = spans[i][0], spans[j][1]
+        if run_a < run_b:
+            versions.append(data[:run_a] + data[run_b:])
+            versions.append(data[:run_b] + data[run_a:run_b] + data[run_b:])
+        if len(spans) > 1:
+            (a, b), (c, d) = sorted(rng.sample(spans, 2))
+            versions.append(data[:a] + data[c:d] + data[b:c] + data[a:b] + data[d:])
+        versions.append(_without(data, spans[rng.randrange(2)::2]))
+    versions.append(versions[-1].replace(b"\n", b"\r\n"))
+    return versions
+
+
+def _without(data: bytes, spans: list[tuple[int, int]]) -> bytes:
+    """``data`` less the bytes of each span."""
+    out, pos = [], 0
+    for a, b in spans:
+        out.append(data[pos:a])
+        pos = b
+    out.append(data[pos:])
+    return b"".join(out)
+
+
+def lexed_versions(sources):
+    """``shared(sources)``, and the data, states and view of each parse."""
+    seen = []
+    real = _Parser.parse
+
+    def parse(self):
+        seen.append((self.data, self.states, self.view))
+        return real(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Parser, "parse", parse)
+        result = shared(sources)
+    return result, seen
+
+
+def assert_lexing_copied_exactly(sources):
+    result, seen = lexed_versions(sources)
+    assert result == separate(sources)
+    for data, states, view in seen:
+        whole = lex_states(data)
+        assert states == whole
+        assert view == code_view(data, whole)
+
+
+def test_copied_lexing_equals_whole_lexing_on_corpus():
+    rng = random.Random(20261018)
+    for path in CORPUS_FILES:
+        data = path.read_bytes()
+        for _ in range(2):  # the first version is edited too
+            first = mutate(data, [(rng.randrange(1 << 30), 0, " ")])
+            for version in _resync_versions(rng, first):
+                assert_lexing_copied_exactly([first, version])
+            assert_lexing_copied_exactly(_triple(rng, data))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CORPUS_FILES), st.randoms(use_true_random=False))
+def test_copied_lexing_equals_whole_lexing(path, rng):
+    first, *later = _resync_versions(rng, path.read_bytes())
+    assert_lexing_copied_exactly([first, rng.choice(later), rng.choice(later)])
+
+
+_FIRST = b"class A { int x; void f() {} }"
+
+
+@pytest.mark.parametrize(
+    "first,later",
+    [
+        pytest.param(_FIRST, b"class A { int x; /* void f() {} */ void f() {} }",
+                     id="member-in-comment"),
+        pytest.param(_FIRST, b'class A { int x; String s = " void f() {"; void f() {} }',
+                     id="head-in-string"),
+        pytest.param(_FIRST, b"class A { int x = 2; void f() {} }", id="edited-field"),
+        pytest.param(_FIRST, b"class A { int x; void g() { /* } void f() {} }",
+                     id="unterminated-comment"),
+        pytest.param(_FIRST, b'class A { int x; void g() { " } void f() {} }',
+                     id="unterminated-string"),
+        pytest.param(b"class A { int x;/* c */ void f() {} }",
+                     b"class A { int x; int y = 1//* c */ void f() {} }",
+                     id="slash-before-member"),
+        pytest.param(_FIRST, b"class A { void f() {} int x; }", id="swapped"),
+        pytest.param(_FIRST, b"class A { int x; void f() {} void f() {} }", id="duplicated"),
+        pytest.param(_FIRST, b"class A {\r\n int x; void f() {}\r\n}", id="crlf"),
+    ],
+)
+def test_copied_lexing_cases(first, later):
+    assert_lexing_copied_exactly([first, later])
+    assert_lexing_copied_exactly([later, first])
+
+
+# -- the work later versions do ----------------------------------------------
+
+def _count_work(monkeypatch):
+    """Bytes handed to ``lex_states``, and offsets scanned by head searches
+    that found nothing, one entry per call."""
+    lexed, failed = [], []
+    real_lex, real_find = javaparse.lex_states, javaparse._find_head
+
+    def lex(data):
+        lexed.append(len(data))
+        return real_lex(data)
+
+    def find(data, head, lo, hi):
+        at = real_find(data, head, lo, hi)
+        if at < 0:
+            failed.append(hi - lo)
+        return at
+
+    monkeypatch.setattr(javaparse, "lex_states", lex)
+    monkeypatch.setattr(javaparse, "_find_head", find)
+    return lexed, failed
+
+
+def _later_work(monkeypatch, first: bytes, later: bytes) -> tuple[int, int, int]:
+    """(lex_states calls, bytes lexed, offsets of failed searches) for
+    parsing ``later`` after ``first``; its tree must be its own."""
+    lexed, failed = _count_work(monkeypatch)
+    trees = parse_versions(first, later)
+    work = len(lexed) - 1, sum(lexed[1:]), sum(failed)
+    assert lexed[0] == len(first)
+    assert shape(trees[1]) == shape(parse_units(later))
+    return work
+
+
+def _class_parts(source: bytes) -> tuple[bytes, list[bytes], bytes]:
+    """The text before the class's first member, each member, and the rest."""
+    members = parse_units(source).children[0].children
+    texts = [m.text() for m in members]
+    head_len = source.index(texts[0])
+    tail_len = len(source) - head_len - sum(map(len, texts))
+    return source[:head_len], texts, source[len(source) - tail_len:]
+
+
+def test_an_equal_version_lexes_only_the_text_outside_members(monkeypatch):
+    first = _class_source(400, set(), "")
+    head, members, tail = _class_parts(first)
+    calls, lexed, _ = _later_work(monkeypatch, first, first)
+    assert (calls, lexed) == (1, len(head) + len(tail))
+
+
+def test_one_edited_method_lexes_that_method_and_the_text_outside(monkeypatch):
+    first = _class_source(400, set(), "")
+    later = _class_source(400, {17}, " + 1")
+    head, members, tail = _class_parts(later)
+    calls, lexed, _ = _later_work(monkeypatch, first, later)
+    assert calls == 1
+    assert lexed <= len(head) + len(members[17]) + len(tail)
+
+
+@pytest.mark.parametrize("shape_name", ["drop-odd", "drop-even", "reversed", "rewritten"])
+def test_reshaped_versions_lex_and_search_at_most_their_length(monkeypatch, shape_name):
+    first = _class_source(400, set(), "")
+    head, members, tail = _class_parts(first)
+    later = {
+        "drop-odd": head + b"".join(members[::2]) + tail,
+        "drop-even": head + b"".join(members[1::2]) + tail,
+        "reversed": head + b"".join(members[::-1]) + tail,
+        "rewritten": first.replace(b"int ", b"long "),
+    }[shape_name]
+    calls, lexed, failed = _later_work(monkeypatch, first, later)
+    assert calls == 1
+    assert lexed <= len(later)
+    assert failed <= len(later)
+    if shape_name.startswith("drop"):  # every member left is copied
+        assert lexed == len(head) + len(tail)

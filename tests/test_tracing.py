@@ -95,6 +95,30 @@ def test_sesame_merge_lexes_each_version_once(tracer, tmp_path):
     assert stats["separators.mark"]["lines_out"] > stats["separators.mark"]["lines_in"]
 
 
+def _class(edited: int) -> bytes:
+    methods = "".join(
+        f"  int m{k}() {{ return {k}{' + 1' if k == edited else ''}; }}\n"
+        for k in range(20)
+    )
+    return f"class A {{\n{methods}}}\n".encode()
+
+
+def test_sesame_merge_lexes_later_versions_only_where_they_differ(tracer, tmp_path):
+    paths = []
+    for role, edited in (("base", -1), ("left", 3), ("right", 15)):
+        paths.append(tmp_path / f"{role}.java")
+        paths[-1].write_bytes(_class(edited))
+    tracer.begin_op()
+    assert cli.main(["merge", *map(str, paths), "-o", str(tmp_path / "out.java")]) == 0
+    stats = tracer.stats["lexer.lex_states"]
+    assert stats["calls"] == 3
+    # the base is lexed whole; left and right each lex their edited method
+    # and the text outside the methods, and copy the rest from the base
+    outside = len("class A {") + len("\n}\n")
+    edited = len("\n  int m3() { return 3 + 1; }") + len("\n  int m15() { return 15 + 1; }")
+    assert stats["bytes"] == len(_class(-1)) + 2 * outside + edited
+
+
 def test_harness_run_parses_each_file_once_for_all_engines(tracer):
     tracer.begin_op()
     assert cli.main(["harness", "run", str(SCENARIOS)]) == 0
