@@ -30,6 +30,7 @@ from .harness import ScenarioError, render_report, run_harness
 # config keys that engine flags override; each flag stores its value as a
 # string under the key's name with "-" spelled "_"
 _FLAG_KEYS = ("mode", "separators", "labels", "diff3-style", "fallback")
+_DEFAULT_PAIRS = "unstructured:sesame,semistructured:sesame"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -80,8 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--pairs",
-        default="unstructured:sesame,semistructured:sesame",
-        help="comma-separated M:N engine pairs to compare",
+        default=None,
+        help="comma-separated M:N engine pairs to compare (default: those of "
+        f"{_DEFAULT_PAIRS} whose engines are both in --tools)",
     )
     run.add_argument("--out", default=None, help="write the report here")
     run.add_argument(
@@ -159,7 +161,7 @@ def _cmd_harness_run(args: argparse.Namespace) -> int:
                 raise ValueError(f"engine repeated in --tools: {mode.value}")
             tools.append(mode)
     pairs: list[tuple[EngineMode, EngineMode]] = []
-    for chunk in args.pairs.split(","):
+    for chunk in (_DEFAULT_PAIRS if args.pairs is None else args.pairs).split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
@@ -174,6 +176,8 @@ def _cmd_harness_run(args: argparse.Namespace) -> int:
                 f"pair repeated in --pairs: {pair[0].value}:{pair[1].value}"
             )
         pairs.append(pair)
+    if args.pairs is None:
+        pairs = [pair for pair in pairs if pair[0] in tools and pair[1] in tools]
     for pair in pairs:
         for mode in pair:
             if mode not in tools:

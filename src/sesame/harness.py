@@ -10,11 +10,12 @@ recorded merge: it is classified as an added false positive or negative
 against the recorded merge, or queued for manual review when neither rule
 applies.  Files where the engines agree get no record.
 
-Each file is parsed and matched once for all structured engines: the
-first one to run fills a per-file memo with the matched versions, or with
-the exception that parsing raised, and every structured engine merges
-from it.  A parse failure therefore still counts once per structured
-engine, as a fallback or, with fallback off, as an engine error.
+Each file is parsed and matched once for all structured engines: when
+any of them is selected, the harness matches the file's versions before
+the engines run, and every structured engine merges from the matched
+versions, or from the exception that parsing raised.  A parse failure
+therefore still counts once per structured engine, as a fallback or, with
+fallback off, as an engine error.
 """
 
 from __future__ import annotations
@@ -135,6 +136,7 @@ def run_tools(
     recorded on the result, not raised.
     """
     config = config or DriverConfig()
+    structured = any(mode is not EngineMode.UNSTRUCTURED for mode in modes)
     results: list[ToolResult] = []
     for entry in scenario.files:
         one_sided = (entry.left is None) != (entry.right is None)
@@ -146,11 +148,9 @@ def run_tools(
             )
             continue
         versions = (entry.base or b"", entry.left or b"", entry.right or b"")
-        matched = None  # filled by the first structured engine
+        matched = match_versions(*versions) if structured else None  # never raises
         for mode in modes:
             tool = mode.value
-            if mode is not EngineMode.UNSTRUCTURED and matched is None:
-                matched = match_versions(*versions)  # never raises
             try:
                 result = run_engine(*versions, replace(config, mode=mode), matched)
             except Exception as exc:  # engine errors stay per-file

@@ -23,43 +23,37 @@ sections, annotations with their arguments, ``final`` and the parameter's
 own name.  Both parts are read from the code view, so comments and
 whitespace only separate tokens, and a literal is never part of a key.
 
-The versions of one merge are parsed with one shared member table
-(``parse_versions``), so a member that is byte for byte the same in base,
-left and right is parsed once.  A field, method, constructor or annotation
-member starting at ``pos`` is keyed by its enclosing type's name, whether
-that type is an ``@interface``, and its bytes from ``pos`` through the
-first code '{' or ';'; a lookup hits only if the stored header and body
-text both follow at ``pos``, and the new node then shares the stored
-``bytes`` objects.  This is exact: ``pos`` always follows a code '}', ';'
-or '{', so no literal or comment crosses it and the lexer reads the
-member's bytes the same wherever they stand, and such a member's parse
-reads only its own bytes, the last of which is code.  Types (which read
-past their end for stray ';' and have children) and initializers (whose
-``#n`` counts the initializers before them) never enter the table.
-
 A member or enum constant keeps the parse's lexer states over its text,
-so separator marking need not lex it again; a reused member shares the
-states of the node it was taken from.  These states equal those of the
-text lexed on its own: such a declaration starts right after a code '{',
-'}', ';' or ',' and ends on a code byte, so no literal or comment
+so separator marking need not lex it again.  These states equal those of
+the text lexed on its own: such a declaration starts right after a code
+'{', '}', ';' or ',' and ends on a code byte, so no literal or comment
 crosses either end.
 
-Each version after the first lexes only what it does not share with the
-first.  The first parse leaves its code view in the table, with the
-offset, head and entry of each member it added.  A later parse walks
-those members in order and finds where its own text repeats them (by
-head search, see ``_repeats``); over each repeat it copies the first
-version's states and view, and it lexes and views the text between
-repeats with one ``lex_states`` and one ``code_view`` call on that text
-joined.  The result equals lexing the version whole, because every cut
-falls right after a code byte other than '/'.  A repeated member ends on
-a code '}' or ';' and was lexed in the first version just as on its own;
-each stretch of lexed text that a repeat follows is checked, once
-lexed, to end on such a byte, and from the first one that does not, the
-rest of the version is lexed whole.  Lexing that restarts right after
-such a byte reads what follows as lexing the whole file does (see
-``lexer``), so no literal or comment crosses a cut, and each piece has
-in place the states it has on its own.
+The versions of one merge are parsed with one member table
+(``parse_versions``).  The first parse leaves in it its code view and, in
+file order, the offset, head (bytes through the first code '{' or ';'),
+context (the enclosing type's name, and whether that is an ``@interface``)
+and entry of each field, method, constructor and annotation member.  A
+later version finds the runs of those members that its text repeats: a
+member is looked for by its head (``_repeats``) and taken only where its
+whole text follows (``_follows``).  Over each run it copies the first
+version's states and view, and it lexes and views the text between runs
+with one ``lex_states`` and one ``code_view`` call on that text joined.
+This equals lexing the version whole, because every cut falls right
+after a code byte other than '/': a repeated member ends on a code '}' or
+';' and was lexed in the first version just as on its own, and each
+stretch of lexed text that a run follows is checked to end on such a byte
+(from the first one that does not, the rest of the version is lexed
+whole).  Lexing that restarts right after such a byte reads what follows
+as lexing the whole file does (see ``lexer``), so no literal or comment
+crosses a cut.  Where the later parse then reaches a repeated member's
+offset in a type of the same context, it takes the first version's node
+with its ``bytes`` objects and states: a member's parse reads only its own
+bytes and its context, through the same view, so parsing it again would
+give the same node.  Types (which read past their end for stray ';' and
+have children) and initializers (whose ``#n`` counts the initializers
+before them) are never taken, and a member that both later versions add
+alike is parsed in each.
 """
 
 from __future__ import annotations
@@ -88,19 +82,20 @@ MODIFIER_WORDS = frozenset(
 _TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
 
 _WS_RUN = re.compile(rb"[ \t\r\n\x0b\x0c]*")
-_WORD = re.compile(rb"[A-Za-z0-9_$]*")
+# an identifier byte; in valid Java, a non-ASCII byte in code is part of one
+_ID = rb"[A-Za-z0-9_$\x80-\xff]"
+_WORD = re.compile(_ID + rb"*")
 # what a member header reacts to: words and the punctuation below
-_HEADER_TOKEN = re.compile(rb"([A-Za-z0-9_$]+)|[@<>()=,;{}]")
+_HEADER_TOKEN = re.compile(rb"(" + _ID + rb"+)|[@<>()=,;{}]")
 _TYPE_HEADER_TOKEN = re.compile(rb"[(){;]")
-# a member's head, the member table's key: up to its first code '{' or ';'
+# the head later versions search for: a member up to its first code '{' or ';'
 _MEMBER_HEAD = re.compile(rb"[^{;]*[{;]?")
 # what a method key reads in its parameter list, by group: the '(' of an
 # annotation's arguments (an annotation without them matches no group), a
 # name (maybe qualified), dots, an opening bracket, a closing one, a comma
 _PARAM_TOKEN = re.compile(
-    rb"@\s*[A-Za-z0-9_$]+(?:\s*\.\s*[A-Za-z0-9_$]+)*(\s*\()?"
-    rb"|([A-Za-z0-9_$]+(?:\.[A-Za-z0-9_$]+)*)"
-    rb"|(\.+)|([(<\[{])|([)>\]}])|(,)"
+    rb"@\s*%(id)s+(?:\s*\.\s*%(id)s+)*(\s*\()?|(%(id)s+(?:\.%(id)s+)*)"
+    rb"|(\.+)|([(<\[{])|([)>\]}])|(,)" % {b"id": _ID}
 )
 _ARGUMENTS, _NAME, _DOTS, _OPENER, _CLOSER, _COMMA_TOKEN = range(1, 7)
 
@@ -132,23 +127,23 @@ class DeclNode:
         return (self.kind, self.identifier)
 
 
-class MemberTable(dict):
-    """Members parsed so far, for the parses of one merge to share.
+class MemberTable:
+    """What the first parse of one merge leaves for the parses after it.
 
-    Keys are ``(enclosing type, in an @interface, head)`` and values
-    ``(kind, identifier, header_text, body_text, states)``.  Once the first
-    parse is done, ``view`` is its code view, and ``starts``, ``heads`` and
-    ``entries`` give, in file order, the offset, head and entry of each
-    member it added.
+    ``view`` is its code view.  ``starts``, ``heads``, ``contexts`` and
+    ``entries`` give, in file order, the offset, head, context
+    ``(enclosing type, in an @interface)`` and entry ``(kind, identifier,
+    header_text, body_text, states)`` of each member it parsed, types and
+    initializers aside.
     """
 
-    __slots__ = ("view", "starts", "heads", "entries")
+    __slots__ = ("view", "starts", "heads", "contexts", "entries")
 
     def __init__(self) -> None:
-        super().__init__()
         self.view: bytearray | None = None
         self.starts: list[int] = []
         self.heads: list[bytes] = []
+        self.contexts: list[tuple[str, bool]] = []
         self.entries: list[tuple[str, str, bytes, bytes, bytes]] = []
 
 
@@ -174,16 +169,16 @@ def parse_versions(*sources: bytes) -> list[DeclNode]:
     """Parse the versions of one merge with one shared member table.
 
     Each tree, or the first ParseError, is the one ``parse_units`` gives
-    for that source alone; members already parsed in an earlier version
-    are reused instead of parsed again, and each version after the first
-    lexes only what it does not share with the first.
+    for that source alone.  Each version after the first takes the members
+    it repeats from the first, with their lexing, and lexes and parses only
+    the rest.
     """
     members = MemberTable()
     return [parse_units(source, members) for source in sources]
 
 
 def _follows(data: bytes, at: int, entry: tuple) -> bool:
-    """Whether the text of the table entry ``entry`` follows at ``at``."""
+    """Whether the text of the member entry ``entry`` follows at ``at``."""
     return data.startswith(entry[2], at) and data.startswith(
         entry[3], at + len(entry[2])
     )
@@ -200,8 +195,8 @@ def _size(entry: tuple) -> int:
 
 def _repeats(data: bytes, table: MemberTable) -> list[list]:
     """Runs of the table's first version's members that ``data`` repeats:
-    ``[at, start, stop, states]`` for bytes ``start:stop`` there, made of
-    the members whose states are ``states``, repeated at offset ``at``.
+    ``[at, start, stop, members]`` for bytes ``start:stop`` there, made of
+    the members whose indices are ``members``, repeated at offset ``at``.
 
     The walk takes the first version's members in order.  Where the next
     one does not follow the last repeat, it resumes at that member or the
@@ -255,22 +250,26 @@ def _repeats(data: bytes, table: MemberTable) -> list[list]:
         if not runs or at != pos or start != runs[-1][2]:
             runs.append([at, start, start, []])
         runs[-1][2] += size
-        runs[-1][3].append(entry[4])
+        runs[-1][3].append(j)
         pos = lo = at + size
         j += 1
     return runs
 
 
-def _lex_reusing(data: bytes, table: MemberTable) -> tuple[bytes, bytes]:
-    """``lex_states(data)`` and ``code_view`` of it, for a later version of
-    the table's first one.
+def _lex_reusing(
+    data: bytes, table: MemberTable
+) -> tuple[bytes, bytes, dict[int, int]]:
+    """``lex_states(data)``, ``code_view`` of it, and the members it
+    repeats, for a later version of the table's first one.
 
-    Over each run of members that ``_repeats`` finds, both are copied from
-    the first version; the text between runs, the gaps, is lexed and
-    viewed with one call each on the gaps joined.  A gap followed by a run
-    must end on a code byte other than '/', so that no literal or comment
-    crosses into the run; from the first gap that does not, the rest of
-    ``data`` is lexed whole.
+    Over each run of members that ``_repeats`` finds, the states and view
+    are copied from the first version; the text between runs, the gaps, is
+    lexed and viewed with one call each on the gaps joined.  A gap
+    followed by a run must end on a code byte other than '/', so that no
+    literal or comment crosses into the run; from the first gap that does
+    not, the rest of ``data`` is lexed whole and its runs are dropped.  The
+    map takes the offset of each member in the runs kept to its index in
+    the table.
     """
     runs = _repeats(data, table)
     gaps, end = [], 0
@@ -293,6 +292,7 @@ def _lex_reusing(data: bytes, table: MemberTable) -> tuple[bytes, bytes]:
     view = code_view(joined, states)
     state_parts: list = []
     view_parts: list = []
+    reused: dict[int, int] = {}
     states, view = memoryview(states), memoryview(view)
     first_view = memoryview(table.view)
     off = 0
@@ -301,26 +301,28 @@ def _lex_reusing(data: bytes, table: MemberTable) -> tuple[bytes, bytes]:
         view_parts.append(view[off:off + b - a])
         off += b - a
         if i < len(runs):
-            _, start, stop, run_states = runs[i]
-            state_parts.extend(run_states)
+            at, start, stop, members = runs[i]
+            for j in members:
+                entry = table.entries[j]
+                state_parts.append(entry[4])
+                reused[at] = j
+                at += _size(entry)
             view_parts.append(first_view[start:stop])
-    return b"".join(state_parts), b"".join(view_parts)
+    return b"".join(state_parts), b"".join(view_parts), reused
 
 
 class _Parser:
     def __init__(self, data: bytes, members: MemberTable) -> None:
         self.data = data
         self.members = members
-        if members.view is None:
+        self.first = members.view is None  # the first parse fills the table
+        if self.first:
             self.states = lex_states(data)
-            self.view = code_view(data, self.states)
+            self.view = members.view = code_view(data, self.states)
+            self.reused: dict[int, int] = {}
         else:
-            self.states, self.view = _lex_reusing(data, members)
+            self.states, self.view, self.reused = _lex_reusing(data, members)
         self.n = len(data)
-        # offset, head and entry of each member this parse adds to the table
-        self.starts: list[int] = []
-        self.heads: list[bytes] = []
-        self.entries: list[tuple[str, str, bytes, bytes, bytes]] = []
 
     def parse(self) -> DeclNode:
         children: list[DeclNode] = []
@@ -332,10 +334,6 @@ class _Parser:
             node, pos = self._parse_top_level(pos, sig)
             children.append(node)
         _check_duplicates(children)
-        if self.members.view is None:
-            self.members.view = self.view
-            self.members.starts = self.starts
-            self.members.heads, self.members.entries = self.heads, self.entries
         return DeclNode(
             "compilation-unit", "", b"", self.data[pos:], children=children
         )
@@ -564,10 +562,9 @@ class _Parser:
                     last.states += self.states[pos:sig + 1]
                 pos = sig + 1
                 continue
-            head_end = _MEMBER_HEAD.match(view, sig).end()
-            key = (enclosing, in_annotation, data[pos:head_end])
-            entry = members.get(key)
-            if entry is not None and _follows(data, pos, entry):
+            j = self.reused.get(pos)
+            if j is not None and members.contexts[j] == (enclosing, in_annotation):
+                entry = members.entries[j]
                 node = DeclNode(*entry)
                 end = pos + _size(entry)
             else:
@@ -576,14 +573,14 @@ class _Parser:
                 )
                 if node.kind != "type":
                     node.states = self.states[pos:end]
-                if node.kind not in ("type", "initializer") and entry is None:
-                    entry = members[key] = (
+                if self.first and node.kind not in ("type", "initializer"):
+                    members.starts.append(pos)
+                    members.heads.append(data[pos:_MEMBER_HEAD.match(view, sig).end()])
+                    members.contexts.append((enclosing, in_annotation))
+                    members.entries.append((
                         node.kind, node.identifier, node.header_text,
                         node.body_text, node.states,
-                    )
-                    self.starts.append(pos)
-                    self.heads.append(key[2])
-                    self.entries.append(entry)
+                    ))
             children.append(node)
             pos = end
 

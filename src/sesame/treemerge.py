@@ -112,9 +112,10 @@ def merge_matched(
     """Merge one matched node, such as a whole file from ``match_trees``.
 
     Declarations changed on both sides merge through ``separators`` when
-    given, and line by line when it is None.  A version without the declaration takes part as empty text, so a
-    removal honoured against an untouched counterpart merges to an empty
-    outcome, which joins as nothing.
+    given, and line by line when it is None.  A version without the
+    declaration takes part as empty text, so a removal honoured against an
+    untouched counterpart merges to an empty outcome, which joins as
+    nothing.
     """
     b, l, r = matched.base, matched.left, matched.right
     if b is not None and l is not None and r is not None:

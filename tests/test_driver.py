@@ -266,6 +266,18 @@ def test_overload_with_a_literal_in_an_annotation_merges_structurally():
         assert (result.output, result.conflicts) == (expected, 0)
 
 
+def test_non_ascii_identifiers_merge_structurally():
+    # both fields must key apart by their whole names, not by a trailing 'e'
+    base = "class Maß {\n  int größe = 1;\n  int straße = 2;\n}\n".encode()
+    left = base.replace(b"= 1;", b"= 10;")
+    right = base.replace(b"= 2;", b"= 20;")
+    expected = base.replace(b"= 1;", b"= 10;").replace(b"= 2;", b"= 20;")
+    for mode in (EngineMode.SEMISTRUCTURED, EngineMode.SESAME):
+        result = run_engine(base, left, right, config(mode))
+        assert not result.fell_back, result.fallback_reason
+        assert (result.output, result.conflicts) == (expected, 0)
+
+
 # -- git driver ---------------------------------------------------------------
 
 def test_git_driver_overwrites_current(tmp_path):

@@ -1,6 +1,7 @@
 """Scenario loading, engine comparison, classification, and reporting."""
 
 import random
+import re
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -624,6 +625,27 @@ def test_cli_rejects_repeated_pair(scenarios_dir, capsys):
     assert code == 2
     captured = capsys.readouterr()
     assert "pair repeated in --pairs: unstructured:sesame" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_default_pairs_are_those_of_the_tools_given(scenarios_dir, capsys):
+    assert main(["harness", "run", str(scenarios_dir),
+                 "--tools", "unstructured,sesame"]) == 0
+    out = capsys.readouterr().out
+    assert re.findall(r"^\[pair .*\]$", out, re.M) == ["[pair unstructured:sesame]"]
+    assert main(["harness", "run", str(scenarios_dir), "--tools", "unstructured"]) == 0
+    out = capsys.readouterr().out
+    assert "[tool unstructured]" in out and "[pair " not in out
+
+
+def test_cli_rejects_a_pair_of_an_engine_not_run(scenarios_dir, capsys):
+    code = main([
+        "harness", "run", str(scenarios_dir), "--tools", "unstructured,sesame",
+        "--pairs", "unstructured:sesame,semistructured:sesame",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "pair uses engine not in --tools: semistructured" in captured.err
     assert captured.out == ""
 
 

@@ -243,6 +243,39 @@ def test_method_key_reads_code_tokens(src, expected):
     assert member_ids(src) == expected
 
 
+# -- non-ASCII identifiers -------------------------------------------------------
+#
+# A Java identifier may hold any Unicode letter.  Every byte of such a letter
+# in UTF-8 is above 0x7f, and a key is the latin-1 reading of its bytes.
+
+def _key(text: str) -> str:
+    return text.encode().decode("latin-1")
+
+
+def test_non_ascii_type_and_method_names():
+    tree = parse_units("class Å { void ƒ() {} }".encode())
+    assert kinds_and_ids(tree) == [("type", _key("Å"))]
+    assert kinds_and_ids(tree.children[0]) == [("method", _key("ƒ()"))]
+
+
+def test_non_ascii_field_names_key_apart():
+    tree = parse_units("class Maß { int größe = 1; int straße = 2; }".encode())
+    assert kinds_and_ids(tree.children[0]) == [
+        ("field", _key("größe")), ("field", _key("straße")),
+    ]
+
+
+def test_non_ascii_method_names_and_parameter_types_key_apart():
+    src = (
+        "class A { int berechneGröße() { return 1; } int größe() { return 2; }"
+        " void f(Größe g, java.util.List<Straße> s) {} void f(Maß m) {} }"
+    )
+    assert member_ids(src.encode()) == [
+        _key(k) for k in ("berechneGröße()", "größe()", "f(Größe,java.util.List)",
+                          "f(Maß)")
+    ]
+
+
 # -- method keys of generated parameter lists -----------------------------------
 #
 # A generated list is a sequence of tokens, and the key it must get is
@@ -515,6 +548,22 @@ def test_shared_table_equals_separate_parses(
             ],
             id="edited-body",
         ),
+        pytest.param(  # both later versions add the same method
+            [
+                b"class A { void f() {} int x; }",
+                b"class A { void f() {} void g() { h(); } int x; }",
+                b"class A { void f() {} void g() { h(); } int x; }",
+            ],
+            id="identical-additions",
+        ),
+        pytest.param(  # a member moved ahead of its predecessor
+            [
+                b"class A { int x; void f() {} void g() {} int y; }",
+                b"class A { int x; void g() {} void f() {} int y; }",
+                b"class A { void f() {} int x; void g() {} int y; }",
+            ],
+            id="moved-member",
+        ),
     ],
 )
 def test_shared_table_cases(sources):
@@ -588,6 +637,34 @@ def test_shared_table_parses_each_unchanged_member_once(monkeypatch, k):
             assert left[i].body_text is base[i].body_text
         if i not in right_edits:
             assert right[i].body_text is base[i].body_text
+
+
+@pytest.mark.parametrize("k", [0, 1, 20])
+def test_each_later_version_compares_a_member_text_about_once(k):
+    # the runs prove where members repeat; the parse takes them unchecked
+    n = 400
+    calls = []
+    real = javaparse._follows
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    rng = random.Random(k)
+    methods = [i for i in range(n) if i % 4 != 3]
+    first = _class_source(n, set(), "")
+    for later in (
+        _class_source(n, set(rng.sample(methods, k)), " + 1"),
+        _class_source(n, set(rng.sample(methods, k)), " + 2"),
+    ):
+        table = javaparse.MemberTable()
+        parse_units(first, table)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(javaparse, "_follows", counting)
+            tree = parse_units(later, table)
+        assert len(calls) <= n + 1 + k
+        assert shape(tree) == shape(parse_units(later))
+        calls.clear()
 
 
 # -- each node's lexer states, cut from its parse ----------------------------
