@@ -137,7 +137,7 @@ def _engine_config(args: argparse.Namespace) -> DriverConfig:
     values = load_config_file(args.config) if args.config else {}
     for key in _FLAG_KEYS:
         flag = getattr(args, key.replace("-", "_"), None)
-        if flag:
+        if flag is not None:  # a flag given empty is checked like the file's value
             values[key] = flag
     return apply_config_values(DriverConfig(), values)
 
@@ -160,6 +160,8 @@ def _cmd_harness_run(args: argparse.Namespace) -> int:
             if mode in tools:
                 raise ValueError(f"engine repeated in --tools: {mode.value}")
             tools.append(mode)
+    if not tools:
+        raise ValueError("no engine in --tools")
     pairs: list[tuple[EngineMode, EngineMode]] = []
     for chunk in (_DEFAULT_PAIRS if args.pairs is None else args.pairs).split(","):
         chunk = chunk.strip()

@@ -23,6 +23,19 @@ sections, annotations with their arguments, ``final`` and the parameter's
 own name.  Both parts are read from the code view, so comments and
 whitespace only separate tokens, and a literal is never part of a key.
 
+Most members have a plain head, which one compiled match over the code
+view reads whole (``_plain_member``): modifiers, maybe a type (dotted
+words, then ``[]`` pairs), the name, and then either a parameter list of
+``Type name`` pairs and a code '{' or ';', or, for a field, maybe '=' and
+an initializer free of ``{ } ( ) < @ ,``, and a ';'.  No word in a type,
+the name or a parameter is a modifier or ``class``, ``interface`` or
+``enum``.  The match keys the member as the token loop would: a field by
+its name, a method by ``name(T1,T2)`` with each type less its blanks.  A
+head named after its enclosing type (maybe a constructor's) and every
+other head (annotations, generics, ``final`` or annotated parameters,
+varargs, ``throws``, several declarators, a nested type) is read token by
+token (``_parse_member``).
+
 A member or enum constant keeps the parse's lexer states over its text,
 so separator marking need not lex it again.  These states equal those of
 the text lexed on its own: such a declaration starts right after a code
@@ -31,29 +44,28 @@ crosses either end.
 
 The versions of one merge are parsed with one member table
 (``parse_versions``).  The first parse leaves in it its code view and, in
-file order, the offset, head (bytes through the first code '{' or ';'),
-context (the enclosing type's name, and whether that is an ``@interface``)
-and entry of each field, method, constructor and annotation member.  A
-later version finds the runs of those members that its text repeats: a
-member is looked for by its head (``_repeats``) and taken only where its
-whole text follows (``_follows``).  Over each run it copies the first
-version's states and view, and it lexes and views the text between runs
-with one ``lex_states`` and one ``code_view`` call on that text joined.
-This equals lexing the version whole, because every cut falls right
-after a code byte other than '/': a repeated member ends on a code '}' or
-';' and was lexed in the first version just as on its own, and each
-stretch of lexed text that a run follows is checked to end on such a byte
-(from the first one that does not, the rest of the version is lexed
-whole).  Lexing that restarts right after such a byte reads what follows
-as lexing the whole file does (see ``lexer``), so no literal or comment
-crosses a cut.  Where the later parse then reaches a repeated member's
-offset in a type of the same context, it takes the first version's node
-with its ``bytes`` objects and states: a member's parse reads only its own
-bytes and its context, through the same view, so parsing it again would
-give the same node.  Types (which read past their end for stray ';' and
-have children) and initializers (whose ``#n`` counts the initializers
-before them) are never taken, and a member that both later versions add
-alike is parsed in each.
+file order, the offset, context (the enclosing type's name, and whether
+that is an ``@interface``) and entry of each field, method, constructor
+and annotation member.  A later version finds the runs of those members
+that its text repeats: a member is looked for by its header text
+(``_repeats``) and taken only where its whole text follows (``_follows``).
+Over each run it copies the first version's states and view, and it lexes
+and views the text between runs with one ``lex_states`` and one
+``code_view`` call on that text joined.  This equals lexing the version
+whole, because every cut falls right after a code byte other than '/': a
+repeated member ends on a code '}' or ';' and was lexed in the first
+version just as on its own, and each stretch of lexed text that a run
+follows is checked to end on such a byte (from the first one that does
+not, the rest of the version is lexed whole).  Lexing that restarts right
+after such a byte reads what follows as lexing the whole file does (see
+``lexer``), so no literal or comment crosses a cut.  Where the later parse
+then reaches a repeated member's offset in a type of the same context, it
+takes the first version's node with its ``bytes`` objects and states: a
+member's parse reads only its own bytes and its context, through the same
+view, so parsing it again would give the same node.  Types (which read
+past their end for stray ';' and have children) and initializers (whose
+``#n`` counts the initializers before them) are never taken, and a member
+that both later versions add alike is parsed in each.
 """
 
 from __future__ import annotations
@@ -88,8 +100,21 @@ _WORD = re.compile(_ID + rb"*")
 # what a member header reacts to: words and the punctuation below
 _HEADER_TOKEN = re.compile(rb"(" + _ID + rb"+)|[@<>()=,;{}]")
 _TYPE_HEADER_TOKEN = re.compile(rb"[(){;]")
-# the head later versions search for: a member up to its first code '{' or ';'
-_MEMBER_HEAD = re.compile(rb"[^{;]*[{;]?")
+# a plain member head (see the module docstring), by group: its name, then
+# for a method its parameter list and the '{' or ';' that ends it
+_MODIFIER = b"|".join(sorted(w.encode() for w in MODIFIER_WORDS))
+_PLAIN_WORD = rb"(?!(?:%s|class|interface|enum)(?!%s))%s+" % (_MODIFIER, _ID, _ID)
+# a type and the blanks after it, which only a closing ']' may leave out
+_PLAIN_TYPE = rb"%s(?:\s*\.\s*%s)*(?:\s*\[\s*\])*(?:\s|(?<=\]))\s*" % (
+    (_PLAIN_WORD,) * 2
+)
+_PLAIN_PARAM = _PLAIN_TYPE + _PLAIN_WORD + rb"\s*"
+_PLAIN_MEMBER = re.compile(
+    rb"(?:(?:%s)\s+)*(?:%s)?(%s)\s*(?:\((\s*(?:%s(?:,\s*%s)*)?)\)\s*([{;])"
+    rb"|(?:=[^;{}()<@,]*)?;)"
+    % (_MODIFIER, _PLAIN_TYPE, _PLAIN_WORD, _PLAIN_PARAM, _PLAIN_PARAM)
+)
+_ID_BYTES = bytes(c for c in range(256) if re.fullmatch(_ID, bytes((c,))))
 # what a method key reads in its parameter list, by group: the '(' of an
 # annotation's arguments (an annotation without them matches no group), a
 # name (maybe qualified), dots, an opening bracket, a closing one, a comma
@@ -130,19 +155,17 @@ class DeclNode:
 class MemberTable:
     """What the first parse of one merge leaves for the parses after it.
 
-    ``view`` is its code view.  ``starts``, ``heads``, ``contexts`` and
-    ``entries`` give, in file order, the offset, head, context
-    ``(enclosing type, in an @interface)`` and entry ``(kind, identifier,
-    header_text, body_text, states)`` of each member it parsed, types and
-    initializers aside.
+    ``view`` is its code view.  ``starts``, ``contexts`` and ``entries``
+    give, in file order, the offset, context ``(enclosing type, in an
+    @interface)`` and entry ``(kind, identifier, header_text, body_text,
+    states)`` of each member it parsed, types and initializers aside.
     """
 
-    __slots__ = ("view", "starts", "heads", "contexts", "entries")
+    __slots__ = ("view", "starts", "contexts", "entries")
 
     def __init__(self) -> None:
         self.view: bytearray | None = None
         self.starts: list[int] = []
-        self.heads: list[bytes] = []
         self.contexts: list[tuple[str, bool]] = []
         self.entries: list[tuple[str, str, bytes, bytes, bytes]] = []
 
@@ -200,21 +223,21 @@ def _repeats(data: bytes, table: MemberTable) -> list[list]:
 
     The walk takes the first version's members in order.  Where the next
     one does not follow the last repeat, it resumes at that member or the
-    one after it, whichever has its head start first; a member is looked
-    for only before the head of the one after it.  Both are looked for in
-    windows that start one member long and double, so a member that is
-    gone or edited costs a scan about as long as the text before its
-    successor, not one to the end.  A member whose head is found but whose
-    text does not follow is passed over.  Failed searches may scan
+    one after it, whichever has its head (its header text) start first;
+    a member is looked for only before the head of the one after it.  Both
+    are looked for in windows that start one member long and double, so a
+    member that is gone or edited costs a scan about as long as the text
+    before its successor, not one to the end.  A member whose head is
+    found but whose text does not follow is passed over.  Failed searches may scan
     ``len(data)`` offsets in all; once they have, the walk stops.
     """
-    starts, heads, entries = table.starts, table.heads, table.entries
+    starts, entries = table.starts, table.entries
     n = budget = len(data)
 
     def search(k: int, lo: int, hi: int) -> int:
         nonlocal budget
         hi = min(hi, lo + budget)
-        at = _find_head(data, heads[k], lo, hi)
+        at = _find_head(data, entries[k][2], lo, hi)
         if at < 0:
             budget -= hi - lo
         return at
@@ -225,7 +248,7 @@ def _repeats(data: bytes, table: MemberTable) -> list[list]:
         width = _size(entries[j])
         while lo < n and budget > 0:
             hi = min(n, lo + width)
-            after = search(j + 1, lo, hi) if j + 1 < len(heads) else -1
+            after = search(j + 1, lo, hi) if j + 1 < len(entries) else -1
             at = search(j, lo, hi if after < 0 else after)
             if at >= 0:
                 return j, at
@@ -236,7 +259,7 @@ def _repeats(data: bytes, table: MemberTable) -> list[list]:
 
     runs: list[list] = []
     pos = lo = j = 0  # pos: end of the last repeat; lo: where searches start
-    while j < len(heads) and budget > 0:
+    while j < len(entries) and budget > 0:
         at = pos
         if lo != pos or not _follows(data, pos, entries[j]):
             j, at = resume(j, lo)
@@ -575,7 +598,6 @@ class _Parser:
                     node.states = self.states[pos:end]
                 if self.first and node.kind not in ("type", "initializer"):
                     members.starts.append(pos)
-                    members.heads.append(data[pos:_MEMBER_HEAD.match(view, sig).end()])
                     members.contexts.append((enclosing, in_annotation))
                     members.entries.append((
                         node.kind, node.identifier, node.header_text,
@@ -592,6 +614,9 @@ class _Parser:
         in_annotation: bool,
         counters: dict[str, int],
     ) -> tuple[DeclNode, int]:
+        plain = self._plain_member(start, sig, enclosing, in_annotation)
+        if plain is not None:
+            return plain
         data, view = self.data, self.view
         i = sig
         words: list[str] = []
@@ -685,6 +710,33 @@ class _Parser:
                 )
                 return node, close + 1
             i += 1
+
+    def _plain_member(
+        self, start: int, sig: int, enclosing: str, in_annotation: bool
+    ) -> tuple[DeclNode, int] | None:
+        """The member at ``sig`` and its end, if its head is plain (see the
+        module docstring); otherwise None, and the caller reads it token by
+        token."""
+        m = _PLAIN_MEMBER.match(self.view, sig)
+        if m is None:
+            return None
+        name = m[1].decode("latin-1")
+        if name == enclosing:  # maybe a constructor
+            return None
+        data, end = self.data, m.end()
+        if m[2] is None:  # a field of one declarator
+            return DeclNode("field", name, data[start:end]), end
+        # each parameter is a type and a name: drop the name and the blanks
+        types = b",".join([
+            b"".join(param.rstrip().rstrip(_ID_BYTES).split())
+            for param in m[2].split(b",")
+        ])
+        key = f"{name}({types.decode('latin-1')})"
+        kind = "annotation-member" if in_annotation else "method"
+        if m[3] == b";":
+            return DeclNode(kind, key, data[start:end]), end
+        close = self._match_delim(end - 1)
+        return DeclNode(kind, key, data[start:end], data[end:close + 1]), close + 1
 
     def _finish_bodyless(
         self, start, sig, semi, words, signature, in_annotation

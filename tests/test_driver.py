@@ -457,6 +457,30 @@ def test_cli_rejects_bad_separators(tmp_path, capsys):
     assert "sesame:" in capsys.readouterr().err
 
 
+def test_cli_empty_separators_flag_is_checked_like_the_config_value(tmp_path, capsys):
+    paths = write_inputs(tmp_path, "method_addition")
+    out = tmp_path / "out.java"
+    code = run_cli(
+        "merge", str(paths["base"]), str(paths["left"]), str(paths["right"]),
+        "-o", str(out), "--separators", "",
+    )
+    assert code == 2
+    assert "separator must be a single character: ''" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_empty_labels_flag_is_checked_like_the_config_value(tmp_path, capsys):
+    paths = write_inputs(tmp_path, "method_addition")
+    out = tmp_path / "out.java"
+    code = run_cli(
+        "merge", str(paths["base"]), str(paths["left"]), str(paths["right"]),
+        "-o", str(out), "--labels", "",
+    )
+    assert code == 2
+    assert "labels must be three comma-separated names" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- output file mode --------------------------------------------------------
 
 @pytest.fixture

@@ -606,6 +606,14 @@ def test_cli_rejects_repeated_engine(scenarios_dir, capsys):
     assert captured.out == ""
 
 
+def test_cli_rejects_an_empty_engine_list(scenarios_dir, capsys):
+    code = main(["harness", "run", str(scenarios_dir), "--tools", ","])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "sesame: no engine in --tools\n"
+    assert captured.out == ""
+
+
 def test_cli_rejects_a_pair_of_one_engine(scenarios_dir, capsys):
     code = main([
         "harness", "run", str(scenarios_dir), "--tools", "sesame",

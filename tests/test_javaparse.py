@@ -949,3 +949,135 @@ def test_reshaped_versions_lex_and_search_at_most_their_length(monkeypatch, shap
     assert failed <= len(later)
     if shape_name.startswith("drop"):  # every member left is copied
         assert lexed == len(head) + len(tail)
+
+
+# -- plain member heads, keyed by one match ------------------------------------
+
+def _loop_reads(source: bytes) -> tuple[object, int]:
+    """``separate([source])``, and how many members the token loop read."""
+    real = _Parser._plain_member
+    misses = []
+
+    def counted(self, *args):
+        found = real(self, *args)
+        if found is None:
+            misses.append(1)
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Parser, "_plain_member", counted)
+        result = separate([source])
+    return result, len(misses)
+
+
+def loop_only(parse, sources):
+    """``parse(sources)`` with every member head read by the token loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Parser, "_plain_member", lambda self, *args: None)
+        return parse(sources)
+
+
+def _plain_class(rng: random.Random, n: int) -> bytes:
+    """A class of ``n`` plain methods and fields, in varied spellings."""
+    gaps = (" ", "  ", "\n    ", "\t", " /* c; { */ ", "\n// c (\n")
+    types = ("int", "String", "long[]", "java.util.List", "Map . Entry",
+             "byte [ ] []", "Ω")
+
+    def gap():
+        return rng.choice(gaps)
+
+    members = []
+    for k in range(n):
+        mods = rng.sample(("public", "private", "static", "final", "synchronized"),
+                          rng.randrange(3))
+        head = "".join(m + gap() for m in mods)
+        if rng.random() < 0.8:
+            head += rng.choice(types) + gap()
+        if k % 3 == 2:
+            init = rng.choice(("", " = 1", ' = "a;{(,<@"', " = a.b >> 2", " = 'x'"))
+            members.append(f"{head}f{k}{init};")
+            continue
+        params = ",".join(
+            f"{gap()}{rng.choice(types)}{gap()}p{j}{rng.choice(('', ' '))}"
+            for j in range(rng.randrange(4))
+        )
+        end = rng.choice(
+            (";", " {}", " { return '{' + (x); } // }", "{\n  if (a) { b(); }\n}")
+        )
+        members.append(f"{head}m{k}{gap()}({params}){end}")
+    body = "".join(f"\n{rng.choice(('', '  /** doc */ '))}  {m}" for m in members)
+    return f"abstract class Plain {{{body}\n}}\n".encode()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_class_of_plain_heads_never_enters_the_token_loop(seed):
+    source = _plain_class(random.Random(seed), 60)
+    result, misses = _loop_reads(source)
+    assert misses == 0
+    assert result == loop_only(separate, [source])
+    assert len(parse_units(source).children[0].children) == 60
+
+
+@pytest.mark.parametrize(
+    "member,expected",
+    [
+        (b"<T> void f(T a) {}", [("method", "f(T)")]),
+        (b"void f(@A int a) {}", [("method", "f(int)")]),
+        (b"void f(final int a) {}", [("method", "f(int)")]),
+        (b"void f(int... a) {}", [("method", "f(int...)")]),
+        (b"void f(int a[]) {}", [("method", "f(int[])")]),
+        (b"void f() throws E {}", [("method", "f()")]),
+        (b"int a, b = 2;", [("field", "a,b")]),
+        (b"non-sealed class N {}", [("type", "N")]),
+        (b"class N {}", [("type", "N")]),
+        (b"static class N {}", [("type", "N")]),
+        (b"Foo() {} int Foo() {}", [("constructor", "Foo()"), ("method", "Foo()")]),
+        (b"Foo(); ", [("method", "Foo()")]),
+        (b"public static(int a) {}", [("method", "static(int)")]),
+        (b"int x() [] {}", [("method", "x()")]),
+        (b"@Override public int f() {}", [("method", "f()")]),
+        (b"int[] t = {1, 2};", [("field", "t")]),
+        (b"Runnable r = () -> f();", [("field", "r")]),
+        (b"static { f(); }", [("initializer", "#0")]),
+    ],
+)
+def test_other_heads_take_the_token_loop_and_key_as_before(member, expected):
+    source = b"class Foo { " + member + b" }"
+    result, misses = _loop_reads(source)
+    assert misses == len(expected)
+    assert kinds_and_ids(parse_units(source).children[0]) == expected
+    assert result == loop_only(separate, [source])
+
+
+def test_an_annotation_member_with_default_takes_the_token_loop():
+    source = b"@interface Q { int v() default 1; String w(); }"
+    result, misses = _loop_reads(source)
+    assert misses == 1
+    assert kinds_and_ids(parse_units(source).children[0]) == [
+        ("annotation-member", "v()"), ("annotation-member", "w()"),
+    ]
+    assert result == loop_only(separate, [source])
+
+
+def test_plain_heads_parse_as_the_token_loop_on_fixtures_and_mutations():
+    rng = random.Random(1218)
+    for path in CORPUS_FILES + sorted((FIXTURES / "golden").rglob("*.java")):
+        data = path.read_bytes()
+        sources = [data] + [
+            mutate(data, [
+                (rng.randrange(1 << 30), rng.choice((0, 0, 1, 2)), rng.choice(_INSERTS))
+                for _ in range(rng.randrange(1, 4))
+            ])
+            for _ in range(8)
+        ]
+        for source in sources:
+            assert separate([source]) == loop_only(separate, [source]), path.name
+        triple = _triple(rng, data)
+        assert shared(triple) == loop_only(shared, triple), path.name
+
+
+@settings(max_examples=200, deadline=None)
+@given(_method())
+def test_generated_parameter_lists_key_alike_on_both_paths(method):
+    source, _ = method
+    assert separate([source]) == loop_only(separate, [source])
