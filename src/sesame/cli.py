@@ -134,7 +134,7 @@ def _add_engine_options(cmd: argparse.ArgumentParser, mode: bool = True) -> None
 
 def _engine_config(args: argparse.Namespace) -> DriverConfig:
     """The config file's settings, if one is given, overridden by the flags."""
-    values = load_config_file(args.config) if args.config else {}
+    values = {} if args.config is None else load_config_file(args.config)
     for key in _FLAG_KEYS:
         flag = getattr(args, key.replace("-", "_"), None)
         if flag is not None:  # a flag given empty is checked like the file's value

@@ -186,7 +186,10 @@ def _umask() -> int:
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Read a plain key=value config file; '#' starts a comment line."""
     values: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    # open("") fails, where Path("") would name the current directory
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

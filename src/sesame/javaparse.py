@@ -143,10 +143,17 @@ class DeclNode:
     children: list["DeclNode"] = field(default_factory=list)
 
     def text(self) -> bytes:
-        parts = [self.header_text]
-        parts.extend(child.text() for child in self.children)
-        parts.append(self.body_text)
+        if not self.children:
+            return self.header_text + self.body_text
+        parts: list[bytes] = []
+        self._print(parts)
         return b"".join(parts)
+
+    def _print(self, parts: list[bytes]) -> None:
+        parts.append(self.header_text)
+        for child in self.children:
+            child._print(parts)
+        parts.append(self.body_text)
 
     def key(self) -> tuple[str, str]:
         return (self.kind, self.identifier)
@@ -390,8 +397,7 @@ class _Parser:
 
     def _skip_annotation(self, i: int) -> int:
         """Skip ``@Qualified.Name`` plus optional argument list; i is at '@'."""
-        i += 1
-        i = self._skip_insignificant(i)
+        i = self._skip_insignificant(i + 1)
         word, i = self._read_word(i)
         if not word:
             raise ParseError("dangling '@'")
@@ -475,8 +481,7 @@ class _Parser:
             children, tail_start, close = self._parse_members(
                 brace + 1, name, annotation
             )
-        end = close + 1
-        end = self._absorb_semicolons(end)
+        end = self._absorb_semicolons(close + 1)
         _check_duplicates(children)
         body = self.data[tail_start:end]
         return DeclNode("type", name, header, body, children=children), end
@@ -607,11 +612,7 @@ class _Parser:
             pos = end
 
     def _parse_member(
-        self,
-        start: int,
-        sig: int,
-        enclosing: str,
-        in_annotation: bool,
+        self, start: int, sig: int, enclosing: str, in_annotation: bool,
         counters: dict[str, int],
     ) -> tuple[DeclNode, int]:
         plain = self._plain_member(start, sig, enclosing, in_annotation)
@@ -620,8 +621,7 @@ class _Parser:
         data, view = self.data, self.view
         i = sig
         words: list[str] = []
-        paren_depth = 0
-        angle_depth = 0
+        paren_depth = angle_depth = 0
         seen_eq = False
         name = ""  # the word before the parameter list
         signature: str | None = None  # the key, once the list is read

@@ -135,26 +135,22 @@ def render(
     ``=======`` separator.
     """
     lname, bname, rname = (s.encode("utf-8") for s in labels)
-    out = bytearray()
+    lines: list[bytes] = []  # every output line, markers included, joined once
     for region in outcome.regions:
         if isinstance(region, Resolved):
-            for line in region.lines:
-                out += line + b"\n"
+            lines += region.lines
             continue
-        out += _marker_line(_MARK_LEFT, lname)
-        for line in region.left:
-            out += line + b"\n"
+        lines.append(_marker_line(_MARK_LEFT, lname))
+        lines += region.left
         if base_marker:
-            out += _marker_line(_MARK_BASE, bname)
-            for line in region.base:
-                out += line + b"\n"
-        out += _MARK_SEP + b"\n"
-        for line in region.right:
-            out += line + b"\n"
-        out += _marker_line(_MARK_RIGHT, rname)
-    if not outcome.trailing_newline and out.endswith(b"\n"):
-        del out[-1:]
-    return bytes(out)
+            lines.append(_marker_line(_MARK_BASE, bname))
+            lines += region.base
+        lines.append(_MARK_SEP)
+        lines += region.right
+        lines.append(_marker_line(_MARK_RIGHT, rname))
+    if outcome.trailing_newline:
+        lines.append(b"")
+    return b"\n".join(lines)
 
 
 def join(outcomes: list[MergeOutcome]) -> MergeOutcome:
@@ -195,7 +191,7 @@ def join(outcomes: list[MergeOutcome]) -> MergeOutcome:
 
 
 def _marker_line(marker: bytes, label: bytes) -> bytes:
-    return marker + (b" " + label if label else b"") + b"\n"
+    return marker + (b" " + label if label else b"")
 
 
 def count_conflicts(data: bytes) -> int:

@@ -7,11 +7,22 @@ and a declaration changed on both sides has its text merged line by line,
 or through separator marking when a separator set is given.  The result is
 one ``MergeOutcome`` for the whole file, joined from the outcomes of its
 fragments: conflicts stay regions, and the caller renders and counts them.
+
+The merge goes by runs.  In a compilation unit or type present in all
+three versions, every child that one side gives whole (it is unchanged,
+changed on one side only, or changed alike on both) is kept as that
+side's text, and the texts between two children that really merge are
+split into lines once, as one resolved fragment.  Only nested types and
+declarations changed on both sides get a merge of their own, so the work
+scales with what changed, not with the member count.  Versions are
+compared by header and body: members that a later version took from the
+first share its ``bytes`` objects, so equal parts compare at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .javaparse import DeclNode, ORDERED_KINDS
 from .separators import SeparatorSet, merge_body
@@ -115,7 +126,9 @@ def merge_matched(
     given, and line by line when it is None.  A version without the
     declaration takes part as empty text, so a removal honoured against an
     untouched counterpart merges to an empty outcome, which joins as
-    nothing.
+    nothing.  A compilation unit or a type present in all three versions
+    merges by runs (``_merge_container``): only the children that no side
+    gives whole are merged with a call of their own.
     """
     b, l, r = matched.base, matched.left, matched.right
     if b is not None and l is not None and r is not None:
@@ -126,31 +139,91 @@ def merge_matched(
         # the parse kept each declaration's lexer states for the marking
         states = (b.states, l.states, r.states)
         return _merge_fragment(b.text(), l.text(), r.text(), separators, states)
-    return _merge_fragment(*(b"" if n is None else n.text() for n in (b, l, r)))
+    return _merge_fragment(_text(b), _text(l), _text(r))
 
 
 def _merge_container(
     matched: MatchedNode, separators: SeparatorSet | None
 ) -> MergeOutcome:
+    """Merge a container's header, its children in order, and its body.
+
+    Each part that one side gives whole (see ``_part``) is kept as its
+    text, and each run of such texts becomes one resolved fragment, which
+    joins the same as the texts taken one by one.  So the header, the
+    import block and the members that at most one side changed cost one
+    line split per run, not a merge each.
+    """
     b, l, r = matched.base, matched.left, matched.right
-    parts = [_merge_fragment(b.header_text, l.header_text, r.header_text)]
+    parts = [_part(b.header_text, l.header_text, r.header_text)]
     imports_done = False
     for child in matched.children:
         if child.kind() == "import":
             # imports are order-sensitive: the whole section merges as one block
             if not imports_done:
                 imports_done = True
-                parts.append(
-                    _merge_fragment(_import_text(b), _import_text(l), _import_text(r))
-                )
+                parts.append(_part(_import_text(b), _import_text(l), _import_text(r)))
             continue
-        parts.append(merge_matched(child, separators))
-    parts.append(_merge_fragment(b.body_text, l.body_text, r.body_text))
-    return join(parts)
+        text = _unmerged(child)
+        parts.append(merge_matched(child, separators) if text is None else text)
+    parts.append(_part(b.body_text, l.body_text, r.body_text))
+    outcomes: list[MergeOutcome] = []
+    for is_text, run in groupby(parts, lambda part: isinstance(part, bytes)):
+        if is_text:
+            outcomes.append(_taken(b"".join(run)))
+        else:
+            outcomes.extend(run)
+    return join(outcomes)
+
+
+def _unmerged(matched: MatchedNode) -> bytes | None:
+    """The text of the side that gives a container's child whole, by the
+    rule of ``_part``, or None where the child is merged: a type in all
+    three versions, or a declaration that each side changed its own way."""
+    b, l, r = matched.base, matched.left, matched.right
+    if b is not None and l is not None and r is not None and b.kind == "type":
+        return None
+    if _same(l, b):
+        return _text(r)
+    if _same(r, b) or _same(l, r):
+        return _text(l)
+    return None
+
+
+def _same(x: DeclNode | None, y: DeclNode | None) -> bool:
+    """Whether two versions of a declaration have equal text, an absent one
+    reading as empty.  Leaves with headers of one length have equal text
+    exactly when their headers and their bodies are equal, so those parts
+    are compared, not joined."""
+    if x is None or y is None or x.children or y.children:
+        return _text(x) == _text(y)
+    if len(x.header_text) == len(y.header_text):
+        return x.header_text == y.header_text and x.body_text == y.body_text
+    return x.text() == y.text()
+
+
+def _text(node: DeclNode | None) -> bytes:
+    return b"" if node is None else node.text()
 
 
 def _import_text(cu: DeclNode) -> bytes:
     return b"".join(c.text() for c in cu.children if c.kind == "import")
+
+
+def _part(
+    bt: bytes,
+    lt: bytes,
+    rt: bytes,
+    separators: SeparatorSet | None = None,
+    states: tuple[bytes | None, ...] = (None, None, None),
+) -> MergeOutcome | bytes:
+    """The text of the side that gives the merge whole, or the texts merged."""
+    if lt == bt:
+        return rt
+    if rt == bt or lt == rt:
+        return lt
+    if separators is None:
+        return merge_texts_outcome(bt, lt, rt)
+    return merge_body(bt, lt, rt, separators, states)
 
 
 def _merge_fragment(
@@ -160,13 +233,8 @@ def _merge_fragment(
     separators: SeparatorSet | None = None,
     states: tuple[bytes | None, ...] = (None, None, None),
 ) -> MergeOutcome:
-    if lt == bt:
-        return _taken(rt)
-    if rt == bt or lt == rt:
-        return _taken(lt)
-    if separators is None:
-        return merge_texts_outcome(bt, lt, rt)
-    return merge_body(bt, lt, rt, separators, states)
+    part = _part(bt, lt, rt, separators, states)
+    return _taken(part) if isinstance(part, bytes) else part
 
 
 def _taken(text: bytes) -> MergeOutcome:

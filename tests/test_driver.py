@@ -481,6 +481,18 @@ def test_cli_empty_labels_flag_is_checked_like_the_config_value(tmp_path, capsys
     assert not out.exists()
 
 
+def test_cli_empty_config_path_is_an_error(tmp_path, capsys):
+    paths = write_inputs(tmp_path, "method_addition")
+    out = tmp_path / "out.java"
+    code = run_cli(
+        "merge", str(paths["base"]), str(paths["left"]), str(paths["right"]),
+        "-o", str(out), "--config", "",
+    )
+    assert code == 2
+    assert "No such file or directory: ''" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- output file mode --------------------------------------------------------
 
 @pytest.fixture

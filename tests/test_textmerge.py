@@ -331,6 +331,58 @@ def test_count_conflicts_matches_outcome(regions, trailing, base_marker):
     assert count_conflicts(rendered) == outcome.conflict_count()
 
 
+def reference_render(outcome, labels, base_marker):
+    """The line-at-a-time renderer that ``render`` replaced."""
+    lname, bname, rname = (s.encode("utf-8") for s in labels)
+
+    def marker(mark, label):
+        return mark + (b" " + label if label else b"") + b"\n"
+
+    out = bytearray()
+    for region in outcome.regions:
+        if isinstance(region, Resolved):
+            for line in region.lines:
+                out += line + b"\n"
+            continue
+        out += marker(b"<<<<<<<", lname)
+        for line in region.left:
+            out += line + b"\n"
+        if base_marker:
+            out += marker(b"|||||||", bname)
+            for line in region.base:
+                out += line + b"\n"
+        out += b"=======\n"
+        for line in region.right:
+            out += line + b"\n"
+        out += marker(b">>>>>>>", rname)
+    if not outcome.trailing_newline and out.endswith(b"\n"):
+        del out[-1:]
+    return bytes(out)
+
+
+RENDER_LINES = st.lists(st.sampled_from([b"", b"p", b"q\r", b" "]), max_size=3).map(tuple)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            RENDER_LINES.map(Resolved),
+            st.tuples(RENDER_LINES, RENDER_LINES, RENDER_LINES).map(lambda t: Conflict(*t)),
+        ),
+        max_size=6,
+    ),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([("left", "base", "right"), ("", "b", "ü")]),
+)
+@settings(max_examples=600)
+def test_render_equals_line_by_line_reference(regions, trailing, base_marker, labels):
+    outcome = MergeOutcome(list(regions), trailing)
+    assert render(outcome, labels, base_marker) == reference_render(
+        outcome, labels, base_marker
+    )
+
+
 def test_count_conflicts_plain_and_multi():
     assert count_conflicts(b"class A {\n}\n") == 0
     one = b"<<<<<<< l\nx\n=======\ny\n>>>>>>> r\n"

@@ -1,15 +1,25 @@
 """Tree superimposition and declaration-aware merge rules."""
 
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sesame.javaparse import DeclNode, parse_units
+from sesame import treemerge
+from sesame.javaparse import DeclNode, ParseError, parse_units, parse_versions
 from sesame.separators import SeparatorSet
-from sesame.textmerge import count_conflicts, render
-from sesame.treemerge import _ordered_keys, match_trees, merge_matched
+from sesame.textmerge import (
+    Conflict,
+    MergeOutcome,
+    Resolved,
+    count_conflicts,
+    join,
+    merge_texts_outcome,
+    render,
+)
+from sesame.treemerge import _ordered_keys, _taken, match_trees, merge_matched
 
 # how bodies changed on both sides merge: line by line, or through separators
 PLAIN = {"separators": None}
@@ -331,3 +341,117 @@ def test_merge_matched_root_is_printable():
     base = parse_units(golden("method_addition", "base"))
     m = match_trees(base, base, base)
     assert render(merge_matched(m, None)) == base.text()
+
+
+# -- runs of children taken whole ----------------------------------------------
+
+# texts rich in line ends, so runs split lines at every kind of boundary
+RUN_TEXT = st.one_of(
+    st.binary(max_size=8),
+    st.lists(st.sampled_from([b"\n", b"a", b"\r", b"bc", b""]), max_size=6).map(b"".join),
+)
+BEFORE_RUN = {
+    "start": [],
+    "resolved open line": [MergeOutcome([Resolved((b"x",))], trailing_newline=False)],
+    # a conflict whose closing marker line is left open
+    "conflict with an open end": [merge_texts_outcome(b"x", b"y", b"z")],
+}
+
+
+@given(
+    st.lists(RUN_TEXT, max_size=6),
+    st.sampled_from(sorted(BEFORE_RUN)),
+    st.booleans(),
+)
+@settings(max_examples=600)
+def test_a_run_joins_like_its_texts_one_by_one(texts, before, conflict_after):
+    lead = BEFORE_RUN[before]
+    tail = [merge_texts_outcome(b"a\n", b"b\n", b"c\n")] if conflict_after else []
+    assert all(isinstance(o.regions[0], Conflict) for o in tail)
+    one_by_one = join(lead + [_taken(text) for text in texts] + tail)
+    as_run = join(lead + [_taken(b"".join(texts))] + tail)
+    assert as_run == one_by_one
+
+
+def _merged_child_by_child(matched, separators):
+    """``merge_matched`` with every container child merged on its own."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(treemerge, "_unmerged", lambda child: None)
+        return merge_matched(matched, separators)
+
+
+def _edited(rng: random.Random, data: bytes) -> bytes:
+    """``data`` with comments added, which mostly keeps it parseable."""
+    lines = data.split(b"\n")
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(lines))
+        if rng.random() < 0.5:
+            lines.insert(k, b"    // note")
+        else:
+            lines[k] += b" /* x */"
+    return b"\n".join(lines)
+
+
+def _fixture_triples():
+    fixtures = Path("tests/fixtures")
+    for case in sorted((fixtures / "golden").iterdir()):
+        yield [(case / f"{role}.java").read_bytes() for role in ("base", "left", "right")]
+    rng = random.Random(13)
+    for path in sorted((fixtures / "java_corpus").glob("*.java")):
+        base = path.read_bytes()
+        for _ in range(3):
+            yield [base, _edited(rng, base), _edited(rng, base)]
+
+
+@pytest.mark.parametrize("separators", [None, SeparatorSet()], ids=["plain", "enhanced"])
+def test_runs_merge_as_each_child_merged_on_its_own(separators):
+    merged = 0
+    for sources in _fixture_triples():
+        try:
+            matched = match_trees(*parse_versions(*sources))
+        except ParseError:
+            continue
+        outcome = merge_matched(matched, separators)
+        assert outcome == _merged_child_by_child(matched, separators)
+        merged += 1
+    assert merged > 300
+
+
+def _class_source(n: int, edits: dict[int, str]) -> bytes:
+    members = []
+    for k in range(n):
+        if k % 4 == 3:
+            members.append(f"  private int f{k} = {k}{edits.get(k, '')};\n")
+        else:
+            body = f"return a + {k}{edits.get(k, '')};"
+            members.append(f"  int m{k}(int a) {{ {body} }}\n")
+    return ("class Big {\n" + "".join(members) + "}\n").encode()
+
+
+@pytest.mark.parametrize("separators", [None, SeparatorSet()], ids=["plain", "enhanced"])
+@pytest.mark.parametrize("k", [0, 1, 20])
+def test_merge_calls_scale_with_members_changed_on_both_sides(monkeypatch, separators, k):
+    n = 400
+    rng = random.Random(k)
+    shuffled = rng.sample(range(n), k + 45)
+    both, left_only, right_only = shuffled[:k], shuffled[k:k + 20], shuffled[k + 20:k + 40]
+    alike = {i: " + 3" for i in shuffled[k + 40:]}  # changed the same way on both sides
+    left = {i: " + 1" for i in both + left_only} | alike
+    right = {i: " + 2" for i in both + right_only} | alike
+    sources = [_class_source(n, {}), _class_source(n, left), _class_source(n, right)]
+    matched = match_trees(*parse_versions(*sources))
+    expected = _merged_child_by_child(matched, separators)
+    counts = {"merge_matched": 0, "split_lines": 0}
+    for name in counts:
+        real = getattr(treemerge, name)
+
+        def counting(*args, real=real, name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(treemerge, name, counting)
+    outcome = treemerge.merge_matched(matched, separators)
+    assert counts["merge_matched"] <= k + 3
+    assert counts["split_lines"] <= 2 * k + 5
+    assert outcome == expected
+    assert outcome.conflict_count() == k
