@@ -186,8 +186,9 @@ def _umask() -> int:
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Read a plain key=value config file; '#' starts a comment line."""
     values: dict[str, str] = {}
-    # open("") fails, where Path("") would name the current directory
-    with open(path, encoding="utf-8") as handle:
+    # open("") fails, where Path("") would name the current directory; a
+    # byte order mark at the start of the file is skipped
+    with open(path, encoding="utf-8-sig") as handle:
         text = handle.read()
     for raw in text.splitlines():
         line = raw.strip()
@@ -196,7 +197,10 @@ def load_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"malformed config line: {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise ValueError(f"config key repeated: {key!r}")
+        values[key] = value.strip()
     return values
 
 

@@ -11,7 +11,8 @@ Scanning is bracket-balanced and lexer-aware: braces, parentheses, and
 separators inside literals or comments never influence structure.  Each
 file is scanned through one code view, a copy of its bytes in which
 comment bytes read as blanks and literal bytes as NUL, so compiled ``re``
-patterns and ``find`` calls on the view see only code.
+patterns and ``find`` calls on the view see only code.  ``lex_states``
+yields the view together with the lexer states, from one scan.
 
 A declaration's key is its kind and identifier.  A package or import is
 identified by its text with whitespace runs made one blank, a type or enum
@@ -49,23 +50,23 @@ that is an ``@interface``) and entry of each field, method, constructor
 and annotation member.  A later version finds the runs of those members
 that its text repeats: a member is looked for by its header text
 (``_repeats``) and taken only where its whole text follows (``_follows``).
-Over each run it copies the first version's states and view, and it lexes
-and views the text between runs with one ``lex_states`` and one
-``code_view`` call on that text joined.  This equals lexing the version
-whole, because every cut falls right after a code byte other than '/': a
-repeated member ends on a code '}' or ';' and was lexed in the first
-version just as on its own, and each stretch of lexed text that a run
-follows is checked to end on such a byte (from the first one that does
-not, the rest of the version is lexed whole).  Lexing that restarts right
-after such a byte reads what follows as lexing the whole file does (see
-``lexer``), so no literal or comment crosses a cut.  Where the later parse
-then reaches a repeated member's offset in a type of the same context, it
-takes the first version's node with its ``bytes`` objects and states: a
-member's parse reads only its own bytes and its context, through the same
-view, so parsing it again would give the same node.  Types (which read
-past their end for stray ';' and have children) and initializers (whose
-``#n`` counts the initializers before them) are never taken, and a member
-that both later versions add alike is parsed in each.
+Over each run it copies the first version's states and view, and it gets
+both for the text between runs from one ``lex_states`` call on that text
+joined.  This equals lexing the version whole, because every cut falls
+right after a code byte other than '/': a repeated member ends on a code
+'}' or ';' and was lexed in the first version just as on its own, and each
+stretch of lexed text that a run follows is checked to end on such a byte
+(from the first one that does not, the rest of the version is lexed
+whole).  Lexing that restarts right after such a byte reads what follows
+as lexing the whole file does (see ``lexer``), so no literal or comment
+crosses a cut.  Where the later parse then reaches a repeated member's
+offset in a type of the same context, it takes the first version's node
+with its ``bytes`` objects and states: a member's parse reads only its own
+bytes and its context, through the same view, so parsing it again would
+give the same node.  Types (which read past their end for stray ';' and
+have children) and initializers (whose ``#n`` counts the initializers
+before them) are never taken, and a member that both later versions add
+alike is parsed in each.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .lexer import CODE, code_view, lex_states
+from .lexer import CODE, lex_states
 
 
 class ParseError(ValueError):
@@ -289,17 +290,17 @@ def _repeats(data: bytes, table: MemberTable) -> list[list]:
 def _lex_reusing(
     data: bytes, table: MemberTable
 ) -> tuple[bytes, bytes, dict[int, int]]:
-    """``lex_states(data)``, ``code_view`` of it, and the members it
-    repeats, for a later version of the table's first one.
+    """The states and code view of ``lex_states(data)``, and the members
+    it repeats, for a later version of the table's first one.
 
     Over each run of members that ``_repeats`` finds, the states and view
-    are copied from the first version; the text between runs, the gaps, is
-    lexed and viewed with one call each on the gaps joined.  A gap
+    are copied from the first version; both are read for the text between
+    runs, the gaps, from one ``lex_states`` call on the gaps joined.  A gap
     followed by a run must end on a code byte other than '/', so that no
     literal or comment crosses into the run; from the first gap that does
-    not, the rest of ``data`` is lexed whole and its runs are dropped.  The
-    map takes the offset of each member in the runs kept to its index in
-    the table.
+    not, the rest of ``data`` is lexed whole by one more call and its runs
+    are dropped.  The map takes the offset of each member in the runs kept
+    to its index in the table.
     """
     runs = _repeats(data, table)
     gaps, end = [], 0
@@ -308,18 +309,16 @@ def _lex_reusing(
         end = at + stop - start
     gaps.append((end, len(data)))
     text = memoryview(data)
-    joined = b"".join([text[a:b] for a, b in gaps])
-    states = lex_states(joined)
+    states, view = lex_states(b"".join([text[a:b] for a, b in gaps]))
     off = 0
     for i, (a, b) in enumerate(gaps[:-1]):
         if a < b and (states[off + b - a - 1] != CODE or data[b - 1] == _SLASH):
             del runs[i:]
             gaps[i:] = [(a, len(data))]
-            joined = joined[:off] + data[a:]
-            states = states[:off] + lex_states(data[a:])
+            rest_states, rest_view = lex_states(data[a:])
+            states, view = states[:off] + rest_states, view[:off] + rest_view
             break
         off += b - a
-    view = code_view(joined, states)
     state_parts: list = []
     view_parts: list = []
     reused: dict[int, int] = {}
@@ -347,8 +346,8 @@ class _Parser:
         self.members = members
         self.first = members.view is None  # the first parse fills the table
         if self.first:
-            self.states = lex_states(data)
-            self.view = members.view = code_view(data, self.states)
+            self.states, self.view = lex_states(data)
+            members.view = self.view
             self.reused: dict[int, int] = {}
         else:
             self.states, self.view, self.reused = _lex_reusing(data, members)

@@ -6,13 +6,17 @@ this to ignore separator characters and braces that appear inside literals
 or comments.
 
 One compiled alternation finds every literal and comment in a single left
-to right scan; the bytes between matches are code.  String and character
-literals end at an unescaped closing quote or just before a line feed
-(Java literals cannot span lines), so one stray quote never swallows the
-rest of the file.  A backslash escapes the byte after it, a line feed
-included, and a backslash at the end of the input still belongs to its
-literal.  A block comment closes at the first ``*/`` after its opening
-``/*`` (so ``/*/`` does not close it) or runs to the end of the input.
+to right scan; the bytes between matches are code.  The scan yields two
+results at once: the state bytes, and a code view, a copy of the input in
+which every literal byte reads as NUL and every comment byte as a blank,
+so that a search of the view finds only code, and a run of whitespace in
+it spans comments too.  String and character literals end at an unescaped
+closing quote or just before a line feed (Java literals cannot span
+lines), so one stray quote never swallows the rest of the file.  A
+backslash escapes the byte after it, a line feed included, and a backslash
+at the end of the input still belongs to its literal.  A block comment
+closes at the first ``*/`` after its opening ``/*`` (so ``/*/`` does not
+close it) or runs to the end of the input.
 
 Lexing can restart right after a code byte other than '/'.  No token
 covers that byte, and no token can start on it and run into the bytes
@@ -42,23 +46,30 @@ _TOKEN = re.compile(
     rb"|/\*[\s\S]*?(?:\*/|\Z)"
 )
 _QUOTE, _SLASH, _STAR = b'"/*'
-# translation tables indexed by state
+_STRING, _CHAR, _LINE, _BLOCK = (
+    bytes((state,)) for state in (STRING, CHAR, LINE_COMMENT, BLOCK_COMMENT)
+)
+# a translation table indexed by state
 _NON_CODE = bytes((0,)) + bytes((1,)) * 255
-_VIEW_FILL = b"\0\0\0  " + bytes(251)  # literals -> NUL, comments -> blank
 
 
-def lex_states(data: bytes) -> bytes:
-    """Return one state byte (CODE, STRING, ...) per input byte."""
-    out = bytearray(len(data))
+def lex_states(data: bytes) -> tuple[bytes, bytearray]:
+    """One state byte (CODE, STRING, ...) per input byte, and the code view."""
+    states = bytearray(len(data))
+    view = bytearray(data)
     for m in _TOKEN.finditer(data):
         start, end = m.span()
+        size = end - start
         first = data[start]
         if first == _SLASH:  # a comment token is at least two bytes long
-            state = BLOCK_COMMENT if data[start + 1] == _STAR else LINE_COMMENT
+            state = _BLOCK if data[start + 1] == _STAR else _LINE
+            fill = b" "
         else:
-            state = STRING if first == _QUOTE else CHAR
-        out[start:end] = bytes((state,)) * (end - start)
-    return bytes(out)
+            state = _STRING if first == _QUOTE else _CHAR
+            fill = b"\0"
+        states[start:end] = state * size
+        view[start:end] = fill * size
+    return bytes(states), view
 
 
 def non_code_spans(states: bytes) -> Iterator[tuple[int, int]]:
@@ -71,19 +82,3 @@ def non_code_spans(states: bytes) -> Iterator[tuple[int, int]]:
             end = len(flags)
         yield start, end
         start = flags.find(1, end)
-
-
-def code_view(data: bytes, states: bytes) -> bytearray:
-    """A copy of ``data`` with every comment byte blanked and every literal
-    byte NUL.
-
-    Code bytes are kept, so searching the view for anything but a blank or
-    NUL finds only its code-context occurrences, and a run of whitespace
-    in the view spans comments too.  Non-code runs are filled byte by byte
-    from their states, so a literal directly followed by a comment keeps
-    both fills.  The view is returned as built, without a second copy.
-    """
-    out = bytearray(data)
-    for start, end in non_code_spans(states):
-        out[start:end] = states[start:end].translate(_VIEW_FILL)
-    return out

@@ -119,7 +119,7 @@ def mark(
     hidden: list[bytes] = []
     copied = 0
     if states is None:
-        states = lex_states(text)
+        states = lex_states(text)[0]
     for start, end in non_code_spans(states):
         code.append(text[copied:start])
         hidden.append(text[start:end])

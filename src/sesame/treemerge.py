@@ -7,6 +7,8 @@ and a declaration changed on both sides has its text merged line by line,
 or through separator marking when a separator set is given.  The result is
 one ``MergeOutcome`` for the whole file, joined from the outcomes of its
 fragments: conflicts stay regions, and the caller renders and counts them.
+``merge_matched`` alone decides how each declaration merges; its docstring
+gives the order of the rules.
 
 The merge goes by runs.  In a compilation unit or type present in all
 three versions, every child that one side gives whole (it is unchanged,
@@ -57,9 +59,8 @@ def _match_children(
     by_key_b = {n.key(): n for n in b_nodes}
     by_key_l = {n.key(): n for n in l_nodes}
     by_key_r = {n.key(): n for n in r_nodes}
-    keys = _ordered_keys(b_nodes, l_nodes, r_nodes)
     out: list[MatchedNode] = []
-    for key in keys:
+    for key in _ordered_keys(by_key_b, by_key_l, by_key_r):
         b = by_key_b.get(key)
         l = by_key_l.get(key)
         r = by_key_r.get(key)
@@ -75,10 +76,11 @@ def _match_children(
     return out
 
 
-def _ordered_keys(b_nodes, l_nodes, r_nodes) -> list[tuple[str, str]]:
+def _ordered_keys(b_keys, l_keys, r_keys) -> list[tuple[str, str]]:
     """Base order, then left's additions at their anchors, then right's.
 
-    An added declaration is placed after its nearest predecessor already in
+    Each argument maps a version's keys, in file order, to its nodes.  An
+    added declaration is placed after its nearest predecessor already in
     the list; at a shared anchor, right's additions follow left's.  The
     list is kept as a singly linked chain (``after`` maps each key to its
     successor), so every insertion is O(1).  Right's scan past keys it does
@@ -87,22 +89,18 @@ def _ordered_keys(b_nodes, l_nodes, r_nodes) -> list[tuple[str, str]]:
     head = object()
     after: dict = {head: None}
     prev = head
-    for n in b_nodes:
-        k = n.key()
+    for k in b_keys:
         after[prev] = k
         prev = k
     after[prev] = None
     anchor = head
-    for n in l_nodes:
-        k = n.key()
+    for k in l_keys:
         if k not in after:
             after[k] = after[anchor]
             after[anchor] = k
         anchor = k
-    r_keys = {n.key() for n in r_nodes}
     anchor = head
-    for n in r_nodes:
-        k = n.key()
+    for k in r_keys:
         if k not in after:
             while after[anchor] is not None and after[anchor] not in r_keys:
                 anchor = after[anchor]
@@ -122,24 +120,33 @@ def merge_matched(
 ) -> MergeOutcome:
     """Merge one matched node, such as a whole file from ``match_trees``.
 
-    Declarations changed on both sides merge through ``separators`` when
-    given, and line by line when it is None.  A version without the
-    declaration takes part as empty text, so a removal honoured against an
-    untouched counterpart merges to an empty outcome, which joins as
-    nothing.  A compilation unit or a type present in all three versions
-    merges by runs (``_merge_container``): only the children that no side
-    gives whole are merged with a call of their own.
+    Each declaration is decided here, in this order:
+
+    1. a compilation unit or type present in all three versions merges by
+       runs (``_merge_container``), which calls back here only for the
+       children that no side gives whole;
+    2. a declaration that one side gives whole (``_unmerged``) is that
+       side's text;
+    3. a declaration present in all three versions, other than a package
+       or import, merges through ``separators`` when given, with the lexer
+       states its parse kept;
+    4. anything else merges line by line.
+
+    A version without the declaration takes part as empty text, so a
+    removal honoured against an untouched counterpart merges to an empty
+    outcome, which joins as nothing.
     """
     b, l, r = matched.base, matched.left, matched.right
-    if b is not None and l is not None and r is not None:
-        if b.kind in ("compilation-unit", "type"):
-            return _merge_container(matched, separators)
-        if b.kind in ORDERED_KINDS:
-            separators = None
-        # the parse kept each declaration's lexer states for the marking
+    three = b is not None and l is not None and r is not None
+    if three and b.kind in ("compilation-unit", "type"):
+        return _merge_container(matched, separators)
+    text = _unmerged(matched)
+    if text is not None:
+        return _taken(text)
+    if three and separators is not None and b.kind not in ORDERED_KINDS:
         states = (b.states, l.states, r.states)
-        return _merge_fragment(b.text(), l.text(), r.text(), separators, states)
-    return _merge_fragment(_text(b), _text(l), _text(r))
+        return merge_body(b.text(), l.text(), r.text(), separators, states)
+    return merge_texts_outcome(_text(b), _text(l), _text(r))
 
 
 def _merge_container(
@@ -209,32 +216,13 @@ def _import_text(cu: DeclNode) -> bytes:
     return b"".join(c.text() for c in cu.children if c.kind == "import")
 
 
-def _part(
-    bt: bytes,
-    lt: bytes,
-    rt: bytes,
-    separators: SeparatorSet | None = None,
-    states: tuple[bytes | None, ...] = (None, None, None),
-) -> MergeOutcome | bytes:
+def _part(bt: bytes, lt: bytes, rt: bytes) -> MergeOutcome | bytes:
     """The text of the side that gives the merge whole, or the texts merged."""
     if lt == bt:
         return rt
     if rt == bt or lt == rt:
         return lt
-    if separators is None:
-        return merge_texts_outcome(bt, lt, rt)
-    return merge_body(bt, lt, rt, separators, states)
-
-
-def _merge_fragment(
-    bt: bytes,
-    lt: bytes,
-    rt: bytes,
-    separators: SeparatorSet | None = None,
-    states: tuple[bytes | None, ...] = (None, None, None),
-) -> MergeOutcome:
-    part = _part(bt, lt, rt, separators, states)
-    return _taken(part) if isinstance(part, bytes) else part
+    return merge_texts_outcome(bt, lt, rt)
 
 
 def _taken(text: bytes) -> MergeOutcome:

@@ -372,6 +372,37 @@ def test_config_file_rejects_unknown_key(tmp_path):
         apply_config_values(DriverConfig(), load_config_file(cfg))
 
 
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    cfg = tmp_path / "merge.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfmode = unstructured\n")
+    config = apply_config_values(DriverConfig(), load_config_file(cfg))
+    assert config.mode is EngineMode.UNSTRUCTURED
+
+
+def test_cli_config_file_with_a_byte_order_mark_is_read(tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfmode = unstructured\n")
+    paths = write_inputs(tmp_path, "method_addition")
+    # unstructured conflicts where the default sesame merges clean
+    assert run_cli(
+        "merge", str(paths["base"]), str(paths["left"]), str(paths["right"]),
+        "-o", str(tmp_path / "out.java"), "--config", str(cfg),
+    ) == 1
+
+
+def test_cli_config_key_given_twice_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("mode = sesame\n# later\nmode=unstructured\n")
+    paths = write_inputs(tmp_path, "method_addition")
+    out = tmp_path / "out.java"
+    assert run_cli(
+        "merge", str(paths["base"]), str(paths["left"]), str(paths["right"]),
+        "-o", str(out), "--config", str(cfg),
+    ) == 2
+    assert "config key repeated: 'mode'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- CLI ------------------------------------------------------------------------
 
 def run_cli(*args):

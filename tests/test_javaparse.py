@@ -15,7 +15,8 @@ from sesame.javaparse import (
     parse_units,
     parse_versions,
 )
-from sesame.lexer import code_view, lex_states
+from sesame.lexer import lex_states
+from test_lexer import reference_lexing
 
 
 def kinds_and_ids(node):
@@ -682,7 +683,7 @@ def assert_states_sliced_exactly(source: bytes, tree) -> None:
     """Every node that separator marking can be handed keeps the whole
     file's states over its text, and they equal the states of its text
     lexed on its own."""
-    whole = lex_states(source)
+    whole = lex_states(source)[0]
     for node, start in _placed(tree, 0):
         text = node.text()
         assert source[start:start + len(text)] == text
@@ -690,7 +691,7 @@ def assert_states_sliced_exactly(source: bytes, tree) -> None:
             assert node.states is None
         else:
             assert node.states == whole[start:start + len(text)]
-            assert node.states == lex_states(text), (node.kind, node.identifier)
+            assert node.states == lex_states(text)[0], (node.kind, node.identifier)
 
 
 def test_node_states_equal_lexing_the_node_on_corpus():
@@ -736,7 +737,7 @@ def test_reused_members_share_their_states():
     for i, node in enumerate(base):
         assert left[i].states is node.states or i in (1, 5)
         assert right[i].states is node.states or i == 2
-    assert left[1].states == lex_states(left[1].text())
+    assert left[1].states == lex_states(left[1].text())[0]
 
 
 # -- later versions copy the first version's lexing --------------------------
@@ -823,9 +824,7 @@ def assert_lexing_copied_exactly(sources):
     result, seen = lexed_versions(sources)
     assert result == separate(sources)
     for data, states, view in seen:
-        whole = lex_states(data)
-        assert states == whole
-        assert view == code_view(data, whole)
+        assert (states, view) == reference_lexing(data)
 
 
 def test_copied_lexing_equals_whole_lexing_on_corpus():

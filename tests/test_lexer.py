@@ -12,7 +12,6 @@ from sesame.lexer import (
     CODE,
     LINE_COMMENT,
     STRING,
-    code_view,
     lex_states,
 )
 
@@ -76,6 +75,18 @@ def reference_lex_states(data: bytes) -> bytes:
     return bytes(out)
 
 
+def reference_view(data: bytes) -> bytes:
+    """Per byte, from ``reference_lex_states``: a code byte kept, a literal
+    byte NUL and a comment byte blank."""
+    fill = {STRING: 0, CHAR: 0, LINE_COMMENT: ord(" "), BLOCK_COMMENT: ord(" ")}
+    states = reference_lex_states(data)
+    return bytes(fill.get(state, c) for c, state in zip(data, states))
+
+
+def reference_lexing(data: bytes) -> tuple[bytes, bytes]:
+    return reference_lex_states(data), reference_view(data)
+
+
 # quotes, escapes, comment openers and closers, LF, and a little code
 lexer_bytes = st.lists(
     st.sampled_from(list(b"\"'\\/*\n {}();abxy")), max_size=200
@@ -85,7 +96,7 @@ lexer_bytes = st.lists(
 @settings(max_examples=1500, deadline=None)
 @given(lexer_bytes)
 def test_lex_states_matches_reference(data):
-    assert lex_states(data) == reference_lex_states(data)
+    assert lex_states(data) == reference_lexing(data)
 
 
 def test_lex_states_matches_reference_on_corpus():
@@ -94,7 +105,7 @@ def test_lex_states_matches_reference_on_corpus():
     assert paths
     for path in paths:
         data = path.read_bytes()
-        assert lex_states(data) == reference_lex_states(data), path.name
+        assert lex_states(data) == reference_lexing(data), path.name
 
 
 @pytest.mark.parametrize(
@@ -109,11 +120,25 @@ def test_lex_states_matches_reference_on_corpus():
     ],
 )
 def test_lex_states_quirks(data, expected):
-    assert lex_states(data) == expected
+    assert lex_states(data)[0] == expected
 
 
 def test_code_view_masks_runs_by_kind():
     data = b'x = "s" /* c */ // d\n\'q\';'
-    view = code_view(data, lex_states(data))
+    states, view = lex_states(data)
     assert view == b'x = \0\0\0 ' + b" " * 7 + b" " * 5 + b"\n\0\0\0;"
-    assert len(view) == len(data)
+    assert (states, view) == reference_lexing(data)
+
+
+@pytest.mark.parametrize(
+    "data,view",
+    [
+        (b'"s"//c', b"\0\0\0   "),
+        (b"'c'/*d*/x", b"\0\0\0     x"),
+        (b'"s/*"*/', b"\0\0\0\0\0*/"),  # a comment opener inside a literal
+        (b'//"s"\n"t"', b"     \n\0\0\0"),
+    ],
+)
+def test_a_literal_next_to_a_comment_keeps_both_fills(data, view):
+    assert lex_states(data) == reference_lexing(data)
+    assert lex_states(data)[1] == view

@@ -154,7 +154,7 @@ def reference_mark(text, seps=None, placeholder=None):
     seps = seps or SeparatorSet()
     ph = placeholder if placeholder is not None else pick_placeholder([text])
     sep_bytes = frozenset(ord(s) for s in seps.separators)
-    states = lex_states(text)
+    states = lex_states(text)[0]
     out = bytearray()
     pending = False  # next ordinary byte continues on an inserted line
     for i, c in enumerate(text):
@@ -322,7 +322,7 @@ def test_unmark_keeps_dollars_that_meet_across_a_join():
 )
 @settings(max_examples=300)
 def test_mark_with_given_states_equals_mark_that_lexes(text):
-    assert mark(text, None, None, lex_states(text)) == mark(text)
+    assert mark(text, None, None, lex_states(text)[0]) == mark(text)
 
 
 # -- merge_body ---------------------------------------------------------------

@@ -135,8 +135,11 @@ def test_ordered_keys_matches_reference(base, left, right):
     def nodes(names):
         return [DeclNode("method", f"m{k}()") for k in names]
 
+    def by_key(nodes):
+        return {n.key(): n for n in nodes}
+
     b, l, r = nodes(base), nodes(left), nodes(right)
-    assert _ordered_keys(b, l, r) == reference_ordered_keys(b, l, r)
+    assert _ordered_keys(by_key(b), by_key(l), by_key(r)) == reference_ordered_keys(b, l, r)
 
 
 # -- merge rules ---------------------------------------------------------------
@@ -341,6 +344,73 @@ def test_merge_matched_root_is_printable():
     base = parse_units(golden("method_addition", "base"))
     m = match_trees(base, base, base)
     assert render(merge_matched(m, None)) == base.text()
+
+
+# -- how merge_matched decides one declaration --------------------------------
+
+def _one_declaration(base, left, right):
+    """The matched declaration of three versions that each hold it or not
+    (None): a member of ``class A``, or a package before it."""
+    def source(text):
+        if text is not None and text.startswith(b"package"):
+            return text + b"\nclass A {}\n"
+        return b"class A {" + (b"\n" + text if text else b"") + b"\n}\n"
+
+    matched = match_trees(*parse_versions(*map(source, (base, left, right))))
+    if matched.children[0].kind() == "package":
+        return matched.children[0]
+    return matched.children[0].children[0]
+
+
+_M = b"  void m() { a(); b(); }"
+_M_LEFT = b"  void m() { a(1); b(); }"
+_M_RIGHT = b"  void m() { a(); b(2); }"
+_CONFLICT = b"<<<<<<< left\n%s\n=======\n%s\n>>>>>>> right"
+
+
+@pytest.mark.parametrize(
+    "versions,policy,rendered,conflicts",
+    [
+        pytest.param((_M, _M, _M), ENHANCED, b"\n" + _M, 0, id="unchanged"),
+        pytest.param(
+            (_M, _M_LEFT, _M), ENHANCED, b"\n" + _M_LEFT, 0, id="changed-on-one-side"
+        ),
+        pytest.param(
+            (_M, _M_LEFT, _M_LEFT), ENHANCED, b"\n" + _M_LEFT, 0, id="changed-alike"
+        ),
+        pytest.param((_M, None, _M), ENHANCED, b"", 0, id="deleted-against-untouched"),
+        pytest.param(
+            (None, None, _M_RIGHT), ENHANCED, b"\n" + _M_RIGHT, 0, id="added-on-one-side"
+        ),
+        pytest.param(
+            (None, _M_LEFT, _M_RIGHT), ENHANCED,
+            _CONFLICT % (b"\n" + _M_LEFT, b"\n" + _M_RIGHT), 1, id="added-differently",
+        ),
+        pytest.param(
+            (_M, _M_LEFT, _M_RIGHT), PLAIN, b"\n" + _CONFLICT % (_M_LEFT, _M_RIGHT), 1,
+            id="changed-on-both-sides-plain",
+        ),
+        pytest.param(
+            (_M, _M_LEFT, _M_RIGHT), ENHANCED, b"\n  void m() { a(1); b(2); }", 0,
+            id="changed-on-both-sides-with-separators",
+        ),
+        # a package is keyed by its text with blanks made one, so it can
+        # change on both sides; with separators it would split at the ';'
+        pytest.param(
+            (b"package a;", b"package  a;", b"package\ta;"), ENHANCED,
+            _CONFLICT % (b"package  a;", b"package\ta;"), 1,
+            id="package-changed-on-both-sides",
+        ),
+    ],
+)
+def test_merge_matched_decides_one_declaration(versions, policy, rendered, conflicts):
+    matched = _one_declaration(*versions)
+    assert matched.children == []
+    present = [node is not None for node in (matched.base, matched.left, matched.right)]
+    assert present == [text is not None for text in versions]
+    outcome = merge_matched(matched, **policy)
+    assert render(outcome) == rendered
+    assert outcome.conflict_count() == conflicts
 
 
 # -- runs of children taken whole ----------------------------------------------
