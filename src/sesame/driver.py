@@ -212,6 +212,9 @@ def apply_config_values(config: DriverConfig, values: dict[str, str]) -> DriverC
         elif key == "separators":
             config = replace(config, separators=SeparatorSet.from_spec(value))
         elif key == "labels":
+            if "\n" in value or "\r" in value:
+                # a marker line holds its label: a line break would split it
+                raise ValueError("labels must not hold a line break (LF or CR)")
             parts = tuple(part.strip() for part in value.split(","))
             if len(parts) != 3:
                 raise ValueError("labels must be three comma-separated names")

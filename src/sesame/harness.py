@@ -208,8 +208,6 @@ def classify(
 
 @dataclass
 class PairTotals:
-    tool_m: str
-    tool_n: str
     differ_count: int = 0
     afp: dict[str, int] = field(default_factory=dict)
     afn: dict[str, int] = field(default_factory=dict)
@@ -264,7 +262,7 @@ def build_report(
     per_pair: dict[tuple[str, str], PairTotals] = {}
     records: list[ComparisonRecord] = []
     for tool_m, tool_n in pairs:
-        totals = PairTotals(tool_m, tool_n)
+        totals = PairTotals()
         totals.afp = {tool_m: 0, tool_n: 0}
         totals.afn = {tool_m: 0, tool_n: 0}
         per_pair[(tool_m, tool_n)] = totals

@@ -5,9 +5,9 @@ language-specific separator (``{ } ( ) ;`` for Java) onto its own line so
 that text between separators forms its own match unit.  Lines created this
 way are prefixed with a placeholder run of ``$`` characters.  One
 projection, ``unmark``, removes exactly the inserted line breaks and
-prefixes; it recovers the original bytes of a marked text, and
-``merge_body`` applies it to each resolved run and each conflict side of
-the merged outcome.
+prefixes from a marked text; it recovers the original bytes, and
+``merge_body`` applies it to the text of each run of resolved regions and
+of each conflict side of the merged outcome.
 
 Separators inside string literals, character literals, and comments are
 never split; see ``lexer``.  A declaration's lexer states come from the
@@ -23,13 +23,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .lexer import lex_states, non_code_spans
-from .textmerge import (
-    Conflict,
-    MergeOutcome,
-    Resolved,
-    merge3,
-    split_lines,
-)
+from .textmerge import Conflict, MergeOutcome, Resolved, merge3, split_lines
 
 DEFAULT_SEPARATOR_CHARS = ("{", "}", "(", ")", ";")
 PLACEHOLDER_CHAR = b"$"
@@ -75,7 +69,6 @@ class MarkedText:
     """A body text with separators isolated onto placeholder-marked lines."""
 
     lines: Sequence[bytes]
-    placeholder: bytes
     trailing_newline: bool
 
 
@@ -137,32 +130,27 @@ def mark(
     marked_code = marked.split(stand_in)
     out = chain.from_iterable(zip(marked_code, hidden))
     lines, trailing = split_lines(b"".join(out) + marked_code[-1])
-    return MarkedText(lines, ph, trailing)
+    return MarkedText(lines, trailing)
 
 
-def unmark(marked: MarkedText) -> bytes:
-    """Reverse ``mark``: drop inserted breaks and placeholder prefixes.
+def unmark(text: bytes, placeholder: bytes) -> bytes:
+    """Reverse ``mark`` on a marked text: drop inserted breaks and prefixes.
 
     A placeholder-prefixed line continues the line before it; any other
-    line starts a new one.  Applied to an unmerged MarkedText this
-    reproduces the original bytes exactly.  A placeholder that is not a
-    line prefix cannot have come from marking and raises MarkingError.
+    line starts a new one.  Applied to the text of an unmerged MarkedText
+    this reproduces the original bytes exactly.  A placeholder that is not
+    a line prefix cannot have come from marking and raises MarkingError.
     """
-    ph = marked.placeholder
-    text = b"\n".join(marked.lines)
-    if text.startswith(ph):
-        text = text[len(ph):]
+    if text.startswith(placeholder):
+        text = text[len(placeholder):]
     # Dropping each inserted break with the prefix after it leaves the
     # original.  The check puts an LF back in each break's place, so every
     # line stays apart and '$'s ending one line and starting the next
     # never read as a placeholder.
-    parts = text.split(b"\n" + ph)
-    if ph in b"\n".join(parts):
+    parts = text.split(b"\n" + placeholder)
+    if placeholder in b"\n".join(parts):
         raise MarkingError("placeholder found mid-line")
-    out = b"".join(parts)
-    if marked.trailing_newline and marked.lines:
-        out += b"\n"
-    return out
+    return b"".join(parts)
 
 
 def merge_body(
@@ -176,9 +164,9 @@ def merge_body(
 
     Marks all three versions with one collision-free placeholder, merges
     the marked line sequences, then projects the outcome back to plain
-    text with ``unmark``: each run of resolved regions, and each conflict
-    side, separately.  ``states`` holds the lexer states of base, left
-    and right where the caller has them, as ``mark`` takes them.
+    text with ``unmark``: the text of each run of resolved regions, and
+    each conflict side, separately.  ``states`` holds the lexer states of
+    base, left and right where the caller has them, as ``mark`` takes them.
     """
     seps = seps or SeparatorSet()
     ph = pick_placeholder([base, left, right])
@@ -188,24 +176,17 @@ def merge_body(
     mr = mark(right, seps, ph, right_states)
     trailing = ml.trailing_newline if ml.trailing_newline != mb.trailing_newline else mr.trailing_newline
     raw = merge3(mb.lines, ml.lines, mr.lines, trailing_newline=trailing)
-
-    def project(lines: Sequence[bytes]) -> tuple[bytes, ...]:
-        if not lines:
-            return ()
-        return tuple(unmark(MarkedText(lines, ph, False)).split(b"\n"))
-
     regions: list[Resolved | Conflict] = []
-    run: list[bytes] = []  # marked lines of consecutive resolved regions
+    run: list[bytes] = []  # marked text of consecutive resolved regions
     for region in raw.regions:
         if isinstance(region, Resolved):
-            run.extend(region.lines)
+            run.append(region.text)
             continue
         if run:
-            regions.append(Resolved(project(run)))
+            regions.append(Resolved(unmark(b"".join(run), ph)))
             run = []
-        regions.append(
-            Conflict(project(region.left), project(region.base), project(region.right))
-        )
+        sides = (unmark(side, ph) for side in (region.left, region.base, region.right))
+        regions.append(Conflict(*sides, region.open_end))
     if run:
-        regions.append(Resolved(project(run)))
-    return MergeOutcome(regions, trailing_newline=raw.trailing_newline)
+        regions.append(Resolved(unmark(b"".join(run), ph)))
+    return MergeOutcome(regions)

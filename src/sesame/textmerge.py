@@ -1,18 +1,24 @@
-"""Line-based three-way merging with diff3 semantics.
+"""Three-way merging with diff3 semantics, and the text its outcome holds.
 
-Text is modelled as segments split on LF: a CR preceding the LF stays
-attached to the segment, and a missing terminator on the final line is
-recorded so rendering round-trips byte for byte.  ``merge3`` walks the
-two alignments of base with left and with right and appends regions as it
-goes: runs stable across all three versions stay resolved, and in the gaps
-between them a one-sided change wins, identical two-sided changes win, and
-anything else becomes a conflict region carrying the left, base, and right
-payloads.  Outcomes hold no labels; ``render`` takes them.
+The merge works on lines: text is split on LF, a CR preceding the LF
+stays attached to its line, and a missing terminator on the final line is
+recorded.  ``merge3`` walks the two alignments of base with left and with
+right and appends regions as it goes: runs stable across all three
+versions stay resolved, and in the gaps between them a one-sided change
+wins, identical two-sided changes win, and anything else becomes a
+conflict region carrying the left, base, and right payloads.
+
+Lines stay inside ``merge3``: an outcome holds text.  A resolved region
+holds its exact bytes, never empty.  A conflict holds each side as
+LF-terminated lines, and ``open_end`` when it ends the merged text without
+a final LF.  So ``render`` concatenates, adding only the markers, and
+``join`` concatenates fragment outcomes with two rules at the edges of
+conflicts.  Outcomes hold no labels; ``render`` takes them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .textdiff import Alignment, diff2
 
@@ -39,28 +45,28 @@ def split_lines(data: bytes) -> tuple[list[bytes], bool]:
 
 
 def join_lines(lines: list[bytes], trailing_newline: bool) -> bytes:
-    if not lines:
-        return b""
-    body = b"\n".join(lines)
-    return body + b"\n" if trailing_newline else body
+    """The text that ``split_lines`` splits into ``lines``."""
+    if trailing_newline and lines:
+        return b"\n".join([*lines, b""])
+    return b"\n".join(lines)
 
 
 @dataclass(frozen=True)
 class Resolved:
-    lines: tuple[bytes, ...]
+    text: bytes
 
 
 @dataclass(frozen=True)
 class Conflict:
-    left: tuple[bytes, ...]
-    base: tuple[bytes, ...]
-    right: tuple[bytes, ...]
+    left: bytes
+    base: bytes
+    right: bytes
+    open_end: bool = False  # the closing marker's line ends the text, without an LF
 
 
 @dataclass
 class MergeOutcome:
     regions: list[Resolved | Conflict]
-    trailing_newline: bool = True
 
     def conflict_count(self) -> int:
         return sum(1 for r in self.regions if isinstance(r, Conflict))
@@ -72,11 +78,13 @@ def merge3(
     right: list[bytes],
     trailing_newline: bool = True,
 ) -> MergeOutcome:
-    """Three-way merge of segment sequences (diff3 semantics).
+    """Three-way merge of line sequences (diff3 semantics).
 
     A stable run is a maximal run of base lines matched, at consecutive
     offsets, on both sides; it is kept as one resolved region.  Each gap
-    before, between, and after stable runs is merged on its own.
+    before, between, and after stable runs is merged on its own.  Each
+    region's text is its lines, each ended by an LF; without
+    ``trailing_newline`` the last LF of the outcome is left out.
     """
     left_at = _partners(diff2(base, left))
     right_at = _partners(diff2(base, right))
@@ -89,19 +97,17 @@ def merge3(
             i += 1
         l_end, r_end = (left_at[i], right_at[i]) if i < n else (len(left), len(right))
         b_gap, l_gap, r_gap = base[bz:i], left[lz:l_end], right[rz:r_end]
-        if l_gap == r_gap:
+        if l_gap == r_gap or r_gap == b_gap:
             if l_gap:
-                regions.append(Resolved(tuple(l_gap)))
+                regions.append(Resolved(join_lines(l_gap, True)))
         elif l_gap == b_gap:
             if r_gap:
-                regions.append(Resolved(tuple(r_gap)))
-        elif r_gap == b_gap:
-            if l_gap:
-                regions.append(Resolved(tuple(l_gap)))
+                regions.append(Resolved(join_lines(r_gap, True)))
         else:
-            regions.append(Conflict(tuple(l_gap), tuple(b_gap), tuple(r_gap)))
+            sides = (join_lines(gap, True) for gap in (l_gap, b_gap, r_gap))
+            regions.append(Conflict(*sides))
         if i == n:
-            return MergeOutcome(regions, trailing_newline)
+            break
         start = i
         while (
             i + 1 < n
@@ -110,8 +116,15 @@ def merge3(
         ):
             i += 1
         i += 1
-        regions.append(Resolved(tuple(base[start:i])))
+        regions.append(Resolved(join_lines(base[start:i], True)))
         bz, lz, rz = i, l_end + i - start, r_end + i - start
+    if not trailing_newline and regions:
+        last = regions.pop()
+        if isinstance(last, Conflict):
+            regions.append(replace(last, open_end=True))
+        elif last.text != b"\n":  # a lone LF leaves no text
+            regions.append(Resolved(last.text[:-1]))
+    return MergeOutcome(regions)
 
 
 def _partners(alignment: Alignment) -> list[int]:
@@ -135,63 +148,66 @@ def render(
     ``=======`` separator.
     """
     lname, bname, rname = (s.encode("utf-8") for s in labels)
-    lines: list[bytes] = []  # every output line, markers included, joined once
+    opening = _marker_line(_MARK_LEFT, lname)
+    base_line = _marker_line(_MARK_BASE, bname)
+    separator = _MARK_SEP + b"\n"
+    closing = _marker_line(_MARK_RIGHT, rname)
+    out: list[bytes] = []  # the output's pieces, markers included, joined once
     for region in outcome.regions:
         if isinstance(region, Resolved):
-            lines += region.lines
+            out.append(region.text)
             continue
-        lines.append(_marker_line(_MARK_LEFT, lname))
-        lines += region.left
+        out += (opening, region.left)
         if base_marker:
-            lines.append(_marker_line(_MARK_BASE, bname))
-            lines += region.base
-        lines.append(_MARK_SEP)
-        lines += region.right
-        lines.append(_marker_line(_MARK_RIGHT, rname))
-    if outcome.trailing_newline:
-        lines.append(b"")
-    return b"\n".join(lines)
+            out += (base_line, region.base)
+        out += (separator, region.right, closing[:-1] if region.open_end else closing)
+    return b"".join(out)
 
 
-def join(outcomes: list[MergeOutcome]) -> MergeOutcome:
-    """Concatenate fragment outcomes the way their texts concatenate.
+def join(parts: list[MergeOutcome | bytes]) -> MergeOutcome:
+    """Concatenate fragments the way their texts concatenate.
 
-    A fragment without a final LF leaves its last line open, and the next
-    fragment's first line continues it.  A conflict always begins and ends
-    on a line of its own: an open line before it is closed, or dropped when
-    empty.  After a conflict with an open end, an empty first line of the
-    next fragment only ends the closing marker's line, and any other text
-    starts a new one.
+    Each part is a fragment's outcome or, for a fragment taken whole, its
+    text.  The resolved text between two conflicts becomes one region.  A
+    conflict begins and ends on lines of its own: before it, a text that
+    ends without an LF gets one.  After a conflict with an open end, a
+    leading LF of the next text only ends the closing marker's line, and
+    any other text starts a new line.
     """
     regions: list[Resolved | Conflict] = []
-    lines: list[bytes] = []  # resolved lines not yet stored in a region
-    open_line = False  # the text so far ends without an LF
-    for outcome in outcomes:
-        for region in outcome.regions:
+    texts: list[bytes] = []  # resolved text not yet stored in a region
+    open_end = False  # the last region is a conflict with an open end
+    for part in parts:
+        if isinstance(part, bytes) and part and not open_end:
+            texts.append(part)  # the common part: a text taken whole, within a run
+            continue
+        for region in (part,) if isinstance(part, bytes) else part.regions:
             if isinstance(region, Conflict):
-                if open_line and lines and not lines[-1]:
-                    lines.pop()
-                if lines:
-                    regions.append(Resolved(tuple(lines)))
-                    lines = []
+                if texts:
+                    if not texts[-1].endswith(b"\n"):
+                        texts.append(b"\n")
+                    regions.append(Resolved(b"".join(texts)))
+                    texts = []
+                elif open_end:
+                    regions[-1] = replace(regions[-1], open_end=False)
                 regions.append(region)
-            elif not open_line:
-                lines.extend(region.lines)
-            elif lines:
-                lines[-1] += region.lines[0]
-                lines.extend(region.lines[1:])
-            else:  # right after a conflict's unterminated closing marker
-                lines.extend(region.lines[1:] if region.lines[0] == b"" else region.lines)
-            open_line = False
-        if outcome.regions:
-            open_line = not outcome.trailing_newline
-    if lines:
-        regions.append(Resolved(tuple(lines)))
-    return MergeOutcome(regions, trailing_newline=not open_line)
+                open_end = region.open_end
+                continue
+            text = region if isinstance(region, bytes) else region.text
+            if open_end and text:
+                regions[-1] = replace(regions[-1], open_end=False)
+                open_end = False
+                if text.startswith(b"\n"):
+                    text = text[1:]
+            if text:
+                texts.append(text)
+    if texts:
+        regions.append(Resolved(b"".join(texts)))
+    return MergeOutcome(regions)
 
 
 def _marker_line(marker: bytes, label: bytes) -> bytes:
-    return marker + (b" " + label if label else b"")
+    return marker + (b" " + label if label else b"") + b"\n"
 
 
 def count_conflicts(data: bytes) -> int:

@@ -6,15 +6,15 @@ insertion anchors, deletions against an untouched counterpart are honored,
 and a declaration changed on both sides has its text merged line by line,
 or through separator marking when a separator set is given.  The result is
 one ``MergeOutcome`` for the whole file, joined from the outcomes of its
-fragments: conflicts stay regions, and the caller renders and counts them.
-``merge_matched`` alone decides how each declaration merges; its docstring
-gives the order of the rules.
+fragments: resolved regions hold text, conflicts stay regions, and the
+caller renders and counts them.  ``merge_matched`` alone decides how each
+declaration merges; its docstring gives the order of the rules.
 
 The merge goes by runs.  In a compilation unit or type present in all
 three versions, every child that one side gives whole (it is unchanged,
 changed on one side only, or changed alike on both) is kept as that
-side's text, and the texts between two children that really merge are
-split into lines once, as one resolved fragment.  Only nested types and
+side's text, and ``join`` copies the texts between two children that
+really merge into one resolved region.  Only nested types and
 declarations changed on both sides get a merge of their own, so the work
 scales with what changed, not with the member count.  Versions are
 compared by header and body: members that a later version took from the
@@ -24,11 +24,10 @@ first share its ``bytes`` objects, so equal parts compare at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
 
 from .javaparse import DeclNode, ORDERED_KINDS
 from .separators import SeparatorSet, merge_body
-from .textmerge import MergeOutcome, Resolved, join, merge_texts_outcome, split_lines
+from .textmerge import MergeOutcome, Resolved, join, merge_texts_outcome
 
 
 @dataclass
@@ -154,11 +153,10 @@ def _merge_container(
 ) -> MergeOutcome:
     """Merge a container's header, its children in order, and its body.
 
-    Each part that one side gives whole (see ``_part``) is kept as its
-    text, and each run of such texts becomes one resolved fragment, which
-    joins the same as the texts taken one by one.  So the header, the
-    import block and the members that at most one side changed cost one
-    line split per run, not a merge each.
+    Each part that one side gives whole (see ``_part``) is handed to
+    ``join`` as its text, so the header, the import block and the members
+    that at most one side changed cost no merge, and the texts between two
+    merged parts become one resolved region.
     """
     b, l, r = matched.base, matched.left, matched.right
     parts = [_part(b.header_text, l.header_text, r.header_text)]
@@ -173,13 +171,7 @@ def _merge_container(
         text = _unmerged(child)
         parts.append(merge_matched(child, separators) if text is None else text)
     parts.append(_part(b.body_text, l.body_text, r.body_text))
-    outcomes: list[MergeOutcome] = []
-    for is_text, run in groupby(parts, lambda part: isinstance(part, bytes)):
-        if is_text:
-            outcomes.append(_taken(b"".join(run)))
-        else:
-            outcomes.extend(run)
-    return join(outcomes)
+    return join(parts)
 
 
 def _unmerged(matched: MatchedNode) -> bytes | None:
@@ -227,6 +219,4 @@ def _part(bt: bytes, lt: bytes, rt: bytes) -> MergeOutcome | bytes:
 
 def _taken(text: bytes) -> MergeOutcome:
     """One side's text, unchanged, as a single resolved region."""
-    lines, trailing = split_lines(text)
-    regions = [Resolved(tuple(lines))] if lines else []
-    return MergeOutcome(regions, trailing_newline=trailing)
+    return MergeOutcome([Resolved(text)] if text else [])

@@ -14,9 +14,9 @@ from sesame.cli import main as cli_main
 from sesame.driver import DriverConfig, EngineMode, run_engine
 from sesame.harness import AFN_N, AFP_M, UNCLASSIFIED, load_scenarios, run_harness
 from sesame.javaparse import ParseError, parse_units
-from sesame.separators import mark, merge_body, unmark
+from sesame.separators import mark, merge_body, pick_placeholder, unmark
 from sesame.textdiff import diff2
-from sesame.textmerge import count_conflicts, merge_text, render
+from sesame.textmerge import count_conflicts, join_lines, merge_text, render
 
 from dataclasses import replace
 
@@ -125,7 +125,9 @@ def test_criterion_4_roundtrip_generated_snippets():
         features = {"crlf": 0, "literal": 0, "comment": 0, "no_final_nl": 0}
         for index in range(1000):
             snippet = _generate_snippet(rng, features)
-            assert unmark(mark(snippet)) == snippet, snippet
+            marked = mark(snippet)
+            text = join_lines(marked.lines, marked.trailing_newline)
+            assert unmark(text, pick_placeholder([snippet])) == snippet, snippet
         # the generator provably exercised every required input class
         assert all(count > 0 for count in features.values()), features
 

@@ -1,4 +1,4 @@
-"""No private name in ``src/sesame`` is left without a use.
+"""No private name or field in ``src/sesame`` is left without a use.
 
 Every module-level name, function, class and method whose name starts
 with one underscore (dunder names excepted) must be read somewhere in
@@ -6,6 +6,10 @@ with one underscore (dunder names excepted) must be read somewhere in
 (``self._x``, ``module._x``) or in an import.  A reference inside the
 definition itself, such as a recursive call, does not count, and neither
 does a use in the tests.
+
+Every dataclass field and every name in a class's ``__slots__`` must be
+read as an attribute (``record.field``) somewhere in ``src/sesame``: a
+field that is only set holds nothing anyone asks for.
 """
 
 from __future__ import annotations
@@ -68,6 +72,45 @@ def unused_private_names(src: Path = SRC) -> list[str]:
     return unused
 
 
+def _is_dataclass(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+    return name == "dataclass"
+
+
+def _fields(tree: ast.Module):
+    """(class, name, line) of every dataclass field and ``__slots__`` name."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        dataclass = any(_is_dataclass(d) for d in node.decorator_list)
+        for item in node.body:
+            if dataclass and isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                yield node.name, item.target.id, item.lineno
+            elif isinstance(item, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+            ):
+                for slot in ast.walk(item.value):
+                    if isinstance(slot, ast.Constant) and isinstance(slot.value, str):
+                        yield node.name, slot.value, item.lineno
+
+
+def unread_fields(src: Path = SRC) -> list[str]:
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{module}:{line} {cls}.{name}"
+        for module, tree in trees.items()
+        for cls, name, line in _fields(tree)
+        if name not in read
+    ]
+
+
 def test_every_private_name_is_used():
     assert unused_private_names() == []
 
@@ -80,4 +123,21 @@ def test_an_unused_helper_is_reported(tmp_path):
     )
     assert unused_private_names(tmp_path) == [
         "m.py:2 _UNUSED", "m.py:4 _recursive", "m.py:7 _Box", "m.py:8 _get",
+    ]
+
+
+def test_every_field_is_read():
+    assert unread_fields() == []
+
+
+def test_an_unread_field_is_reported(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass(frozen=True)\nclass Pair:\n    read: int\n    set_only: int = 0\n\n"
+        "class Slots:\n    __slots__ = ('used', 'unused')\n\n"
+        "class Plain:\n    annotated: int\n\n"
+        "def f(p, s):\n    p.set_only = s.used\n    return p.read + s.used\n"
+    )
+    assert unread_fields(tmp_path) == [
+        "m.py:6 Pair.set_only", "m.py:9 Slots.unused",
     ]

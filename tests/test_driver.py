@@ -512,6 +512,24 @@ def test_cli_empty_labels_flag_is_checked_like_the_config_value(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "labels",
+    ["ours\n=======,base,theirs", "ours,base\r,theirs", "ours,base,theirs\r\n>>>>>>> x"],
+)
+def test_cli_labels_with_a_line_break_are_an_error(tmp_path, capsys, labels):
+    # a label with a line break would put marker lines inside the block
+    for role, text in (("base", b"x\n"), ("left", b"l\n"), ("right", b"r\n")):
+        (tmp_path / role).write_bytes(text)
+    out = tmp_path / "out"
+    code = run_cli(
+        "merge", str(tmp_path / "base"), str(tmp_path / "left"), str(tmp_path / "right"),
+        "-o", str(out), "--mode", "unstructured", "--labels", labels,
+    )
+    assert code == 2
+    assert "labels must not hold a line break" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_empty_config_path_is_an_error(tmp_path, capsys):
     paths = write_inputs(tmp_path, "method_addition")
     out = tmp_path / "out.java"

@@ -16,9 +16,19 @@ from sesame.separators import (
     pick_placeholder,
     unmark,
 )
-from sesame.textmerge import count_conflicts, merge_text, render, split_lines
+from sesame.textmerge import count_conflicts, join_lines, merge_text, render, split_lines
 
 PH = b"$" * 8
+
+
+def unmarked(m: MarkedText, ph: bytes = PH) -> bytes:
+    """``unmark`` applied to the text of a MarkedText marked with ``ph``."""
+    return unmark(join_lines(m.lines, m.trailing_newline), ph)
+
+
+def roundtrip(text: bytes) -> bytes:
+    """``text`` marked, then unmarked, with the placeholder ``mark`` picks."""
+    return unmarked(mark(text), pick_placeholder([text]))
 
 
 # -- separator sets -------------------------------------------------------
@@ -46,7 +56,7 @@ def test_separator_set_rejects_invalid(bad):
 def test_mark_without_separators_is_plain_split():
     m = mark(b"alpha\nbeta\n")
     assert m.lines == [b"alpha", b"beta"]
-    assert [line.startswith(m.placeholder) for line in m.lines] == [False, False]
+    assert [line.startswith(PH) for line in m.lines] == [False, False]
     assert m.trailing_newline
 
 
@@ -65,7 +75,7 @@ def test_mark_isolates_each_separator():
         PH + b")",
         PH + b";",
     ]
-    assert [line.startswith(m.placeholder) for line in m.lines] == [False] + [True] * 10
+    assert [line.startswith(PH) for line in m.lines] == [False] + [True] * 10
 
 
 def test_consecutive_separators_make_consecutive_lines():
@@ -91,7 +101,7 @@ def test_mark_leaves_literals_and_comments_alone():
     joined = b"".join(m.lines)
     # the only isolated separators are the two real statement semicolons
     assert sum(1 for l in m.lines if l.startswith(PH) and l[len(PH):] in (b"{", b"}", b"(", b")", b";")) == 2
-    assert unmark(m) == text
+    assert unmarked(m) == text
 
 
 def test_mark_custom_separator_subset():
@@ -120,7 +130,7 @@ def test_mark_custom_separator_subset():
     ],
 )
 def test_roundtrip_specific(text):
-    assert unmark(mark(text)) == text
+    assert roundtrip(text) == text
 
 
 @given(
@@ -140,13 +150,13 @@ def test_roundtrip_specific(text):
 @settings(max_examples=500)
 def test_roundtrip_hypothesis(pieces):
     text = b"".join(pieces)
-    assert unmark(mark(text)) == text
+    assert roundtrip(text) == text
 
 
 @given(st.binary(max_size=120))
 @settings(max_examples=300)
 def test_roundtrip_arbitrary_bytes(data):
-    assert unmark(mark(data)) == data
+    assert roundtrip(data) == data
 
 
 def reference_mark(text, seps=None, placeholder=None):
@@ -171,7 +181,7 @@ def reference_mark(text, seps=None, placeholder=None):
                 pending = False
             out.append(c)
     lines, trailing = split_lines(bytes(out))
-    return MarkedText(lines, ph, trailing)
+    return MarkedText(lines, trailing)
 
 
 @given(
@@ -201,19 +211,19 @@ def test_containment_original_bytes_survive():
         m = mark(text)
         stripped = b""
         for line in m.lines:
-            inserted = line.startswith(m.placeholder)
-            stripped += line[len(m.placeholder):] if inserted else line
+            inserted = line.startswith(PH)
+            stripped += line[len(PH):] if inserted else line
         # dropping inserted scaffolding leaves a subsequence-preserving
         # split of the original: rejoining recovers it exactly
         assert stripped == text.replace(b"\n", b"")
-        assert unmark(m) == text
+        assert unmarked(m) == text
         assert original_breaks_start_unprefixed_lines(m, text)
 
 
 def original_breaks_start_unprefixed_lines(m: MarkedText, text: bytes) -> bool:
     # every line after the first without the placeholder follows an
     # original LF (a final LF ends the last line instead)
-    unprefixed = sum(1 for line in m.lines[1:] if not line.startswith(m.placeholder))
+    unprefixed = sum(1 for line in m.lines[1:] if not line.startswith(PH))
     return unprefixed == text.count(b"\n") - text.endswith(b"\n")
 
 
@@ -235,24 +245,24 @@ def test_mark_rejects_placeholder_in_text():
 def test_mark_uses_collision_free_placeholder():
     text = b"$$$$$$$$;x\n"
     m = mark(text)
-    assert m.placeholder == PH + PH
-    assert unmark(m) == text
+    assert m.lines == [b"$$$$$$$$", PH + PH + b";", PH + PH + b"x"]
+    assert unmarked(m, PH + PH) == text
 
 
 # -- unmark errors ----------------------------------------------------------
 
 def test_unmark_rejects_midline_placeholder():
-    bad = MarkedText([b"x" + PH + b"y"], PH, True)
+    bad = MarkedText([b"x" + PH + b"y"], True)
     with pytest.raises(MarkingError):
-        unmark(bad)
-    bad = MarkedText([PH + b"x" + PH], PH, True)
+        unmarked(bad)
+    bad = MarkedText([PH + b"x" + PH], True)
     with pytest.raises(MarkingError):
-        unmark(bad)
+        unmarked(bad)
 
 
 def reference_unmark(marked: MarkedText) -> bytes:
     """The line-at-a-time ``unmark``, kept as the specification."""
-    ph = marked.placeholder
+    ph = PH
     out = bytearray()
     for idx, line in enumerate(marked.lines):
         if line.startswith(ph):
@@ -283,8 +293,8 @@ _UNMARK_LINES = st.lists(st.lists(_UNMARK_PIECES, max_size=4).map(b"".join), max
 @given(_UNMARK_LINES, st.booleans())
 @settings(max_examples=1000)
 def test_unmark_equals_reference(lines, trailing):
-    marked = MarkedText(lines, PH, trailing)
-    assert unmark_result(unmark, marked) == unmark_result(reference_unmark, marked)
+    marked = MarkedText(lines, trailing)
+    assert unmark_result(unmarked, marked) == unmark_result(reference_unmark, marked)
 
 
 @pytest.mark.parametrize(
@@ -306,13 +316,13 @@ def test_unmark_equals_reference(lines, trailing):
 )
 def test_unmark_equals_reference_on_dollar_runs(lines):
     for trailing in (False, True):
-        marked = MarkedText(lines, PH, trailing)
-        assert unmark_result(unmark, marked) == unmark_result(reference_unmark, marked)
+        marked = MarkedText(lines, trailing)
+        assert unmark_result(unmarked, marked) == unmark_result(reference_unmark, marked)
 
 
 def test_unmark_keeps_dollars_that_meet_across_a_join():
-    marked = MarkedText([b"x$$$$", PH + b"$$$$;"], PH, False)
-    assert unmark(marked) == b"x$$$$$$$$;"
+    marked = MarkedText([b"x$$$$", PH + b"$$$$;"], False)
+    assert unmarked(marked) == b"x$$$$$$$$;"
 
 
 @given(

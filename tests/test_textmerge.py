@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sesame.separators import merge_body
 from sesame.textdiff import diff2
 from sesame.textmerge import (
     Conflict,
@@ -133,6 +134,137 @@ def test_empty_labels_render_bare_markers():
     )
 
 
+# -- the line model, kept as the reference ----------------------------------
+#
+# An outcome used to hold lines: a resolved region its lines, a conflict
+# each side's lines, and the outcome whether its text ends in an LF.  The
+# renderer and the line-based join of that model stay here as references,
+# with the conversions between it and the text outcome.
+
+@dataclass(frozen=True)
+class LineResolved:
+    lines: tuple[bytes, ...]
+
+
+@dataclass(frozen=True)
+class LineConflict:
+    left: tuple[bytes, ...]
+    base: tuple[bytes, ...]
+    right: tuple[bytes, ...]
+
+
+@dataclass
+class LineOutcome:
+    regions: list
+    trailing_newline: bool = True
+
+    def conflict_count(self):
+        return sum(1 for r in self.regions if isinstance(r, LineConflict))
+
+
+def text_form(outcome):
+    """The text outcome of a line outcome: every line ends in an LF, but
+    without a trailing newline the last one of the whole text does not."""
+    def text(lines):
+        return b"".join(line + b"\n" for line in lines)
+
+    regions = []
+    for region in outcome.regions:
+        if isinstance(region, LineConflict):
+            regions.append(Conflict(text(region.left), text(region.base), text(region.right)))
+        elif region.lines:
+            regions.append(Resolved(text(region.lines)))
+    if not outcome.trailing_newline and regions:
+        last = regions.pop()
+        if isinstance(last, Conflict):
+            regions.append(Conflict(last.left, last.base, last.right, open_end=True))
+        elif last.text != b"\n":
+            regions.append(Resolved(last.text[:-1]))
+    return MergeOutcome(regions)
+
+
+def line_form(outcome):
+    """The line outcome of a text outcome, in which only the last region's
+    text may end without an LF."""
+    regions, trailing = [], True
+    for region in outcome.regions:
+        if isinstance(region, Resolved):
+            lines, trailing = split_lines(region.text)
+            regions.append(LineResolved(tuple(lines)))
+        else:
+            sides = [split_lines(side) for side in (region.left, region.base, region.right)]
+            assert all(lf for _, lf in sides)  # each side is LF-terminated lines
+            regions.append(LineConflict(*(tuple(lines) for lines, _ in sides)))
+            trailing = not region.open_end
+    return LineOutcome(regions, trailing)
+
+
+def reference_render(outcome, labels, base_marker):
+    """The line-at-a-time renderer of the line model."""
+    lname, bname, rname = (s.encode("utf-8") for s in labels)
+
+    def marker(mark, label):
+        return mark + (b" " + label if label else b"") + b"\n"
+
+    out = bytearray()
+    for region in outcome.regions:
+        if isinstance(region, LineResolved):
+            for line in region.lines:
+                out += line + b"\n"
+            continue
+        out += marker(b"<<<<<<<", lname)
+        for line in region.left:
+            out += line + b"\n"
+        if base_marker:
+            out += marker(b"|||||||", bname)
+            for line in region.base:
+                out += line + b"\n"
+        out += b"=======\n"
+        for line in region.right:
+            out += line + b"\n"
+        out += marker(b">>>>>>>", rname)
+    if not outcome.trailing_newline and out.endswith(b"\n"):
+        del out[-1:]
+    return bytes(out)
+
+
+def reference_join(outcomes):
+    """The line-based join of line outcomes that ``join`` replaced.
+
+    A fragment without a final LF leaves its last line open, and the next
+    fragment's first line continues it.  A conflict always begins and ends
+    on a line of its own: an open line before it is closed, or dropped when
+    empty.  After a conflict with an open end, an empty first line of the
+    next fragment only ends the closing marker's line, and any other text
+    starts a new one.
+    """
+    regions = []
+    lines = []  # resolved lines not yet stored in a region
+    open_line = False  # the text so far ends without an LF
+    for outcome in outcomes:
+        for region in outcome.regions:
+            if isinstance(region, LineConflict):
+                if open_line and lines and not lines[-1]:
+                    lines.pop()
+                if lines:
+                    regions.append(LineResolved(tuple(lines)))
+                    lines = []
+                regions.append(region)
+            elif not open_line:
+                lines.extend(region.lines)
+            elif lines:
+                lines[-1] += region.lines[0]
+                lines.extend(region.lines[1:])
+            else:  # right after a conflict's unterminated closing marker
+                lines.extend(region.lines[1:] if region.lines[0] == b"" else region.lines)
+            open_line = False
+        if outcome.regions:
+            open_line = not outcome.trailing_newline
+    if lines:
+        regions.append(LineResolved(tuple(lines)))
+    return LineOutcome(regions, trailing_newline=not open_line)
+
+
 # -- reference merge ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -205,7 +337,7 @@ def reference_merge3(base, left, right, trailing_newline=True):
     for chunk in reference_three_way_chunks(base, left, right):
         if chunk.kind == "stable":
             b0, b1 = chunk.base_range
-            regions.append(Resolved(tuple(base[b0:b1])))
+            regions.append(LineResolved(tuple(base[b0:b1])))
             continue
         b0, b1 = chunk.base_range
         l0, l1 = chunk.left_range
@@ -215,16 +347,16 @@ def reference_merge3(base, left, right, trailing_newline=True):
         r_gap = right[r0:r1]
         if l_gap == r_gap:
             if l_gap:
-                regions.append(Resolved(tuple(l_gap)))
+                regions.append(LineResolved(tuple(l_gap)))
         elif l_gap == b_gap:
             if r_gap:
-                regions.append(Resolved(tuple(r_gap)))
+                regions.append(LineResolved(tuple(r_gap)))
         elif r_gap == b_gap:
             if l_gap:
-                regions.append(Resolved(tuple(l_gap)))
+                regions.append(LineResolved(tuple(l_gap)))
         else:
-            regions.append(Conflict(tuple(l_gap), tuple(b_gap), tuple(r_gap)))
-    return MergeOutcome(regions, trailing_newline)
+            regions.append(LineConflict(tuple(l_gap), tuple(b_gap), tuple(r_gap)))
+    return text_form(LineOutcome(regions, trailing_newline))
 
 
 def test_chunks_partition_all_sequences():
@@ -286,13 +418,13 @@ def _assert_mirror(b, l, r):
     fwd = merge_texts_outcome(b, l, r)
     rev = merge_texts_outcome(b, r, l)
     assert len(fwd.regions) == len(rev.regions)
-    assert fwd.trailing_newline == rev.trailing_newline
     for x, y in zip(fwd.regions, rev.regions):
         if isinstance(x, Resolved):
             assert x == y
         else:
             assert isinstance(y, Conflict)
             assert (x.left, x.base, x.right) == (y.right, y.base, y.left)
+            assert x.open_end == y.open_end
 
 
 @given(LINES, LINES, LINES, st.booleans(), st.booleans(), st.booleans())
@@ -311,13 +443,13 @@ def test_merge_laws_hypothesis(b, l, r, tb, tl, tr):
     st.lists(
         st.one_of(
             st.lists(st.sampled_from([b"p", b"q"]), max_size=3).map(
-                lambda ls: Resolved(tuple(ls))
+                lambda ls: LineResolved(tuple(ls))
             ),
             st.tuples(
                 st.lists(st.sampled_from([b"p", b"q"]), max_size=2),
                 st.lists(st.sampled_from([b"p", b"q"]), max_size=2),
                 st.lists(st.sampled_from([b"p", b"q"]), max_size=2),
-            ).map(lambda t: Conflict(tuple(t[0]), tuple(t[1]), tuple(t[2]))),
+            ).map(lambda t: LineConflict(tuple(t[0]), tuple(t[1]), tuple(t[2]))),
         ),
         max_size=6,
     ),
@@ -326,38 +458,9 @@ def test_merge_laws_hypothesis(b, l, r, tb, tl, tr):
 )
 @settings(max_examples=400)
 def test_count_conflicts_matches_outcome(regions, trailing, base_marker):
-    outcome = MergeOutcome(list(regions), trailing)
+    outcome = text_form(LineOutcome(list(regions), trailing))
     rendered = render(outcome, base_marker=base_marker)
     assert count_conflicts(rendered) == outcome.conflict_count()
-
-
-def reference_render(outcome, labels, base_marker):
-    """The line-at-a-time renderer that ``render`` replaced."""
-    lname, bname, rname = (s.encode("utf-8") for s in labels)
-
-    def marker(mark, label):
-        return mark + (b" " + label if label else b"") + b"\n"
-
-    out = bytearray()
-    for region in outcome.regions:
-        if isinstance(region, Resolved):
-            for line in region.lines:
-                out += line + b"\n"
-            continue
-        out += marker(b"<<<<<<<", lname)
-        for line in region.left:
-            out += line + b"\n"
-        if base_marker:
-            out += marker(b"|||||||", bname)
-            for line in region.base:
-                out += line + b"\n"
-        out += b"=======\n"
-        for line in region.right:
-            out += line + b"\n"
-        out += marker(b">>>>>>>", rname)
-    if not outcome.trailing_newline and out.endswith(b"\n"):
-        del out[-1:]
-    return bytes(out)
 
 
 RENDER_LINES = st.lists(st.sampled_from([b"", b"p", b"q\r", b" "]), max_size=3).map(tuple)
@@ -366,8 +469,8 @@ RENDER_LINES = st.lists(st.sampled_from([b"", b"p", b"q\r", b" "]), max_size=3).
 @given(
     st.lists(
         st.one_of(
-            RENDER_LINES.map(Resolved),
-            st.tuples(RENDER_LINES, RENDER_LINES, RENDER_LINES).map(lambda t: Conflict(*t)),
+            RENDER_LINES.map(LineResolved),
+            st.tuples(RENDER_LINES, RENDER_LINES, RENDER_LINES).map(lambda t: LineConflict(*t)),
         ),
         max_size=6,
     ),
@@ -377,8 +480,8 @@ RENDER_LINES = st.lists(st.sampled_from([b"", b"p", b"q\r", b" "]), max_size=3).
 )
 @settings(max_examples=600)
 def test_render_equals_line_by_line_reference(regions, trailing, base_marker, labels):
-    outcome = MergeOutcome(list(regions), trailing)
-    assert render(outcome, labels, base_marker) == reference_render(
+    outcome = LineOutcome(list(regions), trailing)
+    assert render(text_form(outcome), labels, base_marker) == reference_render(
         outcome, labels, base_marker
     )
 
@@ -436,8 +539,39 @@ def test_join_closes_open_lines_around_conflicts():
         b"class A {\n<<<<<<< left\ny\n=======\nz\n>>>>>>> right\n}\n"
     )
     # an open empty line holds no text: the conflict follows the LF before it
-    ends_in_lf = MergeOutcome([Resolved((b"x", b""))], trailing_newline=False)
+    ends_in_lf = MergeOutcome([Resolved(b"x\n")])
     assert render(ends_in_lf) == b"x\n"
     assert render(join([ends_in_lf, body])) == (
         b"x\n<<<<<<< left\ny\n=======\nz\n>>>>>>> right"
     )
+
+
+# texts rich in LF, CR, ';' and '{', ending in an LF or in something else
+FRAGMENT_TEXT = st.tuples(
+    st.lists(st.sampled_from([b"\n", b"\r\n", b"\r", b";", b"{", b"}", b"a", b"(b)"]), max_size=6),
+    st.sampled_from([b"\n", b";", b"{", b"\r", b""]),
+).map(lambda t: b"".join(t[0]) + t[1])
+# a fragment merged as text or through separators, or taken whole as its text
+FRAGMENT = st.one_of(
+    st.tuples(
+        st.sampled_from([merge_texts_outcome, merge_body]),
+        FRAGMENT_TEXT, FRAGMENT_TEXT, FRAGMENT_TEXT,
+    ).map(lambda t: t[0](*t[1:])),
+    FRAGMENT_TEXT,
+)
+
+
+@given(st.lists(FRAGMENT, min_size=1, max_size=5), st.booleans())
+@settings(max_examples=500)
+def test_join_equals_line_based_reference(parts, base_marker):
+    outcomes = [
+        MergeOutcome([Resolved(part)] if part else []) if isinstance(part, bytes) else part
+        for part in parts
+    ]
+    # only the last region of a fragment may end without an LF
+    assert all(text_form(line_form(outcome)) == outcome for outcome in outcomes)
+    joined = join(parts)
+    reference = reference_join([line_form(outcome) for outcome in outcomes])
+    labels = ("left", "base", "right")
+    assert render(joined, labels, base_marker) == reference_render(reference, labels, base_marker)
+    assert joined.conflict_count() == reference.conflict_count()

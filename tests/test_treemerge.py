@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sesame import treemerge
+from sesame import textmerge, treemerge
+from sesame import separators as separators_module
 from sesame.javaparse import DeclNode, ParseError, parse_units, parse_versions
 from sesame.separators import SeparatorSet
 from sesame.textmerge import (
@@ -422,7 +423,7 @@ RUN_TEXT = st.one_of(
 )
 BEFORE_RUN = {
     "start": [],
-    "resolved open line": [MergeOutcome([Resolved((b"x",))], trailing_newline=False)],
+    "resolved open line": [MergeOutcome([Resolved(b"x")])],
     # a conflict whose closing marker line is left open
     "conflict with an open end": [merge_texts_outcome(b"x", b"y", b"z")],
 }
@@ -439,8 +440,9 @@ def test_a_run_joins_like_its_texts_one_by_one(texts, before, conflict_after):
     tail = [merge_texts_outcome(b"a\n", b"b\n", b"c\n")] if conflict_after else []
     assert all(isinstance(o.regions[0], Conflict) for o in tail)
     one_by_one = join(lead + [_taken(text) for text in texts] + tail)
-    as_run = join(lead + [_taken(b"".join(texts))] + tail)
-    assert as_run == one_by_one
+    as_run = join(lead + [b"".join(texts)] + tail)
+    as_parts = join(lead + texts + tail)  # as ``_merge_container`` hands them
+    assert as_run == one_by_one == as_parts
 
 
 def _merged_child_by_child(matched, separators):
@@ -511,17 +513,22 @@ def test_merge_calls_scale_with_members_changed_on_both_sides(monkeypatch, separ
     sources = [_class_source(n, {}), _class_source(n, left), _class_source(n, right)]
     matched = match_trees(*parse_versions(*sources))
     expected = _merged_child_by_child(matched, separators)
-    counts = {"merge_matched": 0, "split_lines": 0}
+    counts = dict.fromkeys(("merge_matched", "split_lines", "merge_texts_outcome", "mark"), 0)
+    modules = (treemerge, textmerge, separators_module)
     for name in counts:
-        real = getattr(treemerge, name)
+        real = next(vars(m)[name] for m in modules if name in vars(m))
 
         def counting(*args, real=real, name=name):
             counts[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(treemerge, name, counting)
+        for module in modules:  # every name the function is called by
+            if vars(module).get(name) is real:
+                monkeypatch.setattr(module, name, counting)
     outcome = treemerge.merge_matched(matched, separators)
     assert counts["merge_matched"] <= k + 3
-    assert counts["split_lines"] <= 2 * k + 5
+    # lines are split only to merge: three texts per merge, one per marking
+    assert "split_lines" not in vars(treemerge)
+    assert counts["split_lines"] == 3 * counts["merge_texts_outcome"] + counts["mark"]
     assert outcome == expected
     assert outcome.conflict_count() == k
