@@ -44,35 +44,36 @@ the text lexed on its own: such a declaration starts right after a code
 crosses either end.
 
 The versions of one merge are parsed with one member table
-(``parse_versions``).  The first parse leaves in it its code view and, in
-file order, the offset, context (the enclosing type's name, and whether
-that is an ``@interface``) and entry of each field, method, constructor
-and annotation member.  A later version finds the runs of those members
-that its text repeats: a member is looked for by its header text
-(``_repeats``) and taken only where its whole text follows (``_follows``).
-Over each run it copies the first version's states and view, and it gets
-both for the text between runs from one ``lex_states`` call on that text
-joined.  This equals lexing the version whole, because every cut falls
-right after a code byte other than '/': a repeated member ends on a code
-'}' or ';' and was lexed in the first version just as on its own, and each
-stretch of lexed text that a run follows is checked to end on such a byte
-(from the first one that does not, the rest of the version is lexed
-whole).  Lexing that restarts right after such a byte reads what follows
-as lexing the whole file does (see ``lexer``), so no literal or comment
-crosses a cut.  Where the later parse then reaches a repeated member's
-offset in a type of the same context, it takes the first version's node
-with its ``bytes`` objects and states: a member's parse reads only its own
-bytes and its context, through the same view, so parsing it again would
-give the same node.  Types (which read past their end for stray ';' and
-have children) and initializers (whose ``#n`` counts the initializers
-before them) are never taken, and a member that both later versions add
-alike is parsed in each.
+(``parse_versions``).  The first parse leaves in it its bytes, states and
+view and, in file order, the offset, end, context (the enclosing type's
+name, and whether that is an ``@interface``) and node of each field,
+method, constructor and annotation member.  A later version finds the runs
+of those members that its text repeats (``_repeats``): it looks for a
+member by its header text, and from one whose whole text follows, it
+compares spans of the first version that double, then halve, to find
+where the run ends, never past a member that does not start where the one
+before it ends.  Each run's states and view are one slice each of the
+first version's; the text between runs gets both from one ``lex_states``
+call on that text joined.  This equals lexing the version whole, because
+every cut falls right after a code byte other than '/': a run ends on a
+member's code '}' or ';', and each stretch of lexed text that a run
+follows is checked to end on such a byte (from the first one that does
+not, the rest of the version is lexed whole).  Lexing that restarts there
+reads what follows as lexing the whole file does (see ``lexer``).  Where
+the later parse reaches a run's start in a type of the same context, it
+takes the run's nodes, the first version's own, and goes on at its end: a
+member's parse reads only its own bytes and context, through the same
+view, so parsing it again would give an equal node.  The trees thus share
+member nodes, so none is changed once the table holds it: a stray ';' after
+a member makes a new node.  Types and initializers are never taken, and a
+member that both later versions add alike is parsed in each.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
 
 from .lexer import CODE, lex_states
 
@@ -163,19 +164,20 @@ class DeclNode:
 class MemberTable:
     """What the first parse of one merge leaves for the parses after it.
 
-    ``view`` is its code view.  ``starts``, ``contexts`` and ``entries``
-    give, in file order, the offset, context ``(enclosing type, in an
-    @interface)`` and entry ``(kind, identifier, header_text, body_text,
-    states)`` of each member it parsed, types and initializers aside.
+    ``data``, ``states`` and ``view`` are its bytes, lexer states and code
+    view.  ``starts``, ``ends``, ``contexts`` and ``nodes`` give, in file
+    order, the offset, end, context ``(enclosing type, in an @interface)``
+    and node of each member it parsed, types and initializers aside.
+    ``breaks`` lists, in order, each member that does not start where the
+    one before it ends; from one to the next, members form a stretch.
     """
 
-    __slots__ = ("view", "starts", "contexts", "entries")
+    __slots__ = ("data", "states", "view", "starts", "ends", "contexts", "nodes", "breaks")
 
     def __init__(self) -> None:
+        self.data = self.states = b""
         self.view: bytearray | None = None
-        self.starts: list[int] = []
-        self.contexts: list[tuple[str, bool]] = []
-        self.entries: list[tuple[str, str, bytes, bytes, bytes]] = []
+        self.starts, self.ends, self.breaks, self.contexts, self.nodes = [], [], [], [], []
 
 
 def parse_units(source: bytes, members: MemberTable | None = None) -> DeclNode:
@@ -201,17 +203,17 @@ def parse_versions(*sources: bytes) -> list[DeclNode]:
 
     Each tree, or the first ParseError, is the one ``parse_units`` gives
     for that source alone.  Each version after the first takes the members
-    it repeats from the first, with their lexing, and lexes and parses only
-    the rest.
+    it repeats from the first, as the first version's own nodes with their
+    lexing, and lexes and parses only the rest.
     """
     members = MemberTable()
     return [parse_units(source, members) for source in sources]
 
 
-def _follows(data: bytes, at: int, entry: tuple) -> bool:
-    """Whether the text of the member entry ``entry`` follows at ``at``."""
-    return data.startswith(entry[2], at) and data.startswith(
-        entry[3], at + len(entry[2])
+def _follows(data: bytes, at: int, node: DeclNode) -> bool:
+    """Whether the text of the member ``node`` follows at ``at``."""
+    return data.startswith(node.header_text, at) and data.startswith(
+        node.body_text, at + len(node.header_text)
     )
 
 
@@ -220,32 +222,47 @@ def _find_head(data: bytes, head: bytes, lo: int, hi: int) -> int:
     return data.find(head, lo, hi + len(head) - 1)
 
 
-def _size(entry: tuple) -> int:
-    return len(entry[2]) + len(entry[3])
+def _extend(data: bytes, at: int, table: MemberTable, j: int) -> int:
+    """One past the last member of the longest run of j's stretch that
+    starts with member j, whose text follows at ``at``, and that ``data``
+    repeats there.  Spans past the run so far are compared: one member,
+    then twice as many each time, and once one differs, half as many."""
+    starts, ends, breaks = table.starts, table.ends, table.breaks
+    b = bisect_right(breaks, j)
+    stop = breaks[b] if b < len(breaks) else len(starts)
+    first, shift = memoryview(table.data), at - starts[j]
+    good, bad, step = j + 1, stop + 1, 1  # members j..good-1 repeat; bad-1 not
+    while bad - good > 1:
+        mid = min(good + step, (good + bad) // 2)
+        if data.startswith(first[ends[good - 1]:ends[mid - 1]], ends[good - 1] + shift):
+            good, step = mid, 2 * step
+        else:
+            bad = mid
+    return good
 
 
-def _repeats(data: bytes, table: MemberTable) -> list[list]:
+def _repeats(data: bytes, table: MemberTable) -> list[tuple[int, int, int]]:
     """Runs of the table's first version's members that ``data`` repeats:
-    ``[at, start, stop, members]`` for bytes ``start:stop`` there, made of
-    the members whose indices are ``members``, repeated at offset ``at``.
+    ``(at, j, k)`` where the members j to k - 1, one stretch in the first
+    version, repeat at offset ``at``.
 
     The walk takes the first version's members in order.  Where the next
-    one does not follow the last repeat, it resumes at that member or the
-    one after it, whichever has its head (its header text) start first;
-    a member is looked for only before the head of the one after it.  Both
-    are looked for in windows that start one member long and double, so a
-    member that is gone or edited costs a scan about as long as the text
-    before its successor, not one to the end.  A member whose head is
-    found but whose text does not follow is passed over.  Failed searches may scan
-    ``len(data)`` offsets in all; once they have, the walk stops.
+    one does not follow the last run, it resumes at that member or the one
+    after it, whichever has its head (its header text) start first, looked
+    for in windows that start one member long and double; a member is
+    looked for only before the head of the one after it.  So a member that
+    is gone or edited costs a scan about as long as the text before its
+    successor.  A member whose head is found but whose text does not follow
+    is passed over; from one whose text follows, ``_extend`` finds the run.
+    Failed searches may scan ``len(data)`` offsets in all; then it stops.
     """
-    starts, entries = table.starts, table.entries
+    starts, ends, nodes = table.starts, table.ends, table.nodes
     n = budget = len(data)
 
     def search(k: int, lo: int, hi: int) -> int:
         nonlocal budget
         hi = min(hi, lo + budget)
-        at = _find_head(data, entries[k][2], lo, hi)
+        at = _find_head(data, nodes[k].header_text, lo, hi)
         if at < 0:
             budget -= hi - lo
         return at
@@ -253,10 +270,10 @@ def _repeats(data: bytes, table: MemberTable) -> list[list]:
     def resume(j: int, lo: int) -> tuple[int, int]:
         """Member j or j + 1, whichever's head starts first at or after
         ``lo``, and where; ``(j + 2, -1)`` if neither is found."""
-        width = _size(entries[j])
+        width = ends[j] - starts[j]
         while lo < n and budget > 0:
             hi = min(n, lo + width)
-            after = search(j + 1, lo, hi) if j + 1 < len(entries) else -1
+            after = search(j + 1, lo, hi) if j + 1 < len(nodes) else -1
             at = search(j, lo, hi if after < 0 else after)
             if at >= 0:
                 return j, at
@@ -265,79 +282,61 @@ def _repeats(data: bytes, table: MemberTable) -> list[list]:
             lo, width = hi, 2 * width
         return j + 2, -1
 
-    runs: list[list] = []
-    pos = lo = j = 0  # pos: end of the last repeat; lo: where searches start
-    while j < len(entries) and budget > 0:
+    runs: list[tuple[int, int, int]] = []
+    pos = lo = j = 0  # pos: end of the last run; lo: where searches start
+    while j < len(nodes) and budget > 0:
         at = pos
-        if lo != pos or not _follows(data, pos, entries[j]):
+        if lo != pos or not _follows(data, pos, nodes[j]):
             j, at = resume(j, lo)
             if at < 0:
                 continue
-            if not _follows(data, at, entries[j]):
+            if not _follows(data, at, nodes[j]):
                 lo, j = at + 1, j + 1
                 continue
-        entry = entries[j]
-        start, size = starts[j], _size(entry)
-        if not runs or at != pos or start != runs[-1][2]:
-            runs.append([at, start, start, []])
-        runs[-1][2] += size
-        runs[-1][3].append(j)
-        pos = lo = at + size
-        j += 1
+        k = _extend(data, at, table, j)
+        runs.append((at, j, k))
+        pos = lo = at + ends[k - 1] - starts[j]
+        j = k
     return runs
 
 
 def _lex_reusing(
     data: bytes, table: MemberTable
-) -> tuple[bytes, bytes, dict[int, int]]:
-    """The states and code view of ``lex_states(data)``, and the members
-    it repeats, for a later version of the table's first one.
+) -> tuple[bytes, bytes, dict[int, tuple[int, int]]]:
+    """The states and code view of ``lex_states(data)``, for a later
+    version of the table's first one, and a map from the offset of each run
+    of members it repeats (see ``_repeats``) to the run's ``(j, k)``.
 
-    Over each run of members that ``_repeats`` finds, the states and view
-    are copied from the first version; both are read for the text between
-    runs, the gaps, from one ``lex_states`` call on the gaps joined.  A gap
-    followed by a run must end on a code byte other than '/', so that no
-    literal or comment crosses into the run; from the first gap that does
-    not, the rest of ``data`` is lexed whole by one more call and its runs
-    are dropped.  The map takes the offset of each member in the runs kept
-    to its index in the table.
+    A run's states and view are one slice each of the first version's; the
+    text between runs, the gaps, is lexed by one call on the gaps joined.
+    A gap followed by a run must end on a code byte other than '/', so that
+    no literal or comment crosses into the run; from the first gap that
+    does not, the rest of ``data`` is lexed whole and its runs are dropped.
     """
     runs = _repeats(data, table)
-    gaps, end = [], 0
-    for at, start, stop, _ in runs:
-        gaps.append((end, at))
-        end = at + stop - start
-    gaps.append((end, len(data)))
+    starts, ends = table.starts, table.ends
+    spans = [(starts[j], ends[k - 1]) for _, j, k in runs]  # in the first version
+    run_ends = [at + b - a for (at, _, _), (a, b) in zip(runs, spans)]
+    gaps = list(zip([0] + run_ends, [at for at, _, _ in runs] + [len(data)]))
     text = memoryview(data)
     states, view = lex_states(b"".join([text[a:b] for a, b in gaps]))
     off = 0
     for i, (a, b) in enumerate(gaps[:-1]):
         if a < b and (states[off + b - a - 1] != CODE or data[b - 1] == _SLASH):
-            del runs[i:]
+            del runs[i:], spans[i:]
             gaps[i:] = [(a, len(data))]
             rest_states, rest_view = lex_states(data[a:])
             states, view = states[:off] + rest_states, view[:off] + rest_view
             break
         off += b - a
-    state_parts: list = []
-    view_parts: list = []
-    reused: dict[int, int] = {}
     states, view = memoryview(states), memoryview(view)
-    first_view = memoryview(table.view)
-    off = 0
-    for i, (a, b) in enumerate(gaps):
-        state_parts.append(states[off:off + b - a])
-        view_parts.append(view[off:off + b - a])
+    first_states, first_view = memoryview(table.states), memoryview(table.view)
+    state_parts, view_parts, off = [], [], 0
+    for (a, b), (s, e) in zip(gaps, spans + [(0, 0)]):  # no run after the last gap
+        state_parts += (states[off:off + b - a], first_states[s:e])
+        view_parts += (view[off:off + b - a], first_view[s:e])
         off += b - a
-        if i < len(runs):
-            at, start, stop, members = runs[i]
-            for j in members:
-                entry = table.entries[j]
-                state_parts.append(entry[4])
-                reused[at] = j
-                at += _size(entry)
-            view_parts.append(first_view[start:stop])
-    return b"".join(state_parts), b"".join(view_parts), reused
+    return b"".join(state_parts), b"".join(view_parts), {at: (j, k) for at, j, k in runs}
 
 
 class _Parser:
@@ -347,10 +346,10 @@ class _Parser:
         self.first = members.view is None  # the first parse fills the table
         if self.first:
             self.states, self.view = lex_states(data)
-            members.view = self.view
-            self.reused: dict[int, int] = {}
+            members.data, members.states, members.view = data, self.states, self.view
+            self.runs: dict[int, tuple[int, int]] = {}
         else:
-            self.states, self.view, self.reused = _lex_reusing(data, members)
+            self.states, self.view, self.runs = _lex_reusing(data, members)
         self.n = len(data)
 
     def parse(self) -> DeclNode:
@@ -363,9 +362,7 @@ class _Parser:
             node, pos = self._parse_top_level(pos, sig)
             children.append(node)
         _check_duplicates(children)
-        return DeclNode(
-            "compilation-unit", "", b"", self.data[pos:], children=children
-        )
+        return DeclNode("compilation-unit", "", b"", self.data[pos:], children=children)
 
     # -- shared low-level scanning ------------------------------------
 
@@ -433,9 +430,7 @@ class _Parser:
             if not word:
                 raise ParseError(f"unsupported top-level construct at byte {i}")
             if word in ("package", "import"):
-                end = self._absorb_semicolons(
-                    self._find_code_char(after, _SEMI) + 1
-                )
+                end = self._absorb_semicolons(self._find_code_char(after, _SEMI) + 1)
                 text = self.data[sig:end]
                 ident = " ".join(text.decode("latin-1").split())
                 return DeclNode(word, ident, self.data[start:end]), end
@@ -572,6 +567,8 @@ class _Parser:
         data[tail_start:close+1...] as its residual body text.
         """
         data, view, members = self.data, self.view, self.members
+        starts, ends = members.starts, members.ends
+        context = (enclosing, in_annotation)
         children: list[DeclNode] = []
         counters = {"initializer": 0}
         while True:
@@ -583,30 +580,30 @@ class _Parser:
             if view[sig] == _SEMI:
                 if not children:
                     raise ParseError("stray ';' at start of type body")
-                last = children[-1]
-                last.body_text += data[pos:sig + 1]
-                if last.states is not None:  # a type keeps no states
-                    last.states += self.states[pos:sig + 1]
+                last = children[-1]  # maybe shared: a new node replaces it
+                children[-1] = replace(
+                    last, body_text=last.body_text + data[pos:sig + 1],
+                    states=None if last.states is None  # a type keeps none
+                    else last.states + self.states[pos:sig + 1],
+                )
                 pos = sig + 1
                 continue
-            j = self.reused.get(pos)
-            if j is not None and members.contexts[j] == (enclosing, in_annotation):
-                entry = members.entries[j]
-                node = DeclNode(*entry)
-                end = pos + _size(entry)
-            else:
-                node, end = self._parse_member(
-                    pos, sig, enclosing, in_annotation, counters
-                )
-                if node.kind != "type":
-                    node.states = self.states[pos:end]
-                if self.first and node.kind not in ("type", "initializer"):
-                    members.starts.append(pos)
-                    members.contexts.append((enclosing, in_annotation))
-                    members.entries.append((
-                        node.kind, node.identifier, node.header_text,
-                        node.body_text, node.states,
-                    ))
+            run = self.runs.get(pos)
+            if run is not None and members.contexts[run[0]] == context:
+                j, k = run
+                children += members.nodes[j:k]
+                pos += ends[k - 1] - starts[j]
+                continue
+            node, end = self._parse_member(pos, sig, enclosing, in_annotation, counters)
+            if node.kind != "type":
+                node.states = self.states[pos:end]
+            if self.first and node.kind not in ("type", "initializer"):
+                if not ends or ends[-1] != pos:
+                    members.breaks.append(len(starts))
+                starts.append(pos)
+                ends.append(end)
+                members.contexts.append(context)
+                members.nodes.append(node)
             children.append(node)
             pos = end
 

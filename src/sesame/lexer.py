@@ -11,12 +11,15 @@ results at once: the state bytes, and a code view, a copy of the input in
 which every literal byte reads as NUL and every comment byte as a blank,
 so that a search of the view finds only code, and a run of whitespace in
 it spans comments too.  String and character literals end at an unescaped
-closing quote or just before a line feed (Java literals cannot span
-lines), so one stray quote never swallows the rest of the file.  A
-backslash escapes the byte after it, a line feed included, and a backslash
-at the end of the input still belongs to its literal.  A block comment
-closes at the first ``*/`` after its opening ``/*`` (so ``/*/`` does not
-close it) or runs to the end of the input.
+closing quote or just before a line feed (such Java literals cannot span
+lines), so one stray quote never swallows the rest of the file.  A text
+block, from three double quotes to the next three that no backslash
+escapes, is one string literal that may span lines; like a block comment,
+it runs to the end of the input if it is not closed.  A backslash escapes
+the byte after it, a line feed included, and a backslash at the end of
+the input still belongs to its literal.  A block comment closes at the
+first ``*/`` after its opening ``/*`` (so ``/*/`` does not close it) or
+runs to the end of the input.
 
 Lexing can restart right after a code byte other than '/'.  No token
 covers that byte, and no token can start on it and run into the bytes
@@ -40,7 +43,8 @@ BLOCK_COMMENT = 4
 
 # no capture groups: with them ``re`` loses its scan for the first byte
 _TOKEN = re.compile(
-    rb'"(?:[^"\\\n]|\\[\s\S]?)*"?'
+    rb'"""(?:[^"\\]|\\[\s\S]?|"(?!""))*(?:"""|\Z)'
+    rb'|"(?:[^"\\\n]|\\[\s\S]?)*"?'
     rb"|'(?:[^'\\\n]|\\[\s\S]?)*'?"
     rb"|//[^\n]*"
     rb"|/\*[\s\S]*?(?:\*/|\Z)"

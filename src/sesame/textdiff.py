@@ -38,33 +38,12 @@ class Alignment:
     """Correspondence between two segment sequences.
 
     Only the matched pairs are stored, in increasing order on both sides,
-    together with both lengths; every other index is a deletion (left) or
-    an insertion (right).  ``pairs`` spells the whole correspondence out.
+    together with the first sequence's length; every other index is a
+    deletion (left) or an insertion (right).
     """
 
     matched: tuple[tuple[int, int], ...]
     len_a: int
-    len_b: int
-
-    @property
-    def pairs(self) -> tuple[tuple[int | None, int | None], ...]:
-        """Every index of both sequences exactly once, in order.  A pair
-        with both indices present is a matched, byte-equal segment; a
-        one-sided pair is a deletion (left only) or insertion (right only).
-        """
-        pairs: list[tuple[int | None, int | None]] = []
-        ai = bi = 0
-        for i, j in self.matched:
-            pairs.extend((k, None) for k in range(ai, i))
-            pairs.extend((None, k) for k in range(bi, j))
-            pairs.append((i, j))
-            ai, bi = i + 1, j + 1
-        pairs.extend((k, None) for k in range(ai, self.len_a))
-        pairs.extend((None, k) for k in range(bi, self.len_b))
-        return tuple(pairs)
-
-    def matches(self) -> list[tuple[int, int]]:
-        return list(self.matched)
 
     def match_count(self) -> int:
         return len(self.matched)
@@ -76,7 +55,7 @@ _FLIP = bytes((1, 0)) + bytes(254)  # a changed flag -> an unchanged flag
 def diff2(a: Sequence[bytes], b: Sequence[bytes]) -> Alignment:
     """Align two segment sequences on a longest common subsequence."""
     matches = _shift_boundaries(a, b, lcs_matches(a, b))
-    return Alignment(matches, len(a), len(b))
+    return Alignment(matches, len(a))
 
 
 def lcs_matches(a: Sequence[bytes], b: Sequence[bytes]) -> list[tuple[int, int]]:

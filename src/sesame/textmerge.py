@@ -233,18 +233,6 @@ def count_conflicts(data: bytes) -> int:
     return count
 
 
-def merge_text(
-    base: bytes,
-    left: bytes,
-    right: bytes,
-    labels: tuple[str, str, str] = DEFAULT_LABELS,
-    base_marker: bool = False,
-) -> tuple[bytes, int]:
-    """Merge three byte strings; returns (rendered output, conflict count)."""
-    outcome = merge_texts_outcome(base, left, right)
-    return render(outcome, labels, base_marker), outcome.conflict_count()
-
-
 def merge_texts_outcome(base: bytes, left: bytes, right: bytes) -> MergeOutcome:
     b_lines, b_tf = split_lines(base)
     l_lines, l_tf = split_lines(left)

@@ -17,8 +17,8 @@ side's text, and ``join`` copies the texts between two children that
 really merge into one resolved region.  Only nested types and
 declarations changed on both sides get a merge of their own, so the work
 scales with what changed, not with the member count.  Versions are
-compared by header and body: members that a later version took from the
-first share its ``bytes`` objects, so equal parts compare at once.
+compared by header and body: a member that a later version took from the
+first is the first's own node, so it compares at once.
 """
 
 from __future__ import annotations
@@ -192,7 +192,9 @@ def _same(x: DeclNode | None, y: DeclNode | None) -> bool:
     """Whether two versions of a declaration have equal text, an absent one
     reading as empty.  Leaves with headers of one length have equal text
     exactly when their headers and their bodies are equal, so those parts
-    are compared, not joined."""
+    are compared, not joined; a node is the same as itself at once."""
+    if x is y:
+        return True
     if x is None or y is None or x.children or y.children:
         return _text(x) == _text(y)
     if len(x.header_text) == len(y.header_text):

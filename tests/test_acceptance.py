@@ -16,7 +16,8 @@ from sesame.harness import AFN_N, AFP_M, UNCLASSIFIED, load_scenarios, run_harne
 from sesame.javaparse import ParseError, parse_units
 from sesame.separators import mark, merge_body, pick_placeholder, unmark
 from sesame.textdiff import diff2
-from sesame.textmerge import count_conflicts, join_lines, merge_text, render
+from sesame.textmerge import count_conflicts, join_lines, render
+from test_textmerge import merge_text
 
 from dataclasses import replace
 

@@ -15,7 +15,7 @@ from sesame.javaparse import (
     parse_units,
     parse_versions,
 )
-from sesame.lexer import lex_states
+from sesame.lexer import STRING, lex_states
 from test_lexer import reference_lexing
 
 
@@ -427,8 +427,9 @@ _INSERTS = (
 
 
 def shape(node):
+    """A node's parts, its lexer states among them, and its children's."""
     return (
-        node.kind, node.identifier, node.header_text, node.body_text,
+        node.kind, node.identifier, node.header_text, node.body_text, node.states,
         [shape(c) for c in node.children],
     )
 
@@ -948,6 +949,165 @@ def test_reshaped_versions_lex_and_search_at_most_their_length(monkeypatch, shap
     assert failed <= len(later)
     if shape_name.startswith("drop"):  # every member left is copied
         assert lexed == len(head) + len(tail)
+
+
+# -- a later version goes by its runs, and shares the first's nodes ----------
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (1, 0, 2), (2, 1, 0)])
+def test_a_stray_semicolon_after_a_shared_member_leaves_it_unchanged(order):
+    versions = [
+        b"class A {\n  void f() {}\n  int x;\n}\n",
+        b"class A {\n  void f() {} ;\n  int x;\n}\n",
+        b"class A {\n  void f() {}\n  int x;\n  int y;\n}\n",
+    ]
+    sources = [versions[k] for k in order]
+    table = javaparse.MemberTable()
+    first = parse_units(sources[0], table)
+    before = shape(first)
+    trees = [first] + [parse_units(source, table) for source in sources[1:]]
+    assert shape(first) == before
+    assert first.text() == sources[0]
+    assert [shape(t) for t in trees] == separate(sources)
+    # the table keeps each member as its text: without the stray ';'
+    assert [node.text() for node in table.nodes[:2]] == [b"\n  void f() {}", b"\n  int x;"]
+    f_nodes = [tree.children[0].children[0] for tree in trees]
+    for source, node in zip(sources, f_nodes):
+        assert (node is table.nodes[0]) == (b"{} ;" not in source)
+
+
+def _child_spans(source: bytes) -> list[list[tuple[int, int]]]:
+    """For each type in ``source``, the (start, end) of each of its
+    children; none if ``source`` does not parse."""
+    try:
+        tree = parse_units(source)
+    except ParseError:
+        return []
+    types = []
+
+    def walk(node, start):
+        start += len(node.header_text)
+        spans = []
+        for child in node.children:
+            spans.append((start, start + len(child.text())))
+            walk(child, start)
+            start = spans[-1][1]
+        if node.kind == "type" and spans:
+            types.append(spans)
+
+    walk(tree, 0)
+    return types
+
+
+def _sweep_version(rng: random.Random, data: bytes) -> bytes:
+    """``data`` with one chunk inserted, deleted, moved, duplicated or
+    wrapped in a type, or with a stray ';', a nested type, an enum, a member
+    or a trailing comment put at a declaration's start or end.  A chunk is a
+    run of declarations in one type, or some bytes; a copied member is a
+    duplicate, so copies come less often."""
+    types = _child_spans(data)
+    if types and rng.random() < 0.9:
+        spans = rng.choice(types)
+        i = rng.randrange(len(spans))
+        a, b = spans[i][0], spans[min(len(spans) - 1, i + rng.randrange(4))][1]
+        at = rng.choice(rng.choice(types))[rng.randrange(2)]
+    else:
+        a = rng.randrange(len(data) + 1)
+        b = min(len(data), a + rng.randrange(1, 40))
+        at = rng.randrange(len(data) + 1)
+    chunk = data[a:b]
+    kind = rng.choice(("insert", "duplicate", "wrap") + ("delete", "move", "put") * 4)
+    if kind == "insert":
+        return data[:at] + chunk + data[at:]
+    if kind == "duplicate":
+        return data[:b] + chunk + data[b:]
+    if kind == "delete":
+        return data[:a] + data[b:]
+    if kind == "move":
+        rest = data[:a] + data[b:]
+        at = at if at <= a else max(a, at - len(chunk))
+        return rest[:at] + chunk + rest[at:]
+    k = rng.randrange(10**6)
+    if kind == "wrap":  # the chunk's members move to a type of another context
+        head = rng.choice(("\n  static class W{k} {{", "\n  @interface W{k} {{"))
+        return data[:a] + head.format(k=k).encode() + chunk + b"}" + data[b:]
+    put = rng.choice((
+        " ;", ";;", " // ends the member\n", " /* c */", "/* open", "/",
+        "\n  static class N{k} {{ int a; void b() {{}} ; }}",
+        "\n  class M{k} {{ M{k}() {{}} void f() {{}} }}",
+        "\n  enum E{k} {{ A, B(1) {{ void f() {{}} }}, C; int x; }}",
+        "\n  enum F{k} {{ P, Q }}",
+        "\n  void f{k}() {{}}", "\n  int x{k};",
+    ))
+    return data[:at] + put.format(k=k).encode() + data[at:]
+
+
+def differential_sweep(seed: int, per_file: int) -> int:
+    """Parse ``per_file`` mutated triples of each corpus file with one
+    table and alone; returns how many triples were compared."""
+    rng = random.Random(seed)
+    count = 0
+    for path in CORPUS_FILES:
+        data = path.read_bytes()
+        for _ in range(per_file):
+            base = _sweep_version(rng, data) if rng.random() < 0.3 else data
+            sources = [base] * 3
+            for k in (1, 2):
+                for _ in range(rng.randrange(1, 3)):
+                    sources[k] = _sweep_version(rng, sources[k])
+            rng.shuffle(sources)
+            assert shared(sources) == separate(sources), (path.name, sources)
+            count += 1
+    return count
+
+
+def test_shared_parses_equal_separate_ones_on_a_differential_sweep():
+    assert differential_sweep(20261019, 6) == 6 * len(CORPUS_FILES)
+
+
+def test_a_later_version_costs_its_edits_and_runs_not_its_members(monkeypatch):
+    n = 2000
+    edited = set(random.Random(16).sample([i for i in range(n) if i % 4 != 3], 10))
+    first, later = _class_source(n, set(), ""), _class_source(n, edited, " + 1")
+    table = javaparse.MemberTable()
+    base = parse_units(first, table)
+    parsed, built = [], []
+    real_member, real_node = _Parser._parse_member, javaparse.DeclNode
+
+    def parse_member(self, *args):
+        parsed.append(args[0])
+        return real_member(self, *args)
+
+    def node(*args, **kwargs):
+        built.append(args[0])
+        return real_node(*args, **kwargs)
+
+    monkeypatch.setattr(_Parser, "_parse_member", parse_member)
+    monkeypatch.setattr(javaparse, "DeclNode", node)
+    tree = parse_units(later, table)
+    monkeypatch.undo()
+    # each edit is parsed, and each run of the rest is taken whole
+    assert len(parsed) == len(edited)
+    assert len(built) <= 60
+    assert shape(tree) == shape(parse_units(later))
+    taken = sum(a is b for a, b in zip(tree.children[0].children, base.children[0].children))
+    assert taken == n - len(edited)
+
+
+def test_a_text_block_in_a_repeated_member_keeps_its_lexing():
+    block = b'  String s() {\n    return """\n      a { b; "c" } \\"""\n      """;\n  }\n'
+    first = b"class T {\n  int x;\n" + block + b"  void g() {}\n}\n"
+    later = first.replace(b"int x;", b"int x = 1;")
+    assert_lexing_copied_exactly([first, later])
+    assert_lexing_copied_exactly([later, first])
+    trees = parse_versions(first, later, later + b"// end\n")
+    assert kinds_and_ids(trees[0].children[0]) == [
+        ("field", "x"), ("method", "s()"), ("method", "g()"),
+    ]
+    assert trees[1].children[0].children[1] is trees[0].children[0].children[1]
+    node = trees[0].children[0].children[1]
+    literal = block[block.index(b'"""'):block.rindex(b'"""') + 3]
+    assert node.states == lex_states(node.text())[0]
+    assert node.states.count(bytes((STRING,))) == len(literal)
 
 
 # -- plain member heads, keyed by one match ------------------------------------

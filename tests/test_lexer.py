@@ -32,6 +32,22 @@ def reference_lex_states(data: bytes) -> bytes:
     i = 0
     while i < n:
         c = data[i]
+        if data.startswith(b'"""', i):
+            # a text block: it may span lines, and runs to EOF unclosed
+            out[i:i + 3] = bytes((STRING,)) * 3
+            i += 3
+            while i < n:
+                if data[i] == _BACKSLASH and i + 1 < n:
+                    out[i:i + 2] = bytes((STRING,)) * 2
+                    i += 2
+                elif data.startswith(b'"""', i):
+                    out[i:i + 3] = bytes((STRING,)) * 3
+                    i += 3
+                    break
+                else:
+                    out[i] = STRING
+                    i += 1
+            continue
         if c == _QUOTE or c == _APOS:
             state = STRING if c == _QUOTE else CHAR
             quote = c
@@ -117,10 +133,22 @@ def test_lex_states_matches_reference_on_corpus():
         (b"/*/x", b"\x04\x04\x04\x04"),  # '/*/' does not close the comment
         (b"/**/x", b"\x04\x04\x04\x04\x00"),
         (b"a//b\nc", b"\x00\x03\x03\x03\x00\x00"),
+        (b'""x', b"\x01\x01\x00"),  # an empty string is no text block
+        (b'"""\n"\n"""x', b"\x01" * 9 + b"\x00"),  # a text block spans lines
+        (b'"""\\""""x', b"\x01" * 8 + b"\x00"),  # an escaped quote does not close it
+        (b'""""x', b"\x01" * 5),  # unclosed, it runs to the end of the input
     ],
 )
 def test_lex_states_quirks(data, expected):
     assert lex_states(data)[0] == expected
+    assert lex_states(data) == reference_lexing(data)
+
+
+def test_a_text_block_masks_its_lines_in_the_view():
+    data = b'String s = """\n  a { b; "c" } \\"""\n  """;\nint x;'
+    states, view = lex_states(data)
+    assert view == data[:11] + b"\0" * (len(data) - 11 - 8) + b";\nint x;"
+    assert (states, view) == reference_lexing(data)
 
 
 def test_code_view_masks_runs_by_kind():

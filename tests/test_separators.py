@@ -16,7 +16,8 @@ from sesame.separators import (
     pick_placeholder,
     unmark,
 )
-from sesame.textmerge import count_conflicts, join_lines, merge_text, render, split_lines
+from sesame.textmerge import count_conflicts, join_lines, render, split_lines
+from test_textmerge import merge_text
 
 PH = b"$" * 8
 

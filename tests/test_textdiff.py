@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from sesame import textdiff
 from sesame.textdiff import Alignment, _shift_boundaries, diff2, lcs_matches
-from sesame.textmerge import merge_text
+from test_textmerge import merge_text
 
 ALPHA = [b"a", b"b", b"c"]
 
@@ -28,13 +28,31 @@ def lcs_length(a, b):
     return dp[n][m]
 
 
+def pairs(alignment: Alignment, len_b: int) -> tuple:
+    """Every index of both sequences exactly once, in order, given the
+    second one's length.  A pair with both indices present is a matched,
+    byte-equal segment; a one-sided pair is a deletion (left only) or an
+    insertion (right only)."""
+    out = []
+    ai = bi = 0
+    for i, j in alignment.matched:
+        out.extend((k, None) for k in range(ai, i))
+        out.extend((None, k) for k in range(bi, j))
+        out.append((i, j))
+        ai, bi = i + 1, j + 1
+    out.extend((k, None) for k in range(ai, alignment.len_a))
+    out.extend((None, k) for k in range(bi, len_b))
+    return tuple(out)
+
+
 def assert_valid_alignment(a, b, alignment: Alignment):
-    left_seen = [i for i, _ in alignment.pairs if i is not None]
-    right_seen = [j for _, j in alignment.pairs if j is not None]
+    spelled = pairs(alignment, len(b))
+    left_seen = [i for i, _ in spelled if i is not None]
+    right_seen = [j for _, j in spelled if j is not None]
     assert left_seen == list(range(len(a)))
     assert right_seen == list(range(len(b)))
     prev = (-1, -1)
-    for i, j in alignment.matches():
+    for i, j in alignment.matched:
         assert a[i] == b[j]
         assert i > prev[0] and j > prev[1]
         prev = (i, j)
@@ -42,13 +60,13 @@ def assert_valid_alignment(a, b, alignment: Alignment):
 
 def test_empty_sequences():
     al = diff2([], [])
-    assert al.pairs == ()
+    assert pairs(al, 0) == ()
     assert al.match_count() == 0
 
 
 def test_identity_single():
     al = diff2([b"x"], [b"x"])
-    assert al.matches() == [(0, 0)]
+    assert list(al.matched) == [(0, 0)]
 
 
 def test_known_subsequence():
@@ -57,7 +75,7 @@ def test_known_subsequence():
     b = [b"a", b"c"]
     al = diff2(a, b)
     assert al.match_count() == 2
-    assert [a[i] for i, _ in al.matches()] == [b"a", b"c"]
+    assert [a[i] for i, _ in al.matched] == [b"a", b"c"]
 
 
 def test_exhaustive_optimality_small():
@@ -91,9 +109,9 @@ def test_determinism():
 def test_insertion_settles_at_latest_position():
     # appending a duplicate line reports the insertion at the end
     al = diff2([b"x"], [b"x", b"x"])
-    assert al.matches() == [(0, 0)]
+    assert list(al.matched) == [(0, 0)]
     al = diff2([b"x", b"y"], [b"x", b"x", b"y"])
-    assert al.matches() == [(0, 0), (1, 2)]
+    assert list(al.matched) == [(0, 0), (1, 2)]
 
 
 def test_insertion_merges_with_adjacent_change():
@@ -106,7 +124,7 @@ def test_insertion_merges_with_adjacent_change():
         for t in (b"(", b")", b".g", b"(", b"h", b"(", b"c", b")", b")", b".d", b"(", b")", b";")
     ]
     al = diff2(base, right)
-    assert al.matches() == [
+    assert list(al.matched) == [
         (0, 0), (1, 1), (2, 2), (4, 6), (5, 7), (6, 8),
         (7, 10), (8, 11), (9, 12), (10, 13),
     ]
@@ -119,11 +137,11 @@ def test_lcs_matches_handles_degenerate_inputs():
 
 
 def test_alignment_pairs_cover_every_index():
-    assert diff2([], []).pairs == ()
-    assert diff2([b"a", b"b"], []).pairs == ((0, None), (1, None))
-    assert diff2([], [b"a", b"b"]).pairs == ((None, 0), (None, 1))
+    assert pairs(diff2([], []), 0) == ()
+    assert pairs(diff2([b"a", b"b"], []), 0) == ((0, None), (1, None))
+    assert pairs(diff2([], [b"a", b"b"]), 2) == ((None, 0), (None, 1))
     same = [b"a", b"b", b"a"]
-    assert diff2(same, same).pairs == ((0, 0), (1, 1), (2, 2))
+    assert pairs(diff2(same, same), 3) == ((0, 0), (1, 1), (2, 2))
     rng = random.Random(11)
     for _ in range(500):
         a = [ALPHA[rng.randrange(3)] for _ in range(rng.randint(0, 12))]
@@ -244,7 +262,7 @@ def _reference_middle_snake(a, a0, a1, b, b0, b1):
 
 def assert_same_as_reference(a, b):
     al = diff2(a, b)
-    assert al.pairs == reference_diff2(a, b)
+    assert pairs(al, len(b)) == reference_diff2(a, b)
     assert_valid_alignment(a, b, al)
 
 
@@ -344,7 +362,7 @@ def test_rewritten_block_is_not_searched(snake_calls, outside_edits):
     assert bool(snake_calls) == bool(outside_edits)
     # every line is unique, so the one longest common subsequence is known
     kept = set(range(500)) | set(range(1500, 2000))
-    assert al.matches() == [(i, i) for i in sorted(kept - set(outside_edits))]
+    assert list(al.matched) == [(i, i) for i in sorted(kept - set(outside_edits))]
 
 
 def test_merge_text_share_nothing_is_one_conflict():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sesame.separators import merge_body
 from sesame.textdiff import diff2
 from sesame.textmerge import (
+    DEFAULT_LABELS,
     Conflict,
     MarkerError,
     MergeOutcome,
@@ -18,11 +19,16 @@ from sesame.textmerge import (
     join,
     join_lines,
     merge3,
-    merge_text,
     merge_texts_outcome,
     render,
     split_lines,
 )
+
+def merge_text(base, left, right, labels=DEFAULT_LABELS, base_marker=False):
+    """Merge three texts line by line: (rendered output, conflict count)."""
+    outcome = merge_texts_outcome(base, left, right)
+    return render(outcome, labels, base_marker), outcome.conflict_count()
+
 
 LINES = st.lists(st.sampled_from([b"p", b"q", b"r", b"s"]), max_size=8)
 
@@ -279,15 +285,15 @@ class Chunk:
 
 def reference_three_way_chunks(base, left, right):
     """Partition all three sequences into stable and changed chunks, from
-    the per-index ``matches()`` list of each alignment, kept as the
+    the matched pairs of each alignment, kept as the
     specification.
 
     Stable chunks are runs where base, left, and right carry identical
     content at consistent offsets; every index of each sequence lands in
     exactly one chunk.
     """
-    left_at = {bi: li for bi, li in diff2(base, left).matches()}
-    right_at = {bi: ri for bi, ri in diff2(base, right).matches()}
+    left_at = {bi: li for bi, li in diff2(base, left).matched}
+    right_at = {bi: ri for bi, ri in diff2(base, right).matched}
     chunks = []
     bz = lz = rz = 0
 
