@@ -11,8 +11,10 @@ Scanning is bracket-balanced and lexer-aware: braces, parentheses, and
 separators inside literals or comments never influence structure.  Each
 file is scanned through one code view, a copy of its bytes in which
 comment bytes read as blanks and literal bytes as NUL, so compiled ``re``
-patterns and ``find`` calls on the view see only code.  ``lex_states``
-yields the view together with the lexer states, from one scan.
+patterns and ``find`` calls on the view see only code; ``lex_states``
+makes it.  A byte order mark at the start of the file is insignificant,
+and a package declaration, then imports, then types is the only order
+accepted (JLS 7.3).
 
 A declaration's key is its kind and identifier.  A package or import is
 identified by its text with whitespace runs made one blank, a type or enum
@@ -37,28 +39,22 @@ other head (annotations, generics, ``final`` or annotated parameters,
 varargs, ``throws``, several declarators, a nested type) is read token by
 token (``_parse_member``).
 
-A member or enum constant keeps the parse's lexer states over its text,
-so separator marking need not lex it again.  These states equal those of
-the text lexed on its own: such a declaration starts right after a code
-'{', '}', ';' or ',' and ends on a code byte, so no literal or comment
-crosses either end.
-
 The versions of one merge are parsed with one member table
-(``parse_versions``).  The first parse leaves in it its bytes, states and
-view and, in file order, the offset, end, context (the enclosing type's
+(``parse_versions``).  The first parse leaves in it its bytes and view
+and, in file order, the offset, end, context (the enclosing type's
 name, and whether that is an ``@interface``) and node of each field,
 method, constructor and annotation member.  A later version finds the runs
 of those members that its text repeats (``_repeats``): it looks for a
 member by its header text, and from one whose whole text follows, it
 compares spans of the first version that double, then halve, to find
 where the run ends, never past a member that does not start where the one
-before it ends.  Each run's states and view are one slice each of the
-first version's; the text between runs gets both from one ``lex_states``
-call on that text joined.  This equals lexing the version whole, because
-every cut falls right after a code byte other than '/': a run ends on a
-member's code '}' or ';', and each stretch of lexed text that a run
-follows is checked to end on such a byte (from the first one that does
-not, the rest of the version is lexed whole).  Lexing that restarts there
+before it ends.  Each run's view is one slice of the first version's; the
+text between runs gets its view from one ``lex_states`` call on that text
+joined.  This equals lexing the version whole, because every cut falls
+right after a code byte other than '/': a run ends on a member's code '}'
+or ';', and each stretch of lexed text that a run follows is checked, in
+its view, to end on such a byte (from the first one that does not, the
+rest of the version is lexed whole).  Lexing that restarts there
 reads what follows as lexing the whole file does (see ``lexer``).  Where
 the later parse reaches a run's start in a type of the same context, it
 takes the run's nodes, the first version's own, and goes on at its end: a
@@ -75,7 +71,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
-from .lexer import CODE, lex_states
+from .lexer import lex_states
 
 
 class ParseError(ValueError):
@@ -95,7 +91,8 @@ MODIFIER_WORDS = frozenset(
 )
 _TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
 
-_WS_RUN = re.compile(rb"[ \t\r\n\x0b\x0c]*")
+# whitespace, and a byte order mark at the start of the file
+_WS_RUN = re.compile(rb"(?:\A\xef\xbb\xbf)?[ \t\r\n\x0b\x0c]*")
 # an identifier byte; in valid Java, a non-ASCII byte in code is part of one
 _ID = rb"[A-Za-z0-9_$\x80-\xff]"
 _WORD = re.compile(_ID + rb"*")
@@ -126,7 +123,7 @@ _PARAM_TOKEN = re.compile(
 )
 _ARGUMENTS, _NAME, _DOTS, _OPENER, _CLOSER, _COMMA_TOKEN = range(1, 7)
 
-_AT, _DOT, _COMMA, _SEMI, _EQ, _SLASH = b"@.,;=/"
+_AT, _DOT, _COMMA, _SEMI, _EQ = b"@.,;="
 _LPAREN, _RPAREN, _LBRACE, _RBRACE, _LT, _GT = b"(){}<>"
 _BRACKETS = {_LPAREN: re.compile(rb"[()]"), _LBRACE: re.compile(rb"[{}]")}
 
@@ -139,9 +136,6 @@ class DeclNode:
     identifier: str
     header_text: bytes = b""
     body_text: bytes = b""
-    # for a member or enum constant, the parse's lexer states over text();
-    # types, packages, imports and nodes built by hand have none
-    states: bytes | None = field(default=None, compare=False, repr=False)
     children: list["DeclNode"] = field(default_factory=list)
 
     def text(self) -> bytes:
@@ -164,19 +158,19 @@ class DeclNode:
 class MemberTable:
     """What the first parse of one merge leaves for the parses after it.
 
-    ``data``, ``states`` and ``view`` are its bytes, lexer states and code
-    view.  ``starts``, ``ends``, ``contexts`` and ``nodes`` give, in file
-    order, the offset, end, context ``(enclosing type, in an @interface)``
-    and node of each member it parsed, types and initializers aside.
+    ``data`` and ``view`` are its bytes and code view.  ``starts``,
+    ``ends``, ``contexts`` and ``nodes`` give, in file order, the offset,
+    end, context ``(enclosing type, in an @interface)`` and node of each
+    member it parsed, types and initializers aside.
     ``breaks`` lists, in order, each member that does not start where the
     one before it ends; from one to the next, members form a stretch.
     """
 
-    __slots__ = ("data", "states", "view", "starts", "ends", "contexts", "nodes", "breaks")
+    __slots__ = ("data", "view", "starts", "ends", "contexts", "nodes", "breaks")
 
     def __init__(self) -> None:
-        self.data = self.states = b""
-        self.view: bytearray | None = None
+        self.data = b""
+        self.view: bytes | None = None
         self.starts, self.ends, self.breaks, self.contexts, self.nodes = [], [], [], [], []
 
 
@@ -302,16 +296,17 @@ def _repeats(data: bytes, table: MemberTable) -> list[tuple[int, int, int]]:
 
 def _lex_reusing(
     data: bytes, table: MemberTable
-) -> tuple[bytes, bytes, dict[int, tuple[int, int]]]:
-    """The states and code view of ``lex_states(data)``, for a later
-    version of the table's first one, and a map from the offset of each run
-    of members it repeats (see ``_repeats``) to the run's ``(j, k)``.
+) -> tuple[bytes, dict[int, tuple[int, int]]]:
+    """The code view ``lex_states(data)``, for a later version of the
+    table's first one, and a map from the offset of each run of members it
+    repeats (see ``_repeats``) to the run's ``(j, k)``.
 
-    A run's states and view are one slice each of the first version's; the
-    text between runs, the gaps, is lexed by one call on the gaps joined.
-    A gap followed by a run must end on a code byte other than '/', so that
-    no literal or comment crosses into the run; from the first gap that
-    does not, the rest of ``data`` is lexed whole and its runs are dropped.
+    A run's view is one slice of the first version's; the text between
+    runs, the gaps, is lexed by one call on the gaps joined.  A gap followed
+    by a run must end on a byte that its view keeps, other than a blank, NUL
+    or '/', so that no literal or comment crosses into the run (see
+    ``lexer``); from the first gap that does not, the rest of ``data`` is
+    lexed whole and its runs are dropped.
     """
     runs = _repeats(data, table)
     starts, ends = table.starts, table.ends
@@ -319,24 +314,21 @@ def _lex_reusing(
     run_ends = [at + b - a for (at, _, _), (a, b) in zip(runs, spans)]
     gaps = list(zip([0] + run_ends, [at for at, _, _ in runs] + [len(data)]))
     text = memoryview(data)
-    states, view = lex_states(b"".join([text[a:b] for a, b in gaps]))
+    view = lex_states(b"".join([text[a:b] for a, b in gaps]))
     off = 0
     for i, (a, b) in enumerate(gaps[:-1]):
-        if a < b and (states[off + b - a - 1] != CODE or data[b - 1] == _SLASH):
+        if a < b and (view[off + b - a - 1] != data[b - 1] or data[b - 1] in b" \0/"):
             del runs[i:], spans[i:]
             gaps[i:] = [(a, len(data))]
-            rest_states, rest_view = lex_states(data[a:])
-            states, view = states[:off] + rest_states, view[:off] + rest_view
+            view = view[:off] + lex_states(data[a:])
             break
         off += b - a
-    states, view = memoryview(states), memoryview(view)
-    first_states, first_view = memoryview(table.states), memoryview(table.view)
-    state_parts, view_parts, off = [], [], 0
+    view, first_view = memoryview(view), memoryview(table.view)
+    parts, off = [], 0
     for (a, b), (s, e) in zip(gaps, spans + [(0, 0)]):  # no run after the last gap
-        state_parts += (states[off:off + b - a], first_states[s:e])
-        view_parts += (view[off:off + b - a], first_view[s:e])
+        parts += (view[off:off + b - a], first_view[s:e])
         off += b - a
-    return b"".join(state_parts), b"".join(view_parts), {at: (j, k) for at, j, k in runs}
+    return b"".join(parts), {at: (j, k) for at, j, k in runs}
 
 
 class _Parser:
@@ -345,11 +337,11 @@ class _Parser:
         self.members = members
         self.first = members.view is None  # the first parse fills the table
         if self.first:
-            self.states, self.view = lex_states(data)
-            members.data, members.states, members.view = data, self.states, self.view
+            self.view = lex_states(data)
+            members.data, members.view = data, self.view
             self.runs: dict[int, tuple[int, int]] = {}
         else:
-            self.states, self.view, self.runs = _lex_reusing(data, members)
+            self.view, self.runs = _lex_reusing(data, members)
         self.n = len(data)
 
     def parse(self) -> DeclNode:
@@ -360,6 +352,10 @@ class _Parser:
             if sig >= self.n:
                 break
             node, pos = self._parse_top_level(pos, sig)
+            if children and (node.kind == "package" or (
+                node.kind == "import" and children[-1].kind == "type"
+            )):
+                raise ParseError(f"{node.kind} declaration out of order at byte {sig}")
             children.append(node)
         _check_duplicates(children)
         return DeclNode("compilation-unit", "", b"", self.data[pos:], children=children)
@@ -368,7 +364,7 @@ class _Parser:
 
     def _skip_insignificant(self, i: int) -> int:
         """First index at or after i that is neither a comment nor code
-        whitespace."""
+        whitespace, nor the byte order mark at the start of the file."""
         return _WS_RUN.match(self.view, i).end()
 
     def _read_word(self, i: int) -> tuple[str, int]:
@@ -527,11 +523,9 @@ class _Parser:
                     raise ParseError("enum body starting with ';'")
                 last = constants[-1]
                 last.header_text += self.data[pos:sig + 1]
-                last.states += self.states[pos:sig + 1]
                 pos = sig + 1
                 break
             node, end = self._parse_enum_constant(pos, sig)
-            node.states = self.states[pos:end]
             constants.append(node)
             pos = end
         members, tail_start, close = self._parse_members(pos, enclosing, False)
@@ -581,11 +575,7 @@ class _Parser:
                 if not children:
                     raise ParseError("stray ';' at start of type body")
                 last = children[-1]  # maybe shared: a new node replaces it
-                children[-1] = replace(
-                    last, body_text=last.body_text + data[pos:sig + 1],
-                    states=None if last.states is None  # a type keeps none
-                    else last.states + self.states[pos:sig + 1],
-                )
+                children[-1] = replace(last, body_text=last.body_text + data[pos:sig + 1])
                 pos = sig + 1
                 continue
             run = self.runs.get(pos)
@@ -595,8 +585,6 @@ class _Parser:
                 pos += ends[k - 1] - starts[j]
                 continue
             node, end = self._parse_member(pos, sig, enclosing, in_annotation, counters)
-            if node.kind != "type":
-                node.states = self.states[pos:end]
             if self.first and node.kind not in ("type", "initializer"):
                 if not ends or ends[-1] != pos:
                     members.breaks.append(len(starts))

@@ -10,10 +10,10 @@ prefixes from a marked text; it recovers the original bytes, and
 of each conflict side of the merged outcome.
 
 Separators inside string literals, character literals, and comments are
-never split; see ``lexer``.  A declaration's lexer states come from the
-parse, which lexes each version once and keeps the states over each
-member (see ``javaparse``); ``merge_body`` hands them to ``mark``, which
-lexes only a text it is given no states for.
+never split: ``mark`` cuts its text at them with the lexer's ``TOKEN``
+(see ``lexer``).  A declaration that the parse gives the merge starts
+right after a code '{', '}', ';' or ',' and ends on a code byte, so its
+text alone holds the literals and comments that the parse saw in it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 
-from .lexer import lex_states, non_code_spans
+from .lexer import TOKEN
 from .textmerge import Conflict, MergeOutcome, Resolved, merge3, split_lines
 
 DEFAULT_SEPARATOR_CHARS = ("{", "}", "(", ")", ";")
@@ -84,7 +84,6 @@ def mark(
     text: bytes,
     seps: SeparatorSet | None = None,
     placeholder: bytes | None = None,
-    states: bytes | None = None,
 ) -> MarkedText:
     """Isolate each code-context separator onto its own placeholder line.
 
@@ -93,9 +92,7 @@ def mark(
     separator on the same original line continues on a fresh placeholder
     line, so consecutive separators yield consecutive one-character lines.
     A placeholder that occurs in the text could not be told from the
-    inserted prefixes, so it raises MarkingError.  ``states`` are the
-    lexer states of ``text`` when the caller has them already; without
-    them the text is lexed here.
+    inserted prefixes, so it raises MarkingError.
     """
     seps = seps or SeparatorSet()
     ph = placeholder if placeholder is not None else pick_placeholder([text])
@@ -108,17 +105,8 @@ def mark(
     # the placeholder is not in the text, neither the stand-in nor a break
     # can be confused with text.
     stand_in = b"\r" + ph
-    code: list[bytes] = []
-    hidden: list[bytes] = []
-    copied = 0
-    if states is None:
-        states = lex_states(text)[0]
-    for start, end in non_code_spans(states):
-        code.append(text[copied:start])
-        hidden.append(text[start:end])
-        copied = end
-    code.append(text[copied:])
-    marked = stand_in.join(code)
+    parts = TOKEN.split(text)  # code at even indexes, literals and comments at odd
+    marked = stand_in.join(parts[::2])
     for sep in seps.separators:
         sep = sep.encode()
         marked = marked.replace(sep, br + sep + br)
@@ -128,7 +116,7 @@ def mark(
     if marked.endswith(br):
         marked = marked[:-len(br)]
     marked_code = marked.split(stand_in)
-    out = chain.from_iterable(zip(marked_code, hidden))
+    out = chain.from_iterable(zip(marked_code, parts[1::2]))
     lines, trailing = split_lines(b"".join(out) + marked_code[-1])
     return MarkedText(lines, trailing)
 
@@ -158,22 +146,19 @@ def merge_body(
     left: bytes,
     right: bytes,
     seps: SeparatorSet | None = None,
-    states: Sequence[bytes | None] = (None, None, None),
 ) -> MergeOutcome:
     """Merge three body texts through the separator preprocessing.
 
     Marks all three versions with one collision-free placeholder, merges
     the marked line sequences, then projects the outcome back to plain
     text with ``unmark``: the text of each run of resolved regions, and
-    each conflict side, separately.  ``states`` holds the lexer states of
-    base, left and right where the caller has them, as ``mark`` takes them.
+    each conflict side, separately.
     """
     seps = seps or SeparatorSet()
     ph = pick_placeholder([base, left, right])
-    base_states, left_states, right_states = states
-    mb = mark(base, seps, ph, base_states)
-    ml = mark(left, seps, ph, left_states)
-    mr = mark(right, seps, ph, right_states)
+    mb = mark(base, seps, ph)
+    ml = mark(left, seps, ph)
+    mr = mark(right, seps, ph)
     trailing = ml.trailing_newline if ml.trailing_newline != mb.trailing_newline else mr.trailing_newline
     raw = merge3(mb.lines, ml.lines, mr.lines, trailing_newline=trailing)
     regions: list[Resolved | Conflict] = []

@@ -10,15 +10,15 @@ fragments: resolved regions hold text, conflicts stay regions, and the
 caller renders and counts them.  ``merge_matched`` alone decides how each
 declaration merges; its docstring gives the order of the rules.
 
-The merge goes by runs.  In a compilation unit or type present in all
-three versions, every child that one side gives whole (it is unchanged,
-changed on one side only, or changed alike on both) is kept as that
-side's text, and ``join`` copies the texts between two children that
-really merge into one resolved region.  Only nested types and
-declarations changed on both sides get a merge of their own, so the work
-scales with what changed, not with the member count.  Versions are
-compared by header and body: a member that a later version took from the
-first is the first's own node, so it compares at once.
+The merge goes by runs.  Every declaration that one side gives whole (it
+is unchanged, changed on one side only, or changed alike on both) is kept
+as that side's text, a whole file or type included, and ``join`` copies
+the texts between two children that really merge into one resolved
+region.  Only types and declarations changed on both sides get a merge of
+their own, so the work scales with what changed, not with the member
+count.  Versions are compared by header and body, and types by their
+children: a member that a later version took from the first is the
+first's own node, so it compares at once.
 """
 
 from __future__ import annotations
@@ -121,30 +121,28 @@ def merge_matched(
 
     Each declaration is decided here, in this order:
 
-    1. a compilation unit or type present in all three versions merges by
+    1. a declaration that one side gives whole (``_unmerged``) is that
+       side's text, so a side's reordered members stay in its order;
+    2. a compilation unit or type present in all three versions merges by
        runs (``_merge_container``), which calls back here only for the
        children that no side gives whole;
-    2. a declaration that one side gives whole (``_unmerged``) is that
-       side's text;
     3. a declaration present in all three versions, other than a package
-       or import, merges through ``separators`` when given, with the lexer
-       states its parse kept;
+       or import, merges through ``separators`` when given;
     4. anything else merges line by line.
 
     A version without the declaration takes part as empty text, so a
     removal honoured against an untouched counterpart merges to an empty
     outcome, which joins as nothing.
     """
+    text = _unmerged(matched)
+    if text is not None:
+        return _taken(text)
     b, l, r = matched.base, matched.left, matched.right
     three = b is not None and l is not None and r is not None
     if three and b.kind in ("compilation-unit", "type"):
         return _merge_container(matched, separators)
-    text = _unmerged(matched)
-    if text is not None:
-        return _taken(text)
     if three and separators is not None and b.kind not in ORDERED_KINDS:
-        states = (b.states, l.states, r.states)
-        return merge_body(b.text(), l.text(), r.text(), separators, states)
+        return merge_body(b.text(), l.text(), r.text(), separators)
     return merge_texts_outcome(_text(b), _text(l), _text(r))
 
 
@@ -175,12 +173,9 @@ def _merge_container(
 
 
 def _unmerged(matched: MatchedNode) -> bytes | None:
-    """The text of the side that gives a container's child whole, by the
-    rule of ``_part``, or None where the child is merged: a type in all
-    three versions, or a declaration that each side changed its own way."""
+    """The text of the side that gives a declaration whole, by the rule of
+    ``_part``, or None where each side changed it its own way."""
     b, l, r = matched.base, matched.left, matched.right
-    if b is not None and l is not None and r is not None and b.kind == "type":
-        return None
     if _same(l, b):
         return _text(r)
     if _same(r, b) or _same(l, r):
@@ -192,11 +187,15 @@ def _same(x: DeclNode | None, y: DeclNode | None) -> bool:
     """Whether two versions of a declaration have equal text, an absent one
     reading as empty.  Leaves with headers of one length have equal text
     exactly when their headers and their bodies are equal, so those parts
-    are compared, not joined; a node is the same as itself at once."""
+    are compared, not joined; a node is the same as itself at once.  The
+    parse of one text is one tree, so containers with equal text are equal
+    trees, which share most nodes; they are compared as trees."""
     if x is y:
         return True
-    if x is None or y is None or x.children or y.children:
+    if x is None or y is None:
         return _text(x) == _text(y)
+    if x.children or y.children:
+        return x == y
     if len(x.header_text) == len(y.header_text):
         return x.header_text == y.header_text and x.body_text == y.body_text
     return x.text() == y.text()

@@ -278,6 +278,29 @@ def test_non_ascii_identifiers_merge_structurally():
         assert (result.output, result.conflicts) == (expected, 0)
 
 
+def test_a_byte_order_mark_stays_first_in_a_structured_merge():
+    base = b"\xef\xbb\xbfclass A { }\n"
+    left = base.replace(b"{ }", b"{ int x; }")
+    right = base.replace(b"{ }", b"{ int y; }")
+    for mode in (EngineMode.SEMISTRUCTURED, EngineMode.SESAME):
+        result = run_engine(base, left, right, config(mode))
+        assert not result.fell_back, result.fallback_reason
+        assert (result.output, result.conflicts) == (
+            b"\xef\xbb\xbfclass A { int x; int y; }\n", 0,
+        )
+
+
+def test_a_package_or_import_after_a_type_falls_back():
+    # moving the import into the import block would not give right's text
+    base = b"import x.Y;\nclass A {\n}\n"
+    right = base + b"package p;import a.b;\n"
+    for mode in (EngineMode.SEMISTRUCTURED, EngineMode.SESAME):
+        result = run_engine(base, base, right, config(mode))
+        assert result.fell_back
+        assert result.fallback_reason == "package declaration out of order at byte 24"
+        assert (result.output, result.conflicts) == (right, 0)
+
+
 # -- git driver ---------------------------------------------------------------
 
 def test_git_driver_overwrites_current(tmp_path):

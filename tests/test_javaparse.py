@@ -15,8 +15,8 @@ from sesame.javaparse import (
     parse_units,
     parse_versions,
 )
-from sesame.lexer import STRING, lex_states
-from test_lexer import reference_lexing
+from sesame.lexer import lex_states
+from test_lexer import reference_view
 
 
 def kinds_and_ids(node):
@@ -412,6 +412,42 @@ def test_duplicate_import_raises():
         parse_units(b"import java.util.List;\nimport java.util.List;\nclass A {}\n")
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        b"class A {}\nimport a.b;\n",
+        b"import a.b;\npackage p;\nclass A {}\n",
+        b"package p;\npackage q;\n",
+        b"class A {}\npackage p;import a.b;\n",
+    ],
+)
+def test_a_package_or_import_out_of_order_raises(source):
+    # JLS 7.3: a package declaration, then imports, then types
+    with pytest.raises(ParseError, match="out of order"):
+        parse_units(source)
+
+
+_BOM = b"\xef\xbb\xbf"
+
+
+def test_a_byte_order_mark_at_the_start_is_insignificant():
+    first = _BOM + b"class A {\n  int x;\n  void f() {}\n}\n"
+    later = first.replace(b"int x;", b"int x = 1;")
+    trees = parse_versions(first, later)
+    for source, tree in zip((first, later), trees):
+        assert kinds_and_ids(tree) == [("type", "A")]
+        assert tree.children[0].header_text.startswith(_BOM)  # it stays in the text
+        assert tree.text() == source
+    assert trees[1].children[0].children[1] is trees[0].children[0].children[1]
+    assert_lexing_copied_exactly([first, later])
+    package = parse_units(_BOM + b"package p;\nclass A {}\n")
+    assert kinds_and_ids(package) == [("package", "package p;"), ("type", "A")]
+    assert package.children[0].header_text == _BOM + b"package p;"
+    # anywhere else it is no blank
+    with pytest.raises(ParseError, match="unsupported top-level declaration"):
+        parse_units(b"class A {}\n" + _BOM + b"class B {}\n")
+
+
 # -- one member table for the versions of a merge ------------------------------
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -427,9 +463,9 @@ _INSERTS = (
 
 
 def shape(node):
-    """A node's parts, its lexer states among them, and its children's."""
+    """A node's parts and its children's."""
     return (
-        node.kind, node.identifier, node.header_text, node.body_text, node.states,
+        node.kind, node.identifier, node.header_text, node.body_text,
         [shape(c) for c in node.children],
     )
 
@@ -669,7 +705,7 @@ def test_each_later_version_compares_a_member_text_about_once(k):
         calls.clear()
 
 
-# -- each node's lexer states, cut from its parse ----------------------------
+# -- a node's text lexes on its own as in its file ---------------------------
 
 def _placed(node, start):
     """Each node of the tree with the offset its text starts at."""
@@ -680,25 +716,22 @@ def _placed(node, start):
         start += len(child.text())
 
 
-def assert_states_sliced_exactly(source: bytes, tree) -> None:
-    """Every node that separator marking can be handed keeps the whole
-    file's states over its text, and they equal the states of its text
-    lexed on its own."""
-    whole = lex_states(source)[0]
+def assert_nodes_lex_alone_as_in_their_file(source: bytes, tree) -> None:
+    """Every node that separator marking can be handed is its file's text
+    at its place, and lexing that text on its own, as ``mark`` does, gives
+    the whole file's code view over it (``lex_states`` gives the view)."""
+    whole = lex_states(source)
     for node, start in _placed(tree, 0):
         text = node.text()
         assert source[start:start + len(text)] == text
-        if node.kind in ("compilation-unit", "type", "package", "import"):
-            assert node.states is None
-        else:
-            assert node.states == whole[start:start + len(text)]
-            assert node.states == lex_states(text)[0], (node.kind, node.identifier)
+        if node.kind not in ("compilation-unit", "type", "package", "import"):
+            assert lex_states(text) == whole[start:start + len(text)], node.key()
 
 
 def test_node_states_equal_lexing_the_node_on_corpus():
     for path in sorted((FIXTURES / "java_corpus").glob("*.java")):
         source = path.read_bytes()
-        assert_states_sliced_exactly(source, parse_units(source))
+        assert_nodes_lex_alone_as_in_their_file(source, parse_units(source))
 
 
 @pytest.mark.parametrize(
@@ -709,9 +742,9 @@ def test_node_states_equal_lexing_the_node_on_goldens(golden):
         (FIXTURES / "golden" / golden / f"{role}.java").read_bytes()
         for role in ("base", "left", "right")
     ]
-    # a member reused from an earlier version shares that version's states
+    # a member reused from an earlier version is that version's node
     for source, tree in zip(sources, parse_versions(*sources)):
-        assert_states_sliced_exactly(source, tree)
+        assert_nodes_lex_alone_as_in_their_file(source, tree)
 
 
 def test_node_states_on_corpus_mutations():
@@ -725,20 +758,7 @@ def test_node_states_on_corpus_mutations():
             except ParseError:
                 continue
             for source, tree in zip(sources, trees):
-                assert_states_sliced_exactly(source, tree)
-
-
-def test_reused_members_share_their_states():
-    sources = [
-        _class_source(40, set(), ""),
-        _class_source(40, {1, 5}, " + 1"),
-        _class_source(40, {2}, " + 2"),
-    ]
-    base, left, right = (t.children[0].children for t in parse_versions(*sources))
-    for i, node in enumerate(base):
-        assert left[i].states is node.states or i in (1, 5)
-        assert right[i].states is node.states or i == 2
-    assert left[1].states == lex_states(left[1].text())[0]
+                assert_nodes_lex_alone_as_in_their_file(source, tree)
 
 
 # -- later versions copy the first version's lexing --------------------------
@@ -807,12 +827,12 @@ def _without(data: bytes, spans: list[tuple[int, int]]) -> bytes:
 
 
 def lexed_versions(sources):
-    """``shared(sources)``, and the data, states and view of each parse."""
+    """``shared(sources)``, and the data and view of each parse."""
     seen = []
     real = _Parser.parse
 
     def parse(self):
-        seen.append((self.data, self.states, self.view))
+        seen.append((self.data, self.view))
         return real(self)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -824,8 +844,8 @@ def lexed_versions(sources):
 def assert_lexing_copied_exactly(sources):
     result, seen = lexed_versions(sources)
     assert result == separate(sources)
-    for data, states, view in seen:
-        assert (states, view) == reference_lexing(data)
+    for data, view in seen:
+        assert view == reference_view(data)
 
 
 def test_copied_lexing_equals_whole_lexing_on_corpus():
@@ -1106,8 +1126,8 @@ def test_a_text_block_in_a_repeated_member_keeps_its_lexing():
     assert trees[1].children[0].children[1] is trees[0].children[0].children[1]
     node = trees[0].children[0].children[1]
     literal = block[block.index(b'"""'):block.rindex(b'"""') + 3]
-    assert node.states == lex_states(node.text())[0]
-    assert node.states.count(bytes((STRING,))) == len(literal)
+    # marking the shared node, which lexes its text, hides the whole block
+    assert lex_states(node.text()).count(b"\0") == len(literal)
 
 
 # -- plain member heads, keyed by one match ------------------------------------

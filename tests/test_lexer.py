@@ -1,4 +1,4 @@
-"""Lexer: the tokenizer against the per-byte scan it replaced."""
+"""Lexer: the code view against the per-byte scan it replaced."""
 
 from pathlib import Path
 
@@ -6,16 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sesame.lexer import (
-    BLOCK_COMMENT,
-    CHAR,
-    CODE,
-    LINE_COMMENT,
-    STRING,
-    lex_states,
-)
+from sesame.lexer import lex_states
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# the states of the reference scanner, one per byte
+CODE, STRING, CHAR, LINE_COMMENT, BLOCK_COMMENT = range(5)
 
 _QUOTE = ord('"')
 _APOS = ord("'")
@@ -99,10 +95,6 @@ def reference_view(data: bytes) -> bytes:
     return bytes(fill.get(state, c) for c, state in zip(data, states))
 
 
-def reference_lexing(data: bytes) -> tuple[bytes, bytes]:
-    return reference_lex_states(data), reference_view(data)
-
-
 # quotes, escapes, comment openers and closers, LF, and a little code
 lexer_bytes = st.lists(
     st.sampled_from(list(b"\"'\\/*\n {}();abxy")), max_size=200
@@ -112,7 +104,7 @@ lexer_bytes = st.lists(
 @settings(max_examples=1500, deadline=None)
 @given(lexer_bytes)
 def test_lex_states_matches_reference(data):
-    assert lex_states(data) == reference_lexing(data)
+    assert lex_states(data) == reference_view(data)
 
 
 def test_lex_states_matches_reference_on_corpus():
@@ -121,7 +113,7 @@ def test_lex_states_matches_reference_on_corpus():
     assert paths
     for path in paths:
         data = path.read_bytes()
-        assert lex_states(data) == reference_lexing(data), path.name
+        assert lex_states(data) == reference_view(data), path.name
 
 
 @pytest.mark.parametrize(
@@ -140,22 +132,22 @@ def test_lex_states_matches_reference_on_corpus():
     ],
 )
 def test_lex_states_quirks(data, expected):
-    assert lex_states(data)[0] == expected
-    assert lex_states(data) == reference_lexing(data)
+    assert reference_lex_states(data) == expected
+    assert lex_states(data) == reference_view(data)
 
 
 def test_a_text_block_masks_its_lines_in_the_view():
     data = b'String s = """\n  a { b; "c" } \\"""\n  """;\nint x;'
-    states, view = lex_states(data)
+    view = lex_states(data)
     assert view == data[:11] + b"\0" * (len(data) - 11 - 8) + b";\nint x;"
-    assert (states, view) == reference_lexing(data)
+    assert view == reference_view(data)
 
 
 def test_code_view_masks_runs_by_kind():
     data = b'x = "s" /* c */ // d\n\'q\';'
-    states, view = lex_states(data)
+    view = lex_states(data)
     assert view == b'x = \0\0\0 ' + b" " * 7 + b" " * 5 + b"\n\0\0\0;"
-    assert (states, view) == reference_lexing(data)
+    assert view == reference_view(data)
 
 
 @pytest.mark.parametrize(
@@ -168,5 +160,4 @@ def test_code_view_masks_runs_by_kind():
     ],
 )
 def test_a_literal_next_to_a_comment_keeps_both_fills(data, view):
-    assert lex_states(data) == reference_lexing(data)
-    assert lex_states(data)[1] == view
+    assert lex_states(data) == reference_view(data) == view

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sesame.lexer import CODE, lex_states
 from sesame.separators import (
     MarkedText,
     MarkingError,
@@ -17,6 +16,7 @@ from sesame.separators import (
     unmark,
 )
 from sesame.textmerge import count_conflicts, join_lines, render, split_lines
+from test_lexer import CODE, reference_lex_states
 from test_textmerge import merge_text
 
 PH = b"$" * 8
@@ -105,6 +105,13 @@ def test_mark_leaves_literals_and_comments_alone():
     assert unmarked(m) == text
 
 
+def test_mark_leaves_a_text_block_alone():
+    text = b'f("""\n  {;}\n  """);\n'
+    m = mark(text)
+    assert m.lines == [b"f", PH + b"(", PH + b'"""', b"  {;}", b'  """', PH + b")", PH + b";"]
+    assert m == reference_mark(text)
+
+
 def test_mark_custom_separator_subset():
     m = mark(b"f(x);", SeparatorSet((";",)))
     assert m.lines == [b"f(x)", PH + b";"]
@@ -165,7 +172,7 @@ def reference_mark(text, seps=None, placeholder=None):
     seps = seps or SeparatorSet()
     ph = placeholder if placeholder is not None else pick_placeholder([text])
     sep_bytes = frozenset(ord(s) for s in seps.separators)
-    states = lex_states(text)[0]
+    states = reference_lex_states(text)
     out = bytearray()
     pending = False  # next ordinary byte continues on an inserted line
     for i, c in enumerate(text):
@@ -324,16 +331,6 @@ def test_unmark_equals_reference_on_dollar_runs(lines):
 def test_unmark_keeps_dollars_that_meet_across_a_join():
     marked = MarkedText([b"x$$$$", PH + b"$$$$;"], False)
     assert unmarked(marked) == b"x$$$$$$$$;"
-
-
-@given(
-    st.lists(
-        st.sampled_from(list(b"{}();\"'\\/*\n\r $ax,.\t")), max_size=120
-    ).map(bytes),
-)
-@settings(max_examples=300)
-def test_mark_with_given_states_equals_mark_that_lexes(text):
-    assert mark(text, None, None, lex_states(text)[0]) == mark(text)
 
 
 # -- merge_body ---------------------------------------------------------------

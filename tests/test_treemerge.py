@@ -341,6 +341,20 @@ def test_body_delegation_takes_changed_side():
         assert merge_sources(base, base, left, policy) == left
 
 
+def test_a_side_that_reorders_members_keeps_its_order():
+    base = b"class A {\n  int x;\n  class B {\n    void f() {}\n    void g() {}\n  }\n}\n"
+    moved = base.replace(b"void f() {}\n    void g() {}", b"void g() {}\n    void f() {}")
+    edited = base.replace(b"int x;", b"int x = 1;")
+    for policy in (PLAIN, ENHANCED):
+        assert merge_sources(base, moved, base, policy) == moved
+        assert merge_sources(base, base, moved, policy) == moved
+        assert merge_sources(base, moved, moved, policy) == moved
+        # the type that one side left alone is the other side's whole
+        assert merge_sources(base, moved, edited, policy) == moved.replace(
+            b"int x;", b"int x = 1;"
+        )
+
+
 def test_merge_matched_root_is_printable():
     base = parse_units(golden("method_addition", "base"))
     m = match_trees(base, base, base)
