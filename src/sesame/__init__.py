@@ -5,9 +5,10 @@ Three engines share one pipeline:
 * unstructured — plain line-based merging (diff3 semantics);
 * semistructured — declarations matched by kind and identifier, bodies
   merged as text;
-* sesame — semistructured with separator-enhanced body merging: text
-  between language separators such as ``{ } ( ) ;`` is isolated onto
-  placeholder-marked lines before the textual merge and rejoined after.
+* sesame — semistructured with separator-enhanced body merging: a body
+  is cut into pieces at language separators such as ``{ } ( ) ;`` as well
+  as at line breaks, and the textual merge aligns those pieces; each is
+  the text's own bytes, so the merged regions are text as they stand.
 
 The ``harness`` module replays recorded merge scenarios through engine
 pairs and reports conflicts, divergence, and added false positives and

@@ -107,7 +107,9 @@ def _add_engine_options(cmd: argparse.ArgumentParser, mode: bool = True) -> None
         "--separators",
         default=None,
         metavar="LIST",
-        help='comma-separated single-character separators, e.g. "{,},(,),;"',
+        help='comma-separated single ASCII characters, e.g. "{,},(,),;"; not ","'
+        " (the list delimiter), LF or CR (line terminators) or \"$\" (it makes"
+        " up the stand-in for literals and comments)",
     )
     cmd.add_argument(
         "--labels",

@@ -1,19 +1,26 @@
 """Three-way merging with diff3 semantics, and the text its outcome holds.
 
-The merge works on lines: text is split on LF, a CR preceding the LF
-stays attached to its line, and a missing terminator on the final line is
-recorded.  ``merge3`` walks the two alignments of base with left and with
-right and appends regions as it goes: runs stable across all three
-versions stay resolved, and in the gaps between them a one-sided change
-wins, identical two-sided changes win, and anything else becomes a
-conflict region carrying the left, base, and right payloads.
+The merge aligns LF-led pieces of text.  ``split_lines`` cuts a text at
+each LF and leads each line with the LF before it, the first as if an LF
+came before the text; a CR before an LF stays on its line, and whether
+the text ends in an LF is recorded.  ``separators.mark`` cuts body texts
+into pieces of the same form, more finely.  So the pieces, followed by a
+final LF where the text has one, concatenate to the text behind one LF,
+and a region of the merge is the text of a run of pieces.
 
-Lines stay inside ``merge3``: an outcome holds text.  A resolved region
-holds its exact bytes, never empty.  A conflict holds each side as
-LF-terminated lines, and ``open_end`` when it ends the merged text without
-a final LF.  So ``render`` concatenates, adding only the markers, and
-``join`` concatenates fragment outcomes with two rules at the edges of
-conflicts.  Outcomes hold no labels; ``render`` takes them.
+``merge3`` walks the two alignments of base with left and with right and
+appends regions as it goes: runs stable across all three versions stay
+resolved, and in the gaps between them a one-sided change wins, identical
+two-sided changes win, and anything else becomes a conflict region
+carrying the left, base, and right payloads.
+
+Pieces stay inside ``merge3``: an outcome holds text.  A resolved region
+holds its exact bytes, never empty, and no two resolved regions are
+adjacent.  A conflict holds each side as LF-terminated lines, and
+``open_end`` when it ends the merged text without a final LF.  So
+``render`` concatenates, adding only the markers, and ``join``
+concatenates fragment outcomes with two rules at the edges of conflicts.
+Outcomes hold no labels; ``render`` takes them.
 """
 
 from __future__ import annotations
@@ -34,21 +41,29 @@ class MarkerError(ValueError):
     """Conflict markers in a rendered text are unbalanced."""
 
 
-def split_lines(data: bytes) -> tuple[list[bytes], bool]:
-    """Split on LF, keeping any CR attached; returns (lines, had_final_lf)."""
-    if not data:
-        return [], True
-    parts = data.split(b"\n")
-    if parts[-1] == b"":
-        return parts[:-1], True
-    return parts, False
+@dataclass
+class Pieces:
+    """A text as LF-led pieces: ``b"".join(lines)``, followed by an LF if
+    ``trailing_newline``, is the text behind one LF (an empty text has no
+    pieces)."""
+
+    lines: list[bytes]
+    trailing_newline: bool
 
 
-def join_lines(lines: list[bytes], trailing_newline: bool) -> bytes:
-    """The text that ``split_lines`` splits into ``lines``."""
-    if trailing_newline and lines:
-        return b"\n".join([*lines, b""])
-    return b"\n".join(lines)
+def lf_led(lines: list[bytes]) -> Pieces:
+    """The record of the pieces of ``b"\\n" + text``, cut before each LF
+    and maybe elsewhere: a last piece that is a lone LF is the text's
+    final LF."""
+    trailing = lines[-1] == b"\n"
+    if trailing:
+        lines.pop()
+    return Pieces(lines, trailing)
+
+
+def split_lines(data: bytes) -> Pieces:
+    """``data`` as LF-led lines, any CR kept on its line."""
+    return lf_led([b"\n" + line for line in data.split(b"\n")])
 
 
 @dataclass(frozen=True)
@@ -72,40 +87,37 @@ class MergeOutcome:
         return sum(1 for r in self.regions if isinstance(r, Conflict))
 
 
-def merge3(
-    base: list[bytes],
-    left: list[bytes],
-    right: list[bytes],
-    trailing_newline: bool = True,
-) -> MergeOutcome:
-    """Three-way merge of line sequences (diff3 semantics).
+def merge3(base: Pieces, left: Pieces, right: Pieces) -> MergeOutcome:
+    """Three-way merge of LF-led pieces (diff3 semantics).
 
-    A stable run is a maximal run of base lines matched, at consecutive
-    offsets, on both sides; it is kept as one resolved region.  Each gap
-    before, between, and after stable runs is merged on its own.  Each
-    region's text is its lines, each ended by an LF; without
-    ``trailing_newline`` the last LF of the outcome is left out.
+    A stable run is a maximal run of base pieces matched, at consecutive
+    offsets, on both sides; it is kept as resolved.  Each gap before,
+    between, and after stable runs is merged on its own.  A side that
+    changed its final LF from base's decides whether the outcome ends in
+    one; otherwise the right does.
     """
-    left_at = _partners(diff2(base, left))
-    right_at = _partners(diff2(base, right))
+    b, l, r = base.lines, left.lines, right.lines
+    left_at = _partners(diff2(b, l))
+    right_at = _partners(diff2(b, r))
     regions: list[Resolved | Conflict] = []
+    run: list[bytes] = []  # pieces of the resolved run not yet stored
     bz = lz = rz = 0  # where the current gap starts in base, left, right
     i = 0
-    n = len(base)
+    n = len(b)
     while True:
         while i < n and (left_at[i] < 0 or right_at[i] < 0):
             i += 1
-        l_end, r_end = (left_at[i], right_at[i]) if i < n else (len(left), len(right))
-        b_gap, l_gap, r_gap = base[bz:i], left[lz:l_end], right[rz:r_end]
+        l_end, r_end = (left_at[i], right_at[i]) if i < n else (len(l), len(r))
+        b_gap, l_gap, r_gap = b[bz:i], l[lz:l_end], r[rz:r_end]
         if l_gap == r_gap or r_gap == b_gap:
-            if l_gap:
-                regions.append(Resolved(join_lines(l_gap, True)))
+            run += l_gap
         elif l_gap == b_gap:
-            if r_gap:
-                regions.append(Resolved(join_lines(r_gap, True)))
+            run += r_gap
         else:
-            sides = (join_lines(gap, True) for gap in (l_gap, b_gap, r_gap))
-            regions.append(Conflict(*sides))
+            if run:
+                regions.append(Resolved(_text(run)))
+                run = []
+            regions.append(Conflict(_text(l_gap), _text(b_gap), _text(r_gap)))
         if i == n:
             break
         start = i
@@ -116,15 +128,30 @@ def merge3(
         ):
             i += 1
         i += 1
-        regions.append(Resolved(join_lines(base[start:i], True)))
+        run += b[start:i]
         bz, lz, rz = i, l_end + i - start, r_end + i - start
-    if not trailing_newline and regions:
+    if run:
+        regions.append(Resolved(_text(run)))
+    final_lf = left.trailing_newline
+    if final_lf == base.trailing_newline:
+        final_lf = right.trailing_newline
+    if not final_lf and regions:
         last = regions.pop()
         if isinstance(last, Conflict):
             regions.append(replace(last, open_end=True))
         elif last.text != b"\n":  # a lone LF leaves no text
             regions.append(Resolved(last.text[:-1]))
     return MergeOutcome(regions)
+
+
+def _text(pieces: list[bytes]) -> bytes:
+    """The text of consecutive pieces, as lines: the LF that leads the
+    first piece, if any, is dropped, and an LF ends the last.  Takes
+    ``pieces`` over."""
+    if pieces:
+        pieces[0] = pieces[0].removeprefix(b"\n")
+        pieces.append(b"\n")
+    return b"".join(pieces)
 
 
 def _partners(alignment: Alignment) -> list[int]:
@@ -234,8 +261,4 @@ def count_conflicts(data: bytes) -> int:
 
 
 def merge_texts_outcome(base: bytes, left: bytes, right: bytes) -> MergeOutcome:
-    b_lines, b_tf = split_lines(base)
-    l_lines, l_tf = split_lines(left)
-    r_lines, r_tf = split_lines(right)
-    trailing = l_tf if l_tf != b_tf else r_tf
-    return merge3(b_lines, l_lines, r_lines, trailing)
+    return merge3(split_lines(base), split_lines(left), split_lines(right))

@@ -7,6 +7,12 @@ with one underscore (dunder names excepted) must be read somewhere in
 definition itself, such as a recursive call, does not count, and neither
 does a use in the tests.
 
+Every public module-level name, function, class and method must be read
+the same way, or be named in ``perfbench/*.py`` as an attribute or in a
+string (the benchmark traces layers by name), or be exported by
+``sesame/__init__.py`` or named by a console script in
+``pyproject.toml``.
+
 Every dataclass field and every name in a class's ``__slots__`` must be
 read as an attribute (``record.field``) somewhere in ``src/sesame``: a
 field that is only set holds nothing anyone asks for.
@@ -15,9 +21,13 @@ field that is only set holds nothing anyone asks for.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sesame"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sesame"
+PERFBENCH = ROOT / "perfbench"
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def _private(name: str) -> bool:
@@ -52,7 +62,9 @@ def _references(tree: ast.Module):
             yield node.name, node.lineno
 
 
-def unused_private_names(src: Path = SRC) -> list[str]:
+def _unused(src: Path, wanted) -> list[str]:
+    """Each definition whose name ``wanted`` accepts that nothing in
+    ``src`` reads outside the definition itself."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     uses: dict[str, list[tuple[str, int]]] = {}
     for module, tree in trees.items():
@@ -61,7 +73,7 @@ def unused_private_names(src: Path = SRC) -> list[str]:
     unused = []
     for module, tree in trees.items():
         for name, node in _definitions(tree):
-            if not _private(name):
+            if not wanted(name):
                 continue
             outside = [
                 (where, line) for where, line in uses.get(name, [])
@@ -70,6 +82,32 @@ def unused_private_names(src: Path = SRC) -> list[str]:
             if not outside:
                 unused.append(f"{module}:{node.lineno} {name}")
     return unused
+
+
+def unused_private_names(src: Path = SRC) -> list[str]:
+    return _unused(src, _private)
+
+
+def _named_outside(perfbench: Path, pyproject: Path) -> set[str]:
+    """Names the benchmark reads as attributes or spells in strings (each
+    dotted part too), and the functions console scripts name."""
+    names = set()
+    for path in perfbench.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.update(node.value.split("."))
+    names.update(re.findall(r"=\s*[\"'][\w.]+:(\w+)[\"']", pyproject.read_text()))
+    return names
+
+
+def unused_public_names(
+    src: Path = SRC, perfbench: Path = PERFBENCH, pyproject: Path = PYPROJECT
+) -> list[str]:
+    # a name that ``__init__`` exports is read there, by its import
+    outside = _named_outside(perfbench, pyproject)
+    return _unused(src, lambda name: not name.startswith("_") and name not in outside)
 
 
 def _is_dataclass(decorator: ast.expr) -> bool:
@@ -123,6 +161,32 @@ def test_an_unused_helper_is_reported(tmp_path):
     )
     assert unused_private_names(tmp_path) == [
         "m.py:2 _UNUSED", "m.py:4 _recursive", "m.py:7 _Box", "m.py:8 _get",
+    ]
+
+
+def test_every_public_name_is_used():
+    assert unused_public_names() == []
+
+
+def test_an_unused_public_name_is_reported(tmp_path):
+    src, bench = tmp_path / "src", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "__init__.py").write_text("from .m import exported\n")
+    (src / "m.py").write_text(
+        "LIMIT = 3\nUNUSED = 4\n\n"
+        "def exported():\n    return LIMIT\n\n"
+        "def traced():\n    pass\n\n"
+        "def entry():\n    pass\n\n"
+        "def dead():\n    return dead()\n\n"
+        "class Box:\n    def count(self):\n        return 0\n"
+        "    def size(self):\n        return 0\n"
+    )
+    (bench / "spans.py").write_text('LAYERS = [("m", "traced")]\n\ndef f(box):\n    return box.count()\n')
+    pyproject = tmp_path / "pyproject.toml"
+    pyproject.write_text('[project.scripts]\ntool = "pkg.m:entry"\n')
+    assert unused_public_names(src, bench, pyproject) == [
+        "m.py:2 UNUSED", "m.py:13 dead", "m.py:16 Box", "m.py:19 size",
     ]
 
 

@@ -1,4 +1,4 @@
-"""Separator marking, reversal, and separator-enhanced body merging."""
+"""Separator marking into LF-led pieces, and separator-enhanced body merging."""
 
 import random
 
@@ -6,30 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sesame.separators import (
-    MarkedText,
-    MarkingError,
-    SeparatorSet,
-    mark,
-    merge_body,
-    pick_placeholder,
-    unmark,
-)
-from sesame.textmerge import count_conflicts, join_lines, render, split_lines
+from sesame.separators import SeparatorSet, mark, merge_body, pick_placeholder
+from sesame.textmerge import Conflict, MergeOutcome, Pieces, Resolved, count_conflicts, render
 from test_lexer import CODE, reference_lex_states
-from test_textmerge import merge_text
+from test_textmerge import conflicts, line_split, merge_text, reference_merge3, rejoined, text_of
 
-PH = b"$" * 8
-
-
-def unmarked(m: MarkedText, ph: bytes = PH) -> bytes:
-    """``unmark`` applied to the text of a MarkedText marked with ``ph``."""
-    return unmark(join_lines(m.lines, m.trailing_newline), ph)
+PH = b"$" * 4
 
 
 def roundtrip(text: bytes) -> bytes:
-    """``text`` marked, then unmarked, with the placeholder ``mark`` picks."""
-    return unmarked(mark(text), pick_placeholder([text]))
+    """``text`` marked, then its pieces rejoined."""
+    rejoined_text = rejoined(mark(text))
+    assert rejoined_text[:1] == b"\n"
+    return rejoined_text[1:]
 
 
 # -- separator sets -------------------------------------------------------
@@ -56,65 +45,45 @@ def test_separator_set_rejects_invalid(bad):
 
 def test_mark_without_separators_is_plain_split():
     m = mark(b"alpha\nbeta\n")
-    assert m.lines == [b"alpha", b"beta"]
-    assert [line.startswith(PH) for line in m.lines] == [False, False]
+    assert m.lines == [b"\nalpha", b"\nbeta"]
     assert m.trailing_newline
 
 
 def test_mark_isolates_each_separator():
     m = mark(b"a().b(c).d();\n")
-    assert m.lines == [
-        b"a",
-        PH + b"(",
-        PH + b")",
-        PH + b".b",
-        PH + b"(",
-        PH + b"c",
-        PH + b")",
-        PH + b".d",
-        PH + b"(",
-        PH + b")",
-        PH + b";",
-    ]
-    assert [line.startswith(PH) for line in m.lines] == [False] + [True] * 10
+    assert m.lines == [b"\na", b"(", b")", b".b", b"(", b"c", b")", b".d", b"(", b")", b";"]
 
 
 def test_consecutive_separators_make_consecutive_lines():
     m = mark(b"();")
-    assert m.lines == [b"", PH + b"(", PH + b")", PH + b";"]
+    assert m.lines == [b"\n", b"(", b")", b";"]
 
 
 def test_mark_splits_condition_from_block_opening():
     # the brace opening an if-body lands on its own line, so edits to the
     # condition and edits to the body fall in non-adjacent regions
     m = mark(b'if (list.isEmpty()) { return "x"; }\n', SeparatorSet(("{", "}")))
-    assert m.lines == [
-        b"if (list.isEmpty()) ",
-        PH + b"{",
-        PH + b' return "x"; ',
-        PH + b"}",
-    ]
+    assert m.lines == [b"\nif (list.isEmpty()) ", b"{", b' return "x"; ', b"}"]
 
 
 def test_mark_leaves_literals_and_comments_alone():
     text = b's = "a{b};(c)"; c = \'{\'; // tail(comment;)\n/* {;} */\n'
     m = mark(text)
-    joined = b"".join(m.lines)
     # the only isolated separators are the two real statement semicolons
-    assert sum(1 for l in m.lines if l.startswith(PH) and l[len(PH):] in (b"{", b"}", b"(", b")", b";")) == 2
-    assert unmarked(m) == text
+    assert sum(1 for line in m.lines if line in (b"{", b"}", b"(", b")", b";")) == 2
+    assert rejoined(m) == b"\n" + text
 
 
 def test_mark_leaves_a_text_block_alone():
     text = b'f("""\n  {;}\n  """);\n'
     m = mark(text)
-    assert m.lines == [b"f", PH + b"(", PH + b'"""', b"  {;}", b'  """', PH + b")", PH + b";"]
-    assert m == reference_mark(text)
+    assert m.lines == [b"\nf", b"(", b'"""', b"\n  {;}", b'\n  """', b")", b";"]
+    assert m == reference_pieces(text)
 
 
 def test_mark_custom_separator_subset():
     m = mark(b"f(x);", SeparatorSet((";",)))
-    assert m.lines == [b"f(x)", PH + b";"]
+    assert m.lines == [b"\nf(x)", b";"]
 
 
 @pytest.mark.parametrize(
@@ -167,8 +136,19 @@ def test_roundtrip_arbitrary_bytes(data):
     assert roundtrip(data) == data
 
 
+# -- the placeholder model, kept as the reference ------------------------------
+#
+# ``mark`` used to return the lines of a marked text: the text with an LF
+# and a placeholder ``$`` run inserted before each code separator and
+# before text that follows one on its line.  ``merge_body`` merged the
+# marked lines of all three texts, marked with one placeholder, and
+# ``unmark`` turned each run of resolved regions and each conflict side
+# back into text.  The marking, the projection and that merge stay here
+# as references.
+
 def reference_mark(text, seps=None, placeholder=None):
-    """The original byte-at-a-time ``mark``, kept as the specification."""
+    """The original byte-at-a-time ``mark``: (marked lines, whether the
+    text ends in an LF)."""
     seps = seps or SeparatorSet()
     ph = placeholder if placeholder is not None else pick_placeholder([text])
     sep_bytes = frozenset(ord(s) for s in seps.separators)
@@ -188,8 +168,57 @@ def reference_mark(text, seps=None, placeholder=None):
                 out += b"\n" + ph
                 pending = False
             out.append(c)
-    lines, trailing = split_lines(bytes(out))
-    return MarkedText(lines, trailing)
+    return line_split(bytes(out))
+
+
+def reference_unmark(text, placeholder):
+    """Reverse the marking on a marked text: drop inserted breaks and
+    prefixes.  A placeholder that is not a line prefix cannot have come
+    from marking."""
+    if text.startswith(placeholder):
+        text = text[len(placeholder):]
+    parts = text.split(b"\n" + placeholder)
+    assert placeholder not in b"\n".join(parts), "placeholder found mid-line"
+    return b"".join(parts)
+
+
+def reference_merge_body(base, left, right, seps=None):
+    """The merge of marked lines, projected back to text with
+    ``reference_unmark``: the text of each run of resolved regions, and
+    each conflict side, separately."""
+    ph = pick_placeholder([base, left, right])
+    (b, tb), (l, tl), (r, tr) = (reference_mark(t, seps, ph) for t in (base, left, right))
+    raw = reference_merge3(b, l, r, tl if tl != tb else tr)
+    regions = []
+    run = []  # marked text of consecutive resolved regions
+    for region in raw.regions:
+        if isinstance(region, Resolved):
+            run.append(region.text)
+            continue
+        if run:
+            regions.append(Resolved(reference_unmark(b"".join(run), ph)))
+            run = []
+        sides = (reference_unmark(side, ph) for side in (region.left, region.base, region.right))
+        regions.append(Conflict(*sides, region.open_end))
+    if run:
+        regions.append(Resolved(reference_unmark(b"".join(run), ph)))
+    return MergeOutcome(regions)
+
+
+def reference_pieces(text, seps=None):
+    """The pieces of ``text`` from its reference marking: a line that an
+    inserted break starts loses the placeholder, and any other is led by
+    an LF."""
+    ph = pick_placeholder([text])
+    lines, trailing = reference_mark(text, seps, ph)
+    return Pieces([line[len(ph):] if line.startswith(ph) else b"\n" + line for line in lines], trailing)
+
+
+def assert_merges_as_reference(base, left, right, seps=None):
+    outcome = merge_body(base, left, right, seps)
+    reference = reference_merge_body(base, left, right, seps)
+    assert render(outcome, base_marker=True) == render(reference, base_marker=True)
+    assert conflicts(outcome) == conflicts(reference)
 
 
 @given(
@@ -202,13 +231,14 @@ def reference_mark(text, seps=None, placeholder=None):
 )
 @settings(max_examples=800)
 def test_mark_matches_reference(text, seps):
-    assert mark(text, seps) == reference_mark(text, seps)
+    # same pieces, so as many as the reference's lines, and the same final LF
+    assert mark(text, seps) == reference_pieces(text, seps)
 
 
 def test_mark_matches_reference_on_corpus(corpus_dir):
     for path in sorted(corpus_dir.glob("*.java")):
         text = path.read_bytes()
-        assert mark(text) == reference_mark(text), path.name
+        assert mark(text) == reference_pieces(text), path.name
 
 
 def test_containment_original_bytes_survive():
@@ -217,103 +247,62 @@ def test_containment_original_bytes_survive():
     for _ in range(200):
         text = b"".join(rng.choice(bits) for _ in range(rng.randint(0, 20)))
         m = mark(text)
-        stripped = b""
-        for line in m.lines:
-            inserted = line.startswith(PH)
-            stripped += line[len(PH):] if inserted else line
-        # dropping inserted scaffolding leaves a subsequence-preserving
-        # split of the original: rejoining recovers it exactly
-        assert stripped == text.replace(b"\n", b"")
-        assert unmarked(m) == text
-        assert original_breaks_start_unprefixed_lines(m, text)
+        # without their leading LFs the pieces are the text without its LFs
+        assert b"".join(line.removeprefix(b"\n") for line in m.lines) == text.replace(b"\n", b"")
+        assert rejoined(m) == b"\n" + text
+        assert original_breaks_lead_pieces(m, text)
 
 
-def original_breaks_start_unprefixed_lines(m: MarkedText, text: bytes) -> bool:
-    # every line after the first without the placeholder follows an
-    # original LF (a final LF ends the last line instead)
-    unprefixed = sum(1 for line in m.lines[1:] if not line.startswith(PH))
-    return unprefixed == text.count(b"\n") - text.endswith(b"\n")
+def original_breaks_lead_pieces(m: Pieces, text: bytes) -> bool:
+    # the first piece, and one more for every LF of the text that does not
+    # end it, are led by an LF, and no piece holds another LF
+    led = sum(1 for line in m.lines if line.startswith(b"\n"))
+    unled = all(b"\n" not in line[1:] for line in m.lines)
+    return unled and led == bool(m.lines) + text.count(b"\n") - text.endswith(b"\n")
 
 
 # -- placeholder selection --------------------------------------------------
 
 def test_placeholder_grows_past_collisions():
     assert pick_placeholder([b"plain"]) == PH
-    assert pick_placeholder([b"$$$$$$$$"]) == PH + PH
+    assert pick_placeholder([b"$$$$"]) == PH + PH
     assert pick_placeholder([PH + PH]) == PH * 4
 
 
-def test_mark_rejects_placeholder_in_text():
-    # a line of the text starting with the placeholder would read as a
-    # continuation when unmarked
-    with pytest.raises(MarkingError):
-        mark(b"a;\n$$$$$$$$b", placeholder=PH)
-
-
 def test_mark_uses_collision_free_placeholder():
+    # the text holds the shortest placeholder, so the cuts take a longer one
     text = b"$$$$$$$$;x\n"
     m = mark(text)
-    assert m.lines == [b"$$$$$$$$", PH + PH + b";", PH + PH + b"x"]
-    assert unmarked(m, PH + PH) == text
+    assert m.lines == [b"\n$$$$$$$$", b";", b"x"]
+    assert rejoined(m) == b"\n" + text
 
 
-# -- unmark errors ----------------------------------------------------------
-
-def test_unmark_rejects_midline_placeholder():
-    bad = MarkedText([b"x" + PH + b"y"], True)
-    with pytest.raises(MarkingError):
-        unmarked(bad)
-    bad = MarkedText([PH + b"x" + PH], True)
-    with pytest.raises(MarkingError):
-        unmarked(bad)
-
-
-def reference_unmark(marked: MarkedText) -> bytes:
-    """The line-at-a-time ``unmark``, kept as the specification."""
-    ph = PH
-    out = bytearray()
-    for idx, line in enumerate(marked.lines):
-        if line.startswith(ph):
-            line = line[len(ph):]
-        elif idx:
-            out += b"\n"
-        if ph in line:
-            raise MarkingError("placeholder found mid-line")
-        out += line
-    if marked.trailing_newline and marked.lines:
-        out += b"\n"
-    return bytes(out)
-
-
-def unmark_result(function, marked):
-    try:
-        return function(marked)
-    except MarkingError:
-        return MarkingError
-
+# -- '$' runs -----------------------------------------------------------------
 
 # lines built from '$' runs shorter than, as long as and longer than the
-# placeholder, so runs meet across line ends and inside lines
+# placeholder, so runs meet across line ends, inside lines and at the cuts
 _UNMARK_PIECES = st.sampled_from([b"", b"x", b"$", b"$$$", b"$$$$$$$", PH, PH + b"$", b";", b"\r"])
 _UNMARK_LINES = st.lists(st.lists(_UNMARK_PIECES, max_size=4).map(b"".join), max_size=8)
 
 
-@given(_UNMARK_LINES, st.booleans())
+@given(_UNMARK_LINES, _UNMARK_LINES, _UNMARK_LINES, st.booleans())
 @settings(max_examples=1000)
-def test_unmark_equals_reference(lines, trailing):
-    marked = MarkedText(lines, trailing)
-    assert unmark_result(unmarked, marked) == unmark_result(reference_unmark, marked)
+def test_unmark_equals_reference(base, left, right, trailing):
+    # what ``merge3`` makes of the pieces is what the reference made of
+    # the marked lines with ``reference_unmark``
+    texts = text_of(base, trailing), text_of(left), text_of(right, not trailing)
+    assert_merges_as_reference(*texts)
 
 
 @pytest.mark.parametrize(
     "lines",
     [
-        # '$'s ending a line, then a placeholder line: together they would
-        # spell a placeholder, but each line on its own holds none
+        # '$'s ending a line, then a line starting with '$'s: together
+        # they would spell a placeholder
         [b"x$$$$", PH + b"$$$$;"],
         [b"$$$$$$$", PH + b"$"],
         [PH + b"$$$", PH + b"$$$$$"],
-        # a placeholder left inside a line after its prefix is dropped
+        # placeholders inside a line, and '$'s next to a separator
         [b"a", PH + PH],
         [b"a$$$$", PH + b"$$$$" + PH],
         [PH + b"x" + PH],
@@ -324,13 +313,20 @@ def test_unmark_equals_reference(lines, trailing):
 )
 def test_unmark_equals_reference_on_dollar_runs(lines):
     for trailing in (False, True):
-        marked = MarkedText(lines, trailing)
-        assert unmark_result(unmarked, marked) == unmark_result(reference_unmark, marked)
+        text = text_of(lines, trailing)
+        assert roundtrip(text) == text
+        for left, right in ((text, text), (text + b"y;", text), (b"$;" + text, text + b"$")):
+            assert_merges_as_reference(text, left, right)
+            assert_merges_as_reference(text, right, left)
 
 
 def test_unmark_keeps_dollars_that_meet_across_a_join():
-    marked = MarkedText([b"x$$$$", PH + b"$$$$;"], False)
-    assert unmarked(marked) == b"x$$$$$$$$;"
+    # the '$'s next to a cut stay in their pieces, and in the merged text
+    text = b"x$$$$;$$$$$$$;"
+    assert mark(text).lines == [b"\nx$$$$", b";", b"$$$$$$$", b";"]
+    left = b"x$$$$;$$$$$$$;y"
+    right = b"z$$$$;$$$$$$$;"
+    assert render(merge_body(text, left, right)) == b"z$$$$;$$$$$$$;y"
 
 
 # -- merge_body ---------------------------------------------------------------
@@ -410,3 +406,18 @@ def test_merge_body_never_leaks_placeholders(b, l, r):
     rendered = render(merge_body(base, left, right))
     assert b"$" not in rendered
     count_conflicts(rendered)  # and markers stay balanced
+
+
+SEP_TEXT = st.lists(
+    st.sampled_from(
+        [b"x;", b"y;", b"{", b"}", b"(", b")", b"f(a)", b"word\n", b"\n", b"\r\n",
+         b'"s;"', b"// c;\n", b"/* ;\n */", b"$$$", PH]
+    ),
+    max_size=12,
+).map(b"".join)
+
+
+@given(SEP_TEXT, SEP_TEXT, SEP_TEXT, st.sampled_from([None, SeparatorSet((";",)), SeparatorSet(("{", "}"))]))
+@settings(max_examples=1000)
+def test_merge_body_equals_reference(base, left, right, seps):
+    assert_merges_as_reference(base, left, right, seps)

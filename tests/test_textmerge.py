@@ -14,10 +14,10 @@ from sesame.textmerge import (
     Conflict,
     MarkerError,
     MergeOutcome,
+    Pieces,
     Resolved,
     count_conflicts,
     join,
-    join_lines,
     merge3,
     merge_texts_outcome,
     render,
@@ -34,7 +34,17 @@ LINES = st.lists(st.sampled_from([b"p", b"q", b"r", b"s"]), max_size=8)
 
 
 def text_of(lines, trailing=True):
-    return join_lines(list(lines), trailing)
+    return b"\n".join(lines) + (b"\n" if trailing and lines else b"")
+
+
+def pieces_of(lines, trailing=True):
+    """The LF-led pieces of the text of ``lines``."""
+    return Pieces([b"\n" + line for line in lines], trailing)
+
+
+def rejoined(pieces):
+    """The text of ``pieces`` behind one LF."""
+    return b"".join(pieces.lines) + b"\n" * pieces.trailing_newline
 
 
 # -- line splitting -----------------------------------------------------
@@ -43,22 +53,24 @@ def text_of(lines, trailing=True):
     "data,lines,trailing",
     [
         (b"", [], True),
-        (b"x", [b"x"], False),
-        (b"x\n", [b"x"], True),
-        (b"x\r\n", [b"x\r"], True),
-        (b"\n", [b""], True),
-        (b"a\nb", [b"a", b"b"], False),
+        (b"x", [b"\nx"], False),
+        (b"x\n", [b"\nx"], True),
+        (b"x\r\n", [b"\nx\r"], True),
+        (b"\n", [b"\n"], True),
+        (b"a\nb", [b"\na", b"\nb"], False),
     ],
 )
 def test_split_lines(data, lines, trailing):
-    assert split_lines(data) == (lines, trailing)
-    assert join_lines(lines, trailing) == data
+    assert split_lines(data) == Pieces(lines, trailing)
+    assert rejoined(split_lines(data)) == b"\n" + data
 
 
 @given(st.binary(max_size=64))
 def test_split_join_roundtrip(data):
-    lines, trailing = split_lines(data)
-    assert join_lines(lines, trailing) == data
+    pieces = split_lines(data)
+    assert rejoined(pieces) == b"\n" + data
+    # each line is led by an LF and holds no other
+    assert all(line.rfind(b"\n") == 0 for line in pieces.lines)
 
 
 # -- merge semantics ----------------------------------------------------
@@ -133,7 +145,7 @@ def test_custom_labels():
 
 
 def test_empty_labels_render_bare_markers():
-    outcome = merge3([b"m"], [b"l"], [b"r"])
+    outcome = merge3(split_lines(b"m\n"), split_lines(b"l\n"), split_lines(b"r\n"))
     assert render(outcome, ("", "", "")) == b"<<<<<<<\nl\n=======\nr\n>>>>>>>\n"
     assert render(outcome, ("", "", ""), base_marker=True) == (
         b"<<<<<<<\nl\n|||||||\nm\n=======\nr\n>>>>>>>\n"
@@ -189,16 +201,25 @@ def text_form(outcome):
     return MergeOutcome(regions)
 
 
+def line_split(data):
+    """The lines of ``data`` and whether it ends in an LF, as ``split_lines``
+    gave them before it led each line with an LF."""
+    if not data:
+        return [], True
+    parts = data.split(b"\n")
+    return (parts[:-1], True) if parts[-1] == b"" else (parts, False)
+
+
 def line_form(outcome):
     """The line outcome of a text outcome, in which only the last region's
     text may end without an LF."""
     regions, trailing = [], True
     for region in outcome.regions:
         if isinstance(region, Resolved):
-            lines, trailing = split_lines(region.text)
+            lines, trailing = line_split(region.text)
             regions.append(LineResolved(tuple(lines)))
         else:
-            sides = [split_lines(side) for side in (region.left, region.base, region.right)]
+            sides = [line_split(side) for side in (region.left, region.base, region.right)]
             assert all(lf for _, lf in sides)  # each side is LF-terminated lines
             regions.append(LineConflict(*(tuple(lines) for lines, _ in sides)))
             trailing = not region.open_end
@@ -338,7 +359,11 @@ def reference_three_way_chunks(base, left, right):
 
 def reference_merge3(base, left, right, trailing_newline=True):
     """The merge as a walk over the reference partition: stable chunks
-    stay, and each changed chunk is resolved by the gap rule."""
+    stay, and each changed chunk is resolved by the gap rule.
+
+    This is the merge of line lists as ``merge3`` made it before it took
+    LF-led pieces, region for region: each stable chunk and each resolved
+    gap is a region of its own."""
     regions = []
     for chunk in reference_three_way_chunks(base, left, right):
         if chunk.kind == "stable":
@@ -365,6 +390,19 @@ def reference_merge3(base, left, right, trailing_newline=True):
     return text_form(LineOutcome(regions, trailing_newline))
 
 
+def conflicts(outcome):
+    return [region for region in outcome.regions if isinstance(region, Conflict)]
+
+
+def assert_same_merge(outcome, reference):
+    """``outcome`` renders as ``reference`` does and has its conflicts, and
+    no two of its resolved regions are adjacent."""
+    assert render(outcome, base_marker=True) == render(reference, base_marker=True)
+    assert conflicts(outcome) == conflicts(reference)
+    kinds = [isinstance(region, Resolved) for region in outcome.regions]
+    assert (True, True) not in zip(kinds, kinds[1:])
+
+
 def test_chunks_partition_all_sequences():
     # the reference partition covers every index once, and merge3 walks it
     rng = random.Random(99)
@@ -388,7 +426,10 @@ def test_chunks_partition_all_sequences():
                 r0, _ = chunk.right_range
                 assert base[b0:b1] == left[l0:l0 + b1 - b0] == right[r0:r0 + b1 - b0]
         assert pos == [len(base), len(left), len(right)]
-        assert merge3(base, left, right) == reference_merge3(base, left, right)
+        assert_same_merge(
+            merge3(pieces_of(base), pieces_of(left), pieces_of(right)),
+            reference_merge3(base, left, right),
+        )
 
 
 CHUNK_LINES = st.lists(st.sampled_from([b"p", b"q", b"r", b"s", b"t"]), max_size=16)
@@ -397,9 +438,22 @@ CHUNK_LINES = st.lists(st.sampled_from([b"p", b"q", b"r", b"s", b"t"]), max_size
 @given(CHUNK_LINES, CHUNK_LINES, CHUNK_LINES, st.booleans())
 @settings(max_examples=400)
 def test_merge3_equals_reference(base, left, right, trailing):
-    assert merge3(base, left, right, trailing) == reference_merge3(
-        base, left, right, trailing
-    )
+    # the outcome's trailing LF follows the right side: the others keep theirs
+    pieces = pieces_of(base), pieces_of(left), pieces_of(right, trailing)
+    assert_same_merge(merge3(*pieces), reference_merge3(base, left, right, trailing))
+
+
+def reference_merge_texts(base, left, right):
+    """The line merge of three texts."""
+    (b, tb), (l, tl), (r, tr) = line_split(base), line_split(left), line_split(right)
+    return reference_merge3(b, l, r, tl if tl != tb else tr)
+
+
+@given(LINES, LINES, LINES, st.booleans(), st.booleans(), st.booleans())
+@settings(max_examples=300)
+def test_merge_texts_equals_reference(b, l, r, tb, tl, tr):
+    texts = text_of(b, tb), text_of(l, tl), text_of(r, tr)
+    assert_same_merge(merge_texts_outcome(*texts), reference_merge_texts(*texts))
 
 
 # -- merge laws (seeded battery plus hypothesis) -------------------------
@@ -410,7 +464,7 @@ def test_merge_laws_seeded_battery():
 
     def rnd():
         lines = [alpha[rng.randrange(4)] for _ in range(rng.randint(0, 9))]
-        return join_lines(lines, rng.random() < 0.8 or not lines)
+        return text_of(lines, rng.random() < 0.8 or not lines)
 
     for _ in range(1000):
         s, b, l, r = rnd(), rnd(), rnd(), rnd()

@@ -541,8 +541,9 @@ def test_merge_calls_scale_with_members_changed_on_both_sides(monkeypatch, separ
                 monkeypatch.setattr(module, name, counting)
     outcome = treemerge.merge_matched(matched, separators)
     assert counts["merge_matched"] <= k + 3
-    # lines are split only to merge: three texts per merge, one per marking
+    # lines are split only to merge texts, three per merge; a marking cuts
+    # its own pieces
     assert "split_lines" not in vars(treemerge)
-    assert counts["split_lines"] == 3 * counts["merge_texts_outcome"] + counts["mark"]
+    assert counts["split_lines"] == 3 * counts["merge_texts_outcome"]
     assert outcome == expected
     assert outcome.conflict_count() == k
