@@ -86,7 +86,8 @@ def load_scenarios(root: str | Path) -> list[MergeScenario]:
     """Load every scenario directory under ``root``, sorted by name.
 
     Hidden entries, those whose path below the root or below a version
-    directory has a part starting with '.', are skipped.
+    directory has a part starting with '.', are skipped, and so is what
+    lies under a symbolic link to a directory inside a version directory.
     """
     root = Path(root)
     scenarios: list[MergeScenario] = []
@@ -98,29 +99,21 @@ def load_scenarios(root: str | Path) -> list[MergeScenario]:
                 raise ScenarioError(
                     f"scenario {entry.name!r} is missing the {sub}/ directory"
                 )
-        paths: set[str] = set()
+        # each version's files by their path below its directory
+        trees: list[dict[str, bytes]] = []
         for sub in VERSION_DIRS:
-            base_dir = entry / sub
-            for file in base_dir.rglob("*"):
-                parts = file.relative_to(base_dir).parts
+            top, tree = entry / sub, {}
+            for file in top.rglob("*"):
+                parts = file.relative_to(top).parts
                 if file.is_file() and not any(part.startswith(".") for part in parts):
-                    paths.add("/".join(parts))
+                    tree["/".join(parts)] = file.read_bytes()
+            trees.append(tree)
         files = [
-            FileEntry(
-                rel,
-                _read_opt(entry / "base" / rel),
-                _read_opt(entry / "left" / rel),
-                _read_opt(entry / "right" / rel),
-                _read_opt(entry / "merge" / rel),
-            )
-            for rel in sorted(paths)
+            FileEntry(rel, *(tree.get(rel) for tree in trees))
+            for rel in sorted(set().union(*trees))
         ]
         scenarios.append(MergeScenario(entry.name, files))
     return scenarios
-
-
-def _read_opt(path: Path) -> bytes | None:
-    return path.read_bytes() if path.is_file() else None
 
 
 def run_tools(

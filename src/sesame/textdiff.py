@@ -85,23 +85,11 @@ def _lcs_recurse(a, a0, a1, b, b0, b1, fa, fb, out) -> None:
     # a range in which one side shares no line with the other has no match;
     # an empty range finds no flag either, so both ranges are non-empty here
     if fa.find(1, a0, a1) >= 0 and fb.find(1, b0, b1) >= 0:
-        d, x0, y0, x1, y1 = _middle_snake(a, a0, a1, b, b0, b1)
-        if d > 1:
-            _lcs_recurse(a, a0, a0 + x0, b, b0, b0 + y0, fa, fb, out)
-            out.extend(zip(range(a0 + x0, a0 + x1), range(b0 + y0, b0 + y1)))
-            _lcs_recurse(a, a0 + x1, a1, b, b0 + y1, b1, fa, fb, out)
-        else:
-            # one insertion or deletion apart: greedy pairing is optimal
-            i, j = a0, b0
-            while i < a1 and j < b1:
-                if a[i] == b[j]:
-                    out.append((i, j))
-                    i += 1
-                    j += 1
-                elif (a1 - i) > (b1 - j):
-                    i += 1
-                else:
-                    j += 1
+        # ranges that differ at both ends are two or more edits apart (d > 1)
+        _, x0, y0, x1, y1 = _middle_snake(a, a0, a1, b, b0, b1)
+        _lcs_recurse(a, a0, a0 + x0, b, b0, b0 + y0, fa, fb, out)
+        out.extend(zip(range(a0 + x0, a0 + x1), range(b0 + y0, b0 + y1)))
+        _lcs_recurse(a, a0 + x1, a1, b, b0 + y1, b1, fa, fb, out)
     out.extend(reversed(tail))
 
 

@@ -1,14 +1,19 @@
 """Superimposition of declaration trees and declaration-aware merging.
 
-Trees from the three versions of a file are matched level-wise by kind and
-identifier.  Declarations added on one side are juxtaposed at their
-insertion anchors, deletions against an untouched counterpart are honored,
-and a declaration changed on both sides has its text merged line by line,
-or through separator marking when a separator set is given.  The result is
-one ``MergeOutcome`` for the whole file, joined from the outcomes of its
-fragments: resolved regions hold text, conflicts stay regions, and the
-caller renders and counts them.  ``merge_matched`` alone decides how each
-declaration merges; its docstring gives the order of the rules.
+A file's package and imports come before its types, in that order (JLS
+7.3), and the parser rejects any other order, so they are no declarations
+to match: each of the two sections merges as text, line by line, and the
+merged file holds the package, then the imports, then the types.  The
+types of the three versions, and their members, are matched level-wise by
+kind and identifier.  Declarations added on one side are juxtaposed at
+their insertion anchors, deletions against an untouched counterpart are
+honored, and a declaration changed on both sides has its text merged line
+by line, or through separator marking when a separator set is given.  The
+result is one ``MergeOutcome`` for the whole file, joined from the
+outcomes of its fragments: resolved regions hold text, conflicts stay
+regions, and the caller renders and counts them.  ``merge_matched`` alone
+decides how each declaration merges; its docstring gives the order of the
+rules.
 
 The merge goes by runs.  Every declaration that one side gives whole (it
 is unchanged, changed on one side only, or changed alike on both) is kept
@@ -16,9 +21,11 @@ as that side's text, a whole file or type included, and ``join`` copies
 the texts between two children that really merge into one resolved
 region.  Only types and declarations changed on both sides get a merge of
 their own, so the work scales with what changed, not with the member
-count.  Versions are compared by header and body, and types by their
-children: a member that a later version took from the first is the
-first's own node, so it compares at once.
+count.  Versions are compared as nodes: matched nodes share their
+container and key, and the parse of one text is one tree, so two versions
+are equal nodes exactly when their texts are equal.  A member that a later
+version took from the first is the first's own node, so it compares at
+once.
 """
 
 from __future__ import annotations
@@ -39,17 +46,16 @@ class MatchedNode:
     right: DeclNode | None
     children: list["MatchedNode"] = field(default_factory=list)
 
-    def kind(self) -> str:
-        for node in (self.base, self.left, self.right):
-            if node is not None:
-                return node.kind
-        raise ValueError("empty matched node")
-
 
 def match_trees(base: DeclNode, left: DeclNode, right: DeclNode) -> MatchedNode:
-    """Match three parsed trees level-wise by kind and identifier."""
-    children = _match_children(base.children, left.children, right.children)
+    """Match the types of three parsed compilation units level-wise by
+    kind and identifier; their packages and imports are not matched."""
+    children = _match_children(_types(base), _types(left), _types(right))
     return MatchedNode(base, left, right, children)
+
+
+def _types(cu: DeclNode) -> list[DeclNode]:
+    return [c for c in cu.children if c.kind not in ORDERED_KINDS]
 
 
 def _match_children(
@@ -126,8 +132,8 @@ def merge_matched(
     2. a compilation unit or type present in all three versions merges by
        runs (``_merge_container``), which calls back here only for the
        children that no side gives whole;
-    3. a declaration present in all three versions, other than a package
-       or import, merges through ``separators`` when given;
+    3. a declaration present in all three versions merges through
+       ``separators`` when given;
     4. anything else merges line by line.
 
     A version without the declaration takes part as empty text, so a
@@ -141,7 +147,7 @@ def merge_matched(
     three = b is not None and l is not None and r is not None
     if three and b.kind in ("compilation-unit", "type"):
         return _merge_container(matched, separators)
-    if three and separators is not None and b.kind not in ORDERED_KINDS:
+    if three and separators is not None:
         return merge_body(b.text(), l.text(), r.text(), separators)
     return merge_texts_outcome(_text(b), _text(l), _text(r))
 
@@ -151,21 +157,19 @@ def _merge_container(
 ) -> MergeOutcome:
     """Merge a container's header, its children in order, and its body.
 
-    Each part that one side gives whole (see ``_part``) is handed to
-    ``join`` as its text, so the header, the import block and the members
-    that at most one side changed cost no merge, and the texts between two
-    merged parts become one resolved region.
+    A compilation unit's package and its imports come after its header and
+    before its types, each section the text of those declarations merged
+    as one part.  Each part that one side gives whole (see ``_part``) is
+    handed to ``join`` as its text, so the header, the import block and the
+    members that at most one side changed cost no merge, and the texts
+    between two merged parts become one resolved region.
     """
     b, l, r = matched.base, matched.left, matched.right
     parts = [_part(b.header_text, l.header_text, r.header_text)]
-    imports_done = False
+    if b.kind == "compilation-unit":
+        for kind in ("package", "import"):
+            parts.append(_part(_section(b, kind), _section(l, kind), _section(r, kind)))
     for child in matched.children:
-        if child.kind() == "import":
-            # imports are order-sensitive: the whole section merges as one block
-            if not imports_done:
-                imports_done = True
-                parts.append(_part(_import_text(b), _import_text(l), _import_text(r)))
-            continue
         text = _unmerged(child)
         parts.append(merge_matched(child, separators) if text is None else text)
     parts.append(_part(b.body_text, l.body_text, r.body_text))
@@ -184,29 +188,21 @@ def _unmerged(matched: MatchedNode) -> bytes | None:
 
 
 def _same(x: DeclNode | None, y: DeclNode | None) -> bool:
-    """Whether two versions of a declaration have equal text, an absent one
-    reading as empty.  Leaves with headers of one length have equal text
-    exactly when their headers and their bodies are equal, so those parts
-    are compared, not joined; a node is the same as itself at once.  The
-    parse of one text is one tree, so containers with equal text are equal
-    trees, which share most nodes; they are compared as trees."""
-    if x is y:
-        return True
-    if x is None or y is None:
-        return _text(x) == _text(y)
-    if x.children or y.children:
-        return x == y
-    if len(x.header_text) == len(y.header_text):
-        return x.header_text == y.header_text and x.body_text == y.body_text
-    return x.text() == y.text()
+    """Whether two versions of a declaration, either maybe absent, have
+    equal text.  Matched versions share their container and key, and the
+    parse of one text is one tree, so they are equal nodes exactly when
+    their texts are equal; a node, shared or absent, is the same as itself
+    at once."""
+    return x is y or x == y
 
 
 def _text(node: DeclNode | None) -> bytes:
     return b"" if node is None else node.text()
 
 
-def _import_text(cu: DeclNode) -> bytes:
-    return b"".join(c.text() for c in cu.children if c.kind == "import")
+def _section(cu: DeclNode, kind: str) -> bytes:
+    """The text of a compilation unit's package or of its imports."""
+    return b"".join(c.text() for c in cu.children if c.kind == kind)
 
 
 def _part(bt: bytes, lt: bytes, rt: bytes) -> MergeOutcome | bytes:

@@ -75,6 +75,20 @@ def test_load_union_of_paths(tmp_path):
     assert new.left == b"n" and new.merge == b"n"
 
 
+def test_load_skips_a_version_directory_behind_a_symlink(tmp_path):
+    s = tmp_path / "root" / "s1"
+    for sub in ("base", "left", "right", "merge"):
+        (s / sub).mkdir(parents=True)
+        if sub != "left":
+            (s / sub / "d").mkdir()
+            (s / sub / "d" / "A.java").write_bytes(sub.encode())
+    (tmp_path / "elsewhere").mkdir()
+    (tmp_path / "elsewhere" / "A.java").write_bytes(b"linked")
+    (s / "left" / "d").symlink_to(tmp_path / "elsewhere", target_is_directory=True)
+    (entry,) = load_scenarios(tmp_path / "root")[0].files
+    assert (entry.path, entry.base, entry.left) == ("d/A.java", b"base", None)
+
+
 def test_load_synthetic_dataset(scenarios_dir):
     scenarios = load_scenarios(scenarios_dir)
     assert [s.id for s in scenarios] == [

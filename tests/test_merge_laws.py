@@ -6,13 +6,16 @@ equals base or left equals right the output is left, and each of these
 merges has no conflict.  When no input holds a marker, the markers in
 the output count as many conflicts as the engine reports.  A marker
 anywhere in an input counts: a structured merge can start a conflict side
-mid-line, and the side then starts a line of the output.
+mid-line, and the side then starts a line of the output.  A clean
+structured merge that did not fall back never puts a package or an import
+after a type, nor a second package.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sesame.driver import DriverConfig, EngineMode, run_engine
+from sesame.javaparse import ParseError, parse_units
 from sesame.textmerge import count_conflicts
 from test_javaparse import CORPUS_FILES, _sweep_version
 
@@ -105,3 +108,35 @@ def test_merge_laws_on_token_triples(triple):
 def test_merge_laws_on_corpus_mutations(triple):
     assert_merge_laws(*triple)
 
+
+_PACKAGES = (b"", b"package p;\n", b"package q.r;\n")
+_IMPORTS = (b"import a.b;\n", b"import c.*;\n", b"import static d.E.f;\n")
+_TYPES = (b"class A {}\n", b"interface B { int f(); }\n", b"enum C { X }\n", b"@interface D {}\n")
+
+
+@st.composite
+def top_level_triples(draw):
+    """Three files of a package, imports and types in that order, each
+    drawn on its own, so the sides add, delete, rename and move them."""
+    def version() -> bytes:
+        imports = draw(st.lists(st.sampled_from(_IMPORTS), unique=True, max_size=3))
+        types = draw(st.lists(st.sampled_from(_TYPES), unique=True, min_size=1, max_size=3))
+        return draw(st.sampled_from(_PACKAGES)) + b"".join(imports + types)
+
+    return version(), version(), version()
+
+
+@example((b"class T1 {}", b"class T0 {}\nclass T1 {}", b"import x;\nclass T1 {}"))
+@example((b"class T1 {}", b"class T0 {}\nclass T1 {}", b"package p;\nclass T1 {}"))
+@example((b"package a;\nclass T {}", b"package b;\nclass T {}", b"package c;\nclass T {}"))
+@settings(max_examples=300, deadline=None)
+@given(top_level_triples())
+def test_a_clean_structured_merge_keeps_package_and_imports_first(triple):
+    for mode in (EngineMode.SEMISTRUCTURED, EngineMode.SESAME):
+        result = run_engine(*triple, DriverConfig(mode=mode))
+        if result.fell_back or result.conflicts:
+            continue
+        try:
+            parse_units(result.output)
+        except ParseError as exc:
+            assert "out of order" not in str(exc), (mode, result.output)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sesame import textmerge, treemerge
 from sesame import separators as separators_module
+from sesame.driver import DriverConfig, EngineMode, run_engine
 from sesame.javaparse import DeclNode, ParseError, parse_units, parse_versions
 from sesame.separators import SeparatorSet
 from sesame.textmerge import (
@@ -21,6 +22,7 @@ from sesame.textmerge import (
     render,
 )
 from sesame.treemerge import _ordered_keys, _taken, match_trees, merge_matched
+from test_javaparse import CORPUS_FILES, _sweep_version
 
 # how bodies changed on both sides merge: line by line, or through separators
 PLAIN = {"separators": None}
@@ -55,7 +57,7 @@ def test_one_sided_additions_matched_one_sided():
         parse_units(golden("method_addition", "left")),
         parse_units(golden("method_addition", "right")),
     )
-    util = next(c for c in m.children if c.kind() == "type")
+    util = next(c for c in m.children if c.base.kind == "type")
     by_id = {}
     for child in util.children:
         node = child.left or child.right or child.base
@@ -224,6 +226,51 @@ def test_import_section_merged_as_block():
     )
 
 
+# a file's package and imports merge as text, in that order, before its types
+# (the newline after a declaration starts the next one's text)
+_RENAMED = b"<<<<<<< left\npackage b;\n=======\npackage c;\n>>>>>>> right\nclass T {}\n"
+_RENAMED_DELETED = b"<<<<<<< left\npackage b;\n=======\n>>>>>>> right\nclass T {}\n"
+
+
+@pytest.mark.parametrize(
+    "mode", [EngineMode.SEMISTRUCTURED, EngineMode.SESAME], ids=lambda mode: mode.value
+)
+@pytest.mark.parametrize(
+    "versions,merged,conflicts",
+    [
+        pytest.param(
+            (b"class T1 {}", b"class T0 {}\nclass T1 {}", b"import x;\nclass T1 {}"),
+            b"import x;class T0 {}\nclass T1 {}", 0, id="import-and-type-added",
+        ),
+        pytest.param(
+            (b"class T1 {}", b"class T0 {}\nclass T1 {}", b"package p;\nclass T1 {}"),
+            b"package p;class T0 {}\nclass T1 {}", 0, id="package-and-type-added",
+        ),
+        pytest.param(
+            (b"package a;\nclass T {}\n", b"package b;\nclass T {}\n",
+             b"package c;\nclass T {}\n"),
+            _RENAMED, 1, id="package-renamed-differently",
+        ),
+        pytest.param(
+            (b"package a;\nclass T {}\n", b"package b;\nclass T {}\n", b"class T {}\n"),
+            _RENAMED_DELETED, 1, id="package-renamed-and-deleted",
+        ),
+        # blanks only; a package merged through separators would split at ';'
+        pytest.param(
+            tuple(b"package%sa;\nclass A {}\n" % gap for gap in (b" ", b"  ", b"\t")),
+            b"<<<<<<< left\npackage  a;\n=======\npackage\ta;\n>>>>>>> right\nclass A {}\n",
+            1, id="package-changed-both-sides",
+        ),
+    ],
+)
+def test_package_and_imports_go_first(versions, merged, conflicts, mode):
+    config = DriverConfig(mode=mode, fallback_on_parse_error=False)
+    result = run_engine(*versions, config)
+    assert (result.output, result.conflicts) == (merged, conflicts)
+    if not conflicts:
+        parse_units(result.output)  # raises on a package or import out of order
+
+
 def test_field_changes_on_distinct_fields_merge():
     base = b"class A {\n  int x = 1;\n  int y = 2;\n}\n"
     left = b"class A {\n  int x = 10;\n  int y = 2;\n}\n"
@@ -365,15 +412,11 @@ def test_merge_matched_root_is_printable():
 
 def _one_declaration(base, left, right):
     """The matched declaration of three versions that each hold it or not
-    (None): a member of ``class A``, or a package before it."""
+    (None): a member of ``class A``."""
     def source(text):
-        if text is not None and text.startswith(b"package"):
-            return text + b"\nclass A {}\n"
         return b"class A {" + (b"\n" + text if text else b"") + b"\n}\n"
 
     matched = match_trees(*parse_versions(*map(source, (base, left, right))))
-    if matched.children[0].kind() == "package":
-        return matched.children[0]
     return matched.children[0].children[0]
 
 
@@ -408,13 +451,6 @@ _CONFLICT = b"<<<<<<< left\n%s\n=======\n%s\n>>>>>>> right"
         pytest.param(
             (_M, _M_LEFT, _M_RIGHT), ENHANCED, b"\n  void m() { a(1); b(2); }", 0,
             id="changed-on-both-sides-with-separators",
-        ),
-        # a package is keyed by its text with blanks made one, so it can
-        # change on both sides; with separators it would split at the ';'
-        pytest.param(
-            (b"package a;", b"package  a;", b"package\ta;"), ENHANCED,
-            _CONFLICT % (b"package  a;", b"package\ta;"), 1,
-            id="package-changed-on-both-sides",
         ),
     ],
 )
@@ -501,6 +537,30 @@ def test_runs_merge_as_each_child_merged_on_its_own(separators):
         assert outcome == _merged_child_by_child(matched, separators)
         merged += 1
     assert merged > 300
+
+
+def test_matched_versions_are_equal_nodes_exactly_when_their_texts_are():
+    rng = random.Random(19)
+    pairs = 0
+    for path in CORPUS_FILES:
+        base = path.read_bytes()
+        for _ in range(8):
+            try:
+                matched = match_trees(*parse_versions(
+                    base, _sweep_version(rng, base), _sweep_version(rng, base)
+                ))
+            except ParseError:
+                continue
+            stack = [matched]
+            while stack:
+                node = stack.pop()
+                stack.extend(node.children)
+                versions = [v for v in (node.base, node.left, node.right) if v is not None]
+                for k, x in enumerate(versions):
+                    for y in versions[k + 1:]:
+                        assert (x == y) == (x.text() == y.text())
+                        pairs += 1
+    assert pairs > 8000
 
 
 def _class_source(n: int, edits: dict[int, str]) -> bytes:
