@@ -9,11 +9,19 @@ earlier position lines up with a change on the other side.  The alignment
 this produces is what the three-way merge layer builds its stable regions
 from, so the normalization directly shapes where conflicts are reported.
 
-The search skips every subproblem in which one side has no line that
-occurs anywhere in the other sequence: such a range holds no equal pair,
-so the search could only report it unmatched.  The skip is exact, not a
-cost bound, and it makes a rewritten block that shares no line with the
-other side cost linear time instead of quadratic.
+Before any middle-snake search on a subproblem, the flagged lines of each
+range, those that occur anywhere in the other sequence, are read off in
+order.  When the two lists are equal, the k-th flagged line of one range
+is paired with the k-th of the other, and nothing is searched.  This is
+exact.  An unflagged line matches nothing, so no common subsequence is
+longer than the flagged list, and the pairing reaches that length.  A
+common subsequence of that length uses every flagged line of both ranges
+in order, so the pairing is the only longest one, which the search would
+have found.  A range with no flagged line, such as a rewritten block that
+shares no line with the other side, matches nothing and is not searched
+either.  The result is one changed flag per line of each sequence: the
+rule's pairs, the trimmed ends and each snake clear theirs by slice
+assignment, and the boundary shift works on the same flags.
 
 The search, the encoding and the boundary shift do the work of the
 textbook loops with less of it in the interpreter, and produce the same
@@ -54,12 +62,15 @@ _FLIP = bytes((1, 0)) + bytes(254)  # a changed flag -> an unchanged flag
 
 def diff2(a: Sequence[bytes], b: Sequence[bytes]) -> Alignment:
     """Align two segment sequences on a longest common subsequence."""
-    matches = _shift_boundaries(a, b, lcs_matches(a, b))
-    return Alignment(matches, len(a))
+    ea, eb, a_changed, b_changed = _lcs_changed(a, b)
+    _shift_side(ea, a_changed, b_changed)
+    _shift_side(eb, b_changed, a_changed)
+    return Alignment(_pairs(a_changed, b_changed), len(ea))
 
 
-def lcs_matches(a: Sequence[bytes], b: Sequence[bytes]) -> list[tuple[int, int]]:
-    """Matched index pairs of one longest common subsequence of a and b."""
+def _lcs_changed(a, b):
+    """The two sequences with equal lines as one object, and a changed flag
+    per line of each that is 0 exactly on one longest common subsequence."""
     # equal lines become one shared object, so a match compares by identity
     table: dict[bytes, bytes] = {}
     ea = list(map(table.setdefault, a, a))
@@ -67,30 +78,53 @@ def lcs_matches(a: Sequence[bytes], b: Sequence[bytes]) -> list[tuple[int, int]]
     # one flag per line: whether it occurs anywhere in the other sequence
     fa = bytes(map(set(eb).__contains__, ea))
     fb = bytes(map(set(ea).__contains__, eb))
-    out: list[tuple[int, int]] = []
-    _lcs_recurse(ea, 0, len(ea), eb, 0, len(eb), fa, fb, out)
-    return out
+    a_changed = bytearray(b"\x01") * len(ea)
+    b_changed = bytearray(b"\x01") * len(eb)
+    _lcs_recurse(ea, 0, len(ea), eb, 0, len(eb), fa, fb, a_changed, b_changed)
+    return ea, eb, a_changed, b_changed
 
 
-def _lcs_recurse(a, a0, a1, b, b0, b1, fa, fb, out) -> None:
-    while a0 < a1 and b0 < b1 and a[a0] == b[b0]:
-        out.append((a0, b0))
+def _pairs(a_changed, b_changed) -> tuple[tuple[int, int], ...]:
+    """The k-th unchanged line of a paired with the k-th unchanged line of b."""
+    return tuple(zip(
+        compress(range(len(a_changed)), a_changed.translate(_FLIP)),
+        compress(range(len(b_changed)), b_changed.translate(_FLIP)),
+    ))
+
+
+def _lcs_recurse(a, a0, a1, b, b0, b1, fa, fb, ca, cb) -> None:
+    """Clear the changed flags ``ca`` and ``cb`` of the lines of one longest
+    common subsequence of a[a0:a1] and b[b0:b1]."""
+    s, t = a0, b0
+    while a0 < a1 and b0 < b1 and a[a0] is b[b0]:
         a0 += 1
         b0 += 1
-    tail: list[tuple[int, int]] = []
-    while a1 > a0 and b1 > b0 and a[a1 - 1] == b[b1 - 1]:
+    ca[s:a0] = bytes(a0 - s)
+    cb[t:b0] = bytes(b0 - t)
+    e, f = a1, b1
+    while a1 > a0 and b1 > b0 and a[a1 - 1] is b[b1 - 1]:
         a1 -= 1
         b1 -= 1
-        tail.append((a1, b1))
-    # a range in which one side shares no line with the other has no match;
-    # an empty range finds no flag either, so both ranges are non-empty here
-    if fa.find(1, a0, a1) >= 0 and fb.find(1, b0, b1) >= 0:
-        # ranges that differ at both ends are two or more edits apart (d > 1)
-        _, x0, y0, x1, y1 = _middle_snake(a, a0, a1, b, b0, b1)
-        _lcs_recurse(a, a0, a0 + x0, b, b0, b0 + y0, fa, fb, out)
-        out.extend(zip(range(a0 + x0, a0 + x1), range(b0 + y0, b0 + y1)))
-        _lcs_recurse(a, a0 + x1, a1, b, b0 + y1, b1, fa, fb, out)
-    out.extend(reversed(tail))
+    ca[a1:e] = bytes(e - a1)
+    cb[b1:f] = bytes(f - b1)
+    ka = fa[a0:a1]
+    kb = fb[b0:b1]
+    # only a flagged line can match; a range without one has no match, and
+    # an empty range has no flag, so both ranges are non-empty below
+    if 1 not in ka or 1 not in kb:
+        return
+    if list(compress(a[a0:a1], ka)) == list(compress(b[b0:b1], kb)):
+        # the flagged lines of both ranges read the same: pairing them k-th
+        # to k-th is the one longest common subsequence
+        ca[a0:a1] = ka.translate(_FLIP)
+        cb[b0:b1] = kb.translate(_FLIP)
+        return
+    # ranges that differ at both ends are two or more edits apart (d > 1)
+    _, x0, y0, x1, y1 = _middle_snake(a, a0, a1, b, b0, b1)
+    _lcs_recurse(a, a0, a0 + x0, b, b0, b0 + y0, fa, fb, ca, cb)
+    ca[a0 + x0:a0 + x1] = bytes(x1 - x0)
+    cb[b0 + y0:b0 + y1] = bytes(y1 - y0)
+    _lcs_recurse(a, a0 + x1, a1, b, b0 + y1, b1, fa, fb, ca, cb)
 
 
 def _middle_snake(a, a0, a1, b, b0, b1):
@@ -174,23 +208,9 @@ def _snake_end(p, q, x, y, n, m):
     return x, y
 
 
-def _shift_boundaries(a, b, matches):
-    """Normalize change-run boundaries like GNU diff's shift_boundaries."""
-    a_changed = bytearray([1]) * len(a)
-    b_changed = bytearray([1]) * len(b)
-    for i, j in matches:
-        a_changed[i] = 0
-        b_changed[j] = 0
-    _shift_side(a, a_changed, b_changed)
-    _shift_side(b, b_changed, a_changed)
-    # the k-th unchanged line of a matches the k-th unchanged line of b
-    return tuple(zip(
-        compress(range(len(a)), a_changed.translate(_FLIP)),
-        compress(range(len(b)), b_changed.translate(_FLIP)),
-    ))
-
-
 def _shift_side(lines, changed, other_changed) -> None:
+    """Normalize the change-run boundaries of one sequence like GNU diff's
+    shift_boundaries, on the changed flags of both."""
     # Throughout, j tracks the position in the other sequence that pairs
     # with the unchanged line at the current run's end.
     i = 0

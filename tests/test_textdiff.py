@@ -1,5 +1,6 @@
 """Two-way diff: LCS optimality, alignment invariants, boundary shifting,
-and the exactness of skipping subproblems that share no line."""
+and the exactness of pairing flagged lines without a search when the
+longest common subsequence is unique."""
 
 import itertools
 import random
@@ -9,10 +10,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sesame import textdiff
-from sesame.textdiff import Alignment, _shift_boundaries, diff2, lcs_matches
+from sesame.separators import merge_body
+from sesame.textdiff import Alignment, diff2
 from test_textmerge import merge_text
 
 ALPHA = [b"a", b"b", b"c"]
+
+
+def lcs_matches(a, b):
+    """Matched index pairs of the longest common subsequence that the search
+    finds, before the boundary shift."""
+    _, _, a_changed, b_changed = textdiff._lcs_changed(a, b)
+    return list(textdiff._pairs(a_changed, b_changed))
+
+
+def shift_boundaries(a, b, matches):
+    """The boundary shift of ``matches``: the pairs turned into changed
+    flags, shifted on both sides and read back as pairs."""
+    a_changed = bytearray([1]) * len(a)
+    b_changed = bytearray([1]) * len(b)
+    for i, j in matches:
+        a_changed[i] = 0
+        b_changed[j] = 0
+    textdiff._shift_side(a, a_changed, b_changed)
+    textdiff._shift_side(b, b_changed, a_changed)
+    return textdiff._pairs(a_changed, b_changed)
 
 
 def lcs_length(a, b):
@@ -149,13 +171,13 @@ def test_alignment_pairs_cover_every_index():
         assert_valid_alignment(a, b, diff2(a, b))
 
 
-# -- exactness of the skip -------------------------------------------------
+# -- exactness of the skips -------------------------------------------------
 
 def reference_diff2(a, b):
-    """The search without the skip, kept as the specification: the full
+    """The search on every subproblem, kept as the specification: the full
     ``pairs`` of the alignment it produced."""
     matches = reference_lcs_matches(a, b)
-    matches = _shift_boundaries(a, b, matches)
+    matches = shift_boundaries(a, b, matches)
     pairs = []
     ai = bi = 0
     for i, j in matches:
@@ -322,7 +344,50 @@ def test_diff2_equals_reference_with_one_sided_lines(pair):
     assert_same_as_reference(*pair)
 
 
-# -- the skip, counted ------------------------------------------------------
+@st.composite
+def pairs_with_unique_edits(draw):
+    """Separator-like lines mixed with unique lines, and a copy with unique
+    lines replaced, inserted and deleted, the shape separator marking gives.
+    Sometimes the copy also gains or loses a separator-like line, so that
+    the flagged lines read alike only in some subproblems."""
+    count = iter(range(1000))
+
+    def unique(tag):
+        return tag + b"%d" % next(count)
+
+    share = draw(st.sampled_from([0.2, 0.5, 0.8]))
+    base = [
+        draw(st.sampled_from([b"}", b";", b")", b""])) if draw(st.floats(0, 1)) < share
+        else unique(b"u")
+        for _ in range(draw(st.integers(0, 40)))
+    ]
+    edited = list(base)
+    for _ in range(draw(st.integers(0, 6))):
+        pos = draw(st.integers(0, len(edited)))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if op == "insert":
+            edited.insert(pos, unique(b"i"))
+        elif pos < len(edited) and edited[pos].startswith(b"u"):
+            if op == "replace":
+                edited[pos] = unique(b"r")
+            else:
+                del edited[pos]
+    if draw(st.booleans()):
+        pos = draw(st.integers(0, len(edited)))
+        if draw(st.booleans()) or pos == len(edited):
+            edited.insert(pos, draw(st.sampled_from([b"}", b";", b")", b""])))
+        else:
+            del edited[pos]
+    return (base, edited) if draw(st.booleans()) else (edited, base)
+
+
+@given(pairs_with_unique_edits())
+@settings(max_examples=500)
+def test_diff2_equals_reference_with_unique_edits(pair):
+    assert_same_as_reference(*pair)
+
+
+# -- the skips, counted -----------------------------------------------------
 
 @pytest.fixture
 def snake_calls(monkeypatch):
@@ -359,10 +424,55 @@ def test_rewritten_block_is_not_searched(snake_calls, outside_edits):
         c for c in snake_calls
         if 500 <= c[0] and c[1] <= 1500 and 500 <= c[2] and c[3] <= 1500
     ]
-    assert bool(snake_calls) == bool(outside_edits)
+    assert snake_calls == []
     # every line is unique, so the one longest common subsequence is known
     kept = set(range(500)) | set(range(1500, 2000))
     assert list(al.matched) == [(i, i) for i in sorted(kept - set(outside_edits))]
+
+
+def test_marked_body_with_unique_edits_is_not_searched(snake_calls):
+    # each statement marks to two spans of unique text and its separators;
+    # 300 argument spans, 5% of the 6000 text spans, are rewritten, half of
+    # them on each side
+    rng = random.Random(20)
+    base = [b"    v%d = f%d(a%d, b%d);\n" % (k, k, k, k) for k in range(3000)]
+    left, right = list(base), list(base)
+    for k in rng.sample(range(3000), 300):
+        side, tag = (left, b"l") if k % 2 else (right, b"r")
+        side[k] = side[k].replace(b"(a%d," % k, b"(%s%d," % (tag, k))
+    base, left, right = (b"".join(x) for x in (base, left, right))
+    outcome = merge_body(base, left, right)
+    assert snake_calls == []
+    assert outcome.conflict_count() == 0
+
+
+def closing_braces(n, tag, fewer=None):
+    """``n`` unique lines, with a ``}`` on every tenth line, or in its place
+    one more unique line at index ``fewer``."""
+    return [
+        b"}" if k % 10 == 9 and k != fewer else tag + b"%d" % k for k in range(n)
+    ]
+
+
+def test_shared_braces_in_equal_counts_are_not_searched(snake_calls):
+    a = closing_braces(2000, b"a")
+    b = closing_braces(2000, b"b")
+    al = diff2(a, b)
+    assert snake_calls == []
+    assert list(al.matched) == [(k, k) for k in range(9, 2000, 10)]
+
+
+def test_shared_braces_one_fewer_are_searched_where_counts_differ(snake_calls):
+    # the LCS is not unique, so the search runs, but only on ranges that
+    # hold different numbers of braces: the rule pairs the others
+    a = closing_braces(400, b"a")
+    b = closing_braces(400, b"b", fewer=209)
+    al = diff2(a, b)
+    assert snake_calls
+    assert all(
+        a[a0:a1].count(b"}") != b[b0:b1].count(b"}") for a0, a1, b0, b1 in snake_calls
+    )
+    assert pairs(al, len(b)) == reference_diff2(a, b)
 
 
 def test_merge_text_share_nothing_is_one_conflict():
@@ -378,7 +488,7 @@ def test_merge_text_share_nothing_is_one_conflict():
 
 def reference_shift_boundaries(a, b, matches):
     """The boundary shift walked one line at a time, kept as the
-    specification of ``_shift_boundaries``."""
+    specification of ``_shift_side`` on both sides."""
     a_changed = bytearray([1]) * len(a)
     b_changed = bytearray([1]) * len(b)
     for i, j in matches:
@@ -539,7 +649,7 @@ def test_middle_snake_equals_reference_on_long_edited_copies():
 def test_shift_boundaries_equals_reference(pair):
     a, b = pair
     matches = reference_lcs_matches(a, b)
-    assert list(_shift_boundaries(a, b, matches)) == reference_shift_boundaries(
+    assert list(shift_boundaries(a, b, matches)) == reference_shift_boundaries(
         a, b, matches
     )
 
@@ -550,6 +660,6 @@ def test_shift_boundaries_equals_reference_on_small_alphabets():
         a = [ALPHA[rng.randrange(3)] for _ in range(rng.randint(0, 30))]
         b = [ALPHA[rng.randrange(3)] for _ in range(rng.randint(0, 30))]
         matches = reference_lcs_matches(a, b)
-        assert list(_shift_boundaries(a, b, matches)) == reference_shift_boundaries(
+        assert list(shift_boundaries(a, b, matches)) == reference_shift_boundaries(
             a, b, matches
         )
