@@ -5,9 +5,9 @@ segment sequences with Myers' divide-and-conquer algorithm, then
 normalizes ambiguous change boundaries the way GNU diff does: runs of
 changed lines slide through equal neighbouring lines, merge with adjacent
 runs where possible, and otherwise settle at the latest position unless an
-earlier position lines up with a change on the other side.  The alignment
-this produces is what the three-way merge layer builds its stable regions
-from, so the normalization directly shapes where conflicts are reported.
+earlier position lines up with a change on the other side.  The three-way
+merge builds its stable runs from the matching blocks this produces, so
+the normalization directly shapes where conflicts are reported.
 
 Before any middle-snake search on a subproblem, the flagged lines of each
 range, those that occur anywhere in the other sequence, are read off in
@@ -21,11 +21,12 @@ have found.  A range with no flagged line, such as a rewritten block that
 shares no line with the other side, matches nothing and is not searched
 either.  The result is one changed flag per line of each sequence: the
 rule's pairs, the trimmed ends and each snake clear theirs by slice
-assignment, and the boundary shift works on the same flags.
+assignment, the boundary shift works on the same flags, and the blocks
+are read off their runs of unchanged lines.
 
 The search, the encoding and the boundary shift do the work of the
 textbook loops with less of it in the interpreter, and produce the same
-pairs, pair for pair.  Lines are encoded as the first equal ``bytes``
+matching, line for line.  Lines are encoded as the first equal ``bytes``
 object seen, which keeps equality as it is.  The middle snake indexes
 local copies of its ranges, so every stored position, past the end or
 not, is the loop's own.  A snake is followed by comparing slices, which
@@ -36,6 +37,7 @@ The tests keep the loops as references and compare against them.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
@@ -43,21 +45,19 @@ from typing import Sequence
 
 @dataclass(frozen=True)
 class Alignment:
-    """Correspondence between two segment sequences.
+    """Correspondence between two segment sequences ``a`` and ``b``: the
+    maximal runs ``(i, j, n)``, increasing on both sides, in which
+    ``a[i:i + n]`` matches ``b[j:j + n]``, like ``difflib``'s matching
+    blocks; every other index is a deletion (in a) or an insertion (in b)."""
 
-    Only the matched pairs are stored, in increasing order on both sides,
-    together with the first sequence's length; every other index is a
-    deletion (left) or an insertion (right).
-    """
-
-    matched: tuple[tuple[int, int], ...]
-    len_a: int
+    blocks: tuple[tuple[int, int, int], ...]
 
     def match_count(self) -> int:
-        return len(self.matched)
+        return sum(n for _, _, n in self.blocks)
 
 
 _FLIP = bytes((1, 0)) + bytes(254)  # a changed flag -> an unchanged flag
+_UNCHANGED = re.compile(rb"\x00+")  # a run of unchanged flags
 
 
 def diff2(a: Sequence[bytes], b: Sequence[bytes]) -> Alignment:
@@ -65,7 +65,7 @@ def diff2(a: Sequence[bytes], b: Sequence[bytes]) -> Alignment:
     ea, eb, a_changed, b_changed = _lcs_changed(a, b)
     _shift_side(ea, a_changed, b_changed)
     _shift_side(eb, b_changed, a_changed)
-    return Alignment(_pairs(a_changed, b_changed), len(ea))
+    return Alignment(_blocks(a_changed, b_changed))
 
 
 def _lcs_changed(a, b):
@@ -84,12 +84,21 @@ def _lcs_changed(a, b):
     return ea, eb, a_changed, b_changed
 
 
-def _pairs(a_changed, b_changed) -> tuple[tuple[int, int], ...]:
-    """The k-th unchanged line of a paired with the k-th unchanged line of b."""
-    return tuple(zip(
-        compress(range(len(a_changed)), a_changed.translate(_FLIP)),
-        compress(range(len(b_changed)), b_changed.translate(_FLIP)),
-    ))
+def _blocks(a_changed, b_changed) -> tuple[tuple[int, int, int], ...]:
+    """The maximal runs in which the k-th unchanged line of a matches the
+    k-th of b: each ends where a run of unchanged flags ends on one side."""
+    blocks = []
+    b_runs = _UNCHANGED.finditer(b_changed)
+    j = j_end = 0
+    for run in _UNCHANGED.finditer(a_changed):
+        i, i_end = run.span()
+        while i < i_end:
+            if j == j_end:
+                j, j_end = next(b_runs).span()
+            n = min(i_end - i, j_end - j)
+            blocks.append((i, j, n))
+            i, j = i + n, j + n
+    return tuple(blocks)
 
 
 def _lcs_recurse(a, a0, a1, b, b0, b1, fa, fb, ca, cb) -> None:

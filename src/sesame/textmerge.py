@@ -8,11 +8,11 @@ into pieces of the same form, more finely.  So the pieces, followed by a
 final LF where the text has one, concatenate to the text behind one LF,
 and a region of the merge is the text of a run of pieces.
 
-``merge3`` walks the two alignments of base with left and with right and
-appends regions as it goes: runs stable across all three versions stay
-resolved, and in the gaps between them a one-sided change wins, identical
-two-sided changes win, and anything else becomes a conflict region
-carrying the left, base, and right payloads.
+``merge3`` diffs base with left and with right, and finds diff3's stable
+runs where a matching block of one overlaps a block of the other in base.
+Stable runs stay resolved; in the gaps between them a one-sided change
+wins, identical two-sided changes win, and anything else becomes a
+conflict region carrying the left, base, and right payloads.
 
 Pieces stay inside ``merge3``: an outcome holds text.  A resolved region
 holds its exact bytes, never empty, and no two resolved regions are
@@ -26,8 +26,9 @@ Outcomes hold no labels; ``render`` takes them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
-from .textdiff import Alignment, diff2
+from .textdiff import diff2
 
 DEFAULT_LABELS = ("left", "base", "right")
 
@@ -90,25 +91,18 @@ class MergeOutcome:
 def merge3(base: Pieces, left: Pieces, right: Pieces) -> MergeOutcome:
     """Three-way merge of LF-led pieces (diff3 semantics).
 
-    A stable run is a maximal run of base pieces matched, at consecutive
-    offsets, on both sides; it is kept as resolved.  Each gap before,
-    between, and after stable runs is merged on its own.  A side that
-    changed its final LF from base's decides whether the outcome ends in
-    one; otherwise the right does.
+    Each stable run is kept as resolved, and each gap before, between and
+    after them is merged on its own.  A side that changed its final LF from
+    base's decides whether the outcome ends in one; otherwise the right does.
     """
     b, l, r = base.lines, left.lines, right.lines
-    left_at = _partners(diff2(b, l))
-    right_at = _partners(diff2(b, r))
+    runs = _stable_runs(diff2(b, l).blocks, diff2(b, r).blocks)
     regions: list[Resolved | Conflict] = []
     run: list[bytes] = []  # pieces of the resolved run not yet stored
     bz = lz = rz = 0  # where the current gap starts in base, left, right
-    i = 0
-    n = len(b)
-    while True:
-        while i < n and (left_at[i] < 0 or right_at[i] < 0):
-            i += 1
-        l_end, r_end = (left_at[i], right_at[i]) if i < n else (len(l), len(r))
-        b_gap, l_gap, r_gap = b[bz:i], l[lz:l_end], r[rz:r_end]
+    # the empty run at the three ends closes the last gap
+    for i, j, k, n in chain(runs, ((len(b), len(l), len(r), 0),)):
+        b_gap, l_gap, r_gap = b[bz:i], l[lz:j], r[rz:k]
         if l_gap == r_gap or r_gap == b_gap:
             run += l_gap
         elif l_gap == b_gap:
@@ -118,18 +112,8 @@ def merge3(base: Pieces, left: Pieces, right: Pieces) -> MergeOutcome:
                 regions.append(Resolved(_text(run)))
                 run = []
             regions.append(Conflict(_text(l_gap), _text(b_gap), _text(r_gap)))
-        if i == n:
-            break
-        start = i
-        while (
-            i + 1 < n
-            and left_at[i + 1] == left_at[i] + 1
-            and right_at[i + 1] == right_at[i] + 1
-        ):
-            i += 1
-        i += 1
-        run += b[start:i]
-        bz, lz, rz = i, l_end + i - start, r_end + i - start
+        run += b[i:i + n]
+        bz, lz, rz = i + n, j + n, k + n
     if run:
         regions.append(Resolved(_text(run)))
     final_lf = left.trailing_newline
@@ -154,12 +138,19 @@ def _text(pieces: list[bytes]) -> bytes:
     return b"".join(pieces)
 
 
-def _partners(alignment: Alignment) -> list[int]:
-    """For each line of the first sequence, its partner's index, or -1."""
-    at = [-1] * alignment.len_a
-    for i, j in alignment.matched:
-        at[i] = j
-    return at
+def _stable_runs(lefts, rights):
+    """The runs ``(i, j, k, n)`` in which ``base[i:i + n]`` matches both
+    ``left[j:j + n]`` and ``right[k:k + n]``: each is where a matching
+    block of base with left overlaps one of base with right.  The blocks
+    are maximal, so no run continues the one before it on all three sides."""
+    p = q = 0
+    while p < len(lefts) and q < len(rights):
+        (i, j, n), (h, k, m) = lefts[p], rights[q]
+        start, end = max(i, h), min(i + n, h + m)
+        if start < end:
+            yield start, j + start - i, k + start - h, end - start
+        # the block that ends first overlaps nothing further
+        p, q = (p + 1, q) if i + n < h + m else (p, q + 1)
 
 
 def render(

@@ -2,7 +2,8 @@
 
 A file's package and imports come before its types, in that order (JLS
 7.3), and the parser rejects any other order, so they are no declarations
-to match: each of the two sections merges as text, line by line, and the
+to match: each of the two sections merges as text, line by line (an
+import that both sides add is kept once, where left put it), and the
 merged file holds the package, then the imports, then the types.  The
 types of the three versions, and their members, are matched level-wise by
 kind and identifier.  Declarations added on one side are juxtaposed at
@@ -167,8 +168,10 @@ def _merge_container(
     b, l, r = matched.base, matched.left, matched.right
     parts = [_part(b.header_text, l.header_text, r.header_text)]
     if b.kind == "compilation-unit":
+        # an import that both sides add is left's: right's copy is dropped
+        added = _imports(l) - _imports(b)
         for kind in ("package", "import"):
-            parts.append(_part(_section(b, kind), _section(l, kind), _section(r, kind)))
+            parts.append(_part(_section(b, kind), _section(l, kind), _section(r, kind, added)))
     for child in matched.children:
         text = _unmerged(child)
         parts.append(merge_matched(child, separators) if text is None else text)
@@ -200,9 +203,14 @@ def _text(node: DeclNode | None) -> bytes:
     return b"" if node is None else node.text()
 
 
-def _section(cu: DeclNode, kind: str) -> bytes:
-    """The text of a compilation unit's package or of its imports."""
-    return b"".join(c.text() for c in cu.children if c.kind == kind)
+def _section(cu: DeclNode, kind: str, skip: frozenset = frozenset()) -> bytes:
+    """The text of a compilation unit's package or of its imports, less
+    the declarations whose keys are in ``skip``."""
+    return b"".join(c.text() for c in cu.children if c.kind == kind and c.key() not in skip)
+
+
+def _imports(cu: DeclNode) -> frozenset[tuple[str, str]]:
+    return frozenset(c.key() for c in cu.children if c.kind == "import")
 
 
 def _part(bt: bytes, lt: bytes, rt: bytes) -> MergeOutcome | bytes:

@@ -109,6 +109,21 @@ def test_merge_laws_on_corpus_mutations(triple):
     assert_merge_laws(*triple)
 
 
+# both sides add the same import, left first and right last
+_AB = b"import a.A;\nimport b.B;\n"
+
+
+@example((_AB + b"class T {}\n", b"import x.X;\n" + _AB + b"class T {}\n",
+          _AB + b"import x.X;\nclass T {}\n"))
+@settings(max_examples=300, deadline=None)
+@given(corpus_triples())
+def test_a_clean_structured_merge_parses(triple):
+    for mode in (EngineMode.SEMISTRUCTURED, EngineMode.SESAME):
+        result = run_engine(*triple, DriverConfig(mode=mode))
+        if not result.fell_back and not result.conflicts:
+            parse_units(result.output)
+
+
 _PACKAGES = (b"", b"package p;\n", b"package q.r;\n")
 _IMPORTS = (b"import a.b;\n", b"import c.*;\n", b"import static d.E.f;\n")
 _TYPES = (b"class A {}\n", b"interface B { int f(); }\n", b"enum C { X }\n", b"@interface D {}\n")

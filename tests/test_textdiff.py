@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from sesame import textdiff
 from sesame.separators import merge_body
 from sesame.textdiff import Alignment, diff2
-from test_textmerge import merge_text
+from test_textmerge import merge_text, pairs_of
 
 ALPHA = [b"a", b"b", b"c"]
 
@@ -21,7 +21,7 @@ def lcs_matches(a, b):
     """Matched index pairs of the longest common subsequence that the search
     finds, before the boundary shift."""
     _, _, a_changed, b_changed = textdiff._lcs_changed(a, b)
-    return list(textdiff._pairs(a_changed, b_changed))
+    return pairs_of(Alignment(textdiff._blocks(a_changed, b_changed)))
 
 
 def shift_boundaries(a, b, matches):
@@ -34,7 +34,7 @@ def shift_boundaries(a, b, matches):
         b_changed[j] = 0
     textdiff._shift_side(a, a_changed, b_changed)
     textdiff._shift_side(b, b_changed, a_changed)
-    return textdiff._pairs(a_changed, b_changed)
+    return pairs_of(Alignment(textdiff._blocks(a_changed, b_changed)))
 
 
 def lcs_length(a, b):
@@ -50,31 +50,31 @@ def lcs_length(a, b):
     return dp[n][m]
 
 
-def pairs(alignment: Alignment, len_b: int) -> tuple:
-    """Every index of both sequences exactly once, in order, given the
-    second one's length.  A pair with both indices present is a matched,
-    byte-equal segment; a one-sided pair is a deletion (left only) or an
-    insertion (right only)."""
+def pairs(alignment: Alignment, len_a: int, len_b: int) -> tuple:
+    """Every index of both sequences exactly once, in order, given their
+    lengths.  A pair with both indices present is a matched, byte-equal
+    segment; a one-sided pair is a deletion (left only) or an insertion
+    (right only)."""
     out = []
     ai = bi = 0
-    for i, j in alignment.matched:
+    for i, j in pairs_of(alignment):
         out.extend((k, None) for k in range(ai, i))
         out.extend((None, k) for k in range(bi, j))
         out.append((i, j))
         ai, bi = i + 1, j + 1
-    out.extend((k, None) for k in range(ai, alignment.len_a))
+    out.extend((k, None) for k in range(ai, len_a))
     out.extend((None, k) for k in range(bi, len_b))
     return tuple(out)
 
 
 def assert_valid_alignment(a, b, alignment: Alignment):
-    spelled = pairs(alignment, len(b))
+    spelled = pairs(alignment, len(a), len(b))
     left_seen = [i for i, _ in spelled if i is not None]
     right_seen = [j for _, j in spelled if j is not None]
     assert left_seen == list(range(len(a)))
     assert right_seen == list(range(len(b)))
     prev = (-1, -1)
-    for i, j in alignment.matched:
+    for i, j in pairs_of(alignment):
         assert a[i] == b[j]
         assert i > prev[0] and j > prev[1]
         prev = (i, j)
@@ -82,13 +82,13 @@ def assert_valid_alignment(a, b, alignment: Alignment):
 
 def test_empty_sequences():
     al = diff2([], [])
-    assert pairs(al, 0) == ()
+    assert pairs(al, 0, 0) == ()
     assert al.match_count() == 0
 
 
 def test_identity_single():
     al = diff2([b"x"], [b"x"])
-    assert list(al.matched) == [(0, 0)]
+    assert pairs_of(al) == [(0, 0)]
 
 
 def test_known_subsequence():
@@ -97,7 +97,7 @@ def test_known_subsequence():
     b = [b"a", b"c"]
     al = diff2(a, b)
     assert al.match_count() == 2
-    assert [a[i] for i, _ in al.matched] == [b"a", b"c"]
+    assert [a[i] for i, _ in pairs_of(al)] == [b"a", b"c"]
 
 
 def test_exhaustive_optimality_small():
@@ -131,9 +131,9 @@ def test_determinism():
 def test_insertion_settles_at_latest_position():
     # appending a duplicate line reports the insertion at the end
     al = diff2([b"x"], [b"x", b"x"])
-    assert list(al.matched) == [(0, 0)]
+    assert pairs_of(al) == [(0, 0)]
     al = diff2([b"x", b"y"], [b"x", b"x", b"y"])
-    assert list(al.matched) == [(0, 0), (1, 2)]
+    assert pairs_of(al) == [(0, 0), (1, 2)]
 
 
 def test_insertion_merges_with_adjacent_change():
@@ -146,7 +146,7 @@ def test_insertion_merges_with_adjacent_change():
         for t in (b"(", b")", b".g", b"(", b"h", b"(", b"c", b")", b")", b".d", b"(", b")", b";")
     ]
     al = diff2(base, right)
-    assert list(al.matched) == [
+    assert pairs_of(al) == [
         (0, 0), (1, 1), (2, 2), (4, 6), (5, 7), (6, 8),
         (7, 10), (8, 11), (9, 12), (10, 13),
     ]
@@ -159,11 +159,11 @@ def test_lcs_matches_handles_degenerate_inputs():
 
 
 def test_alignment_pairs_cover_every_index():
-    assert pairs(diff2([], []), 0) == ()
-    assert pairs(diff2([b"a", b"b"], []), 0) == ((0, None), (1, None))
-    assert pairs(diff2([], [b"a", b"b"]), 2) == ((None, 0), (None, 1))
+    assert pairs(diff2([], []), 0, 0) == ()
+    assert pairs(diff2([b"a", b"b"], []), 2, 0) == ((0, None), (1, None))
+    assert pairs(diff2([], [b"a", b"b"]), 0, 2) == ((None, 0), (None, 1))
     same = [b"a", b"b", b"a"]
-    assert pairs(diff2(same, same), 3) == ((0, 0), (1, 1), (2, 2))
+    assert pairs(diff2(same, same), 3, 3) == ((0, 0), (1, 1), (2, 2))
     rng = random.Random(11)
     for _ in range(500):
         a = [ALPHA[rng.randrange(3)] for _ in range(rng.randint(0, 12))]
@@ -284,7 +284,7 @@ def _reference_middle_snake(a, a0, a1, b, b0, b1):
 
 def assert_same_as_reference(a, b):
     al = diff2(a, b)
-    assert pairs(al, len(b)) == reference_diff2(a, b)
+    assert pairs(al, len(a), len(b)) == reference_diff2(a, b)
     assert_valid_alignment(a, b, al)
 
 
@@ -321,6 +321,23 @@ def edited_pairs(draw):
 @settings(max_examples=500)
 def test_diff2_equals_reference_on_edits(pair):
     assert_same_as_reference(*pair)
+
+
+@given(st.one_of(edited_pairs(), st.tuples(SMALL, SMALL)))
+@settings(max_examples=500)
+def test_blocks_are_the_maximal_matching_runs(pair):
+    # every block is non-empty and starts past the one before it on both
+    # sides, and no block continues the one before it on both sides
+    a, b = pair
+    al = diff2(a, b)
+    ends = None
+    for i, j, n in al.blocks:
+        assert n > 0
+        if ends is not None:
+            assert i >= ends[0] and j >= ends[1]
+            assert (i, j) != ends
+        ends = (i + n, j + n)
+    assert pairs(al, len(a), len(b)) == reference_diff2(a, b)
 
 
 @st.composite
@@ -427,7 +444,7 @@ def test_rewritten_block_is_not_searched(snake_calls, outside_edits):
     assert snake_calls == []
     # every line is unique, so the one longest common subsequence is known
     kept = set(range(500)) | set(range(1500, 2000))
-    assert list(al.matched) == [(i, i) for i in sorted(kept - set(outside_edits))]
+    assert pairs_of(al) == [(i, i) for i in sorted(kept - set(outside_edits))]
 
 
 def test_marked_body_with_unique_edits_is_not_searched(snake_calls):
@@ -459,7 +476,7 @@ def test_shared_braces_in_equal_counts_are_not_searched(snake_calls):
     b = closing_braces(2000, b"b")
     al = diff2(a, b)
     assert snake_calls == []
-    assert list(al.matched) == [(k, k) for k in range(9, 2000, 10)]
+    assert pairs_of(al) == [(k, k) for k in range(9, 2000, 10)]
 
 
 def test_shared_braces_one_fewer_are_searched_where_counts_differ(snake_calls):
@@ -472,7 +489,7 @@ def test_shared_braces_one_fewer_are_searched_where_counts_differ(snake_calls):
     assert all(
         a[a0:a1].count(b"}") != b[b0:b1].count(b"}") for a0, a1, b0, b1 in snake_calls
     )
-    assert pairs(al, len(b)) == reference_diff2(a, b)
+    assert pairs(al, len(a), len(b)) == reference_diff2(a, b)
 
 
 def test_merge_text_share_nothing_is_one_conflict():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sesame import textmerge
 from sesame.separators import merge_body
 from sesame.textdiff import diff2
 from sesame.textmerge import (
@@ -304,6 +305,12 @@ class Chunk:
     right_range: tuple[int, int]
 
 
+def pairs_of(alignment):
+    """The matched pairs ``(i, j)`` of an alignment, spelled out from its
+    blocks, in order."""
+    return [(i + t, j + t) for i, j, n in alignment.blocks for t in range(n)]
+
+
 def reference_three_way_chunks(base, left, right):
     """Partition all three sequences into stable and changed chunks, from
     the matched pairs of each alignment, kept as the
@@ -313,8 +320,8 @@ def reference_three_way_chunks(base, left, right):
     content at consistent offsets; every index of each sequence lands in
     exactly one chunk.
     """
-    left_at = {bi: li for bi, li in diff2(base, left).matched}
-    right_at = {bi: ri for bi, ri in diff2(base, right).matched}
+    left_at = dict(pairs_of(diff2(base, left)))
+    right_at = dict(pairs_of(diff2(base, right)))
     chunks = []
     bz = lz = rz = 0
 
@@ -441,6 +448,41 @@ def test_merge3_equals_reference(base, left, right, trailing):
     # the outcome's trailing LF follows the right side: the others keep theirs
     pieces = pieces_of(base), pieces_of(left), pieces_of(right, trailing)
     assert_same_merge(merge3(*pieces), reference_merge3(base, left, right, trailing))
+
+
+# -- the stable runs, counted ----------------------------------------------
+
+@pytest.fixture
+def stable_runs(monkeypatch):
+    """Every stable run ``(i, j, k, n)`` that ``merge3`` walks."""
+    walked = []
+    find = textmerge._stable_runs
+
+    def counted(lefts, rights):
+        for run in find(lefts, rights):
+            walked.append(run)
+            yield run
+
+    monkeypatch.setattr(textmerge, "_stable_runs", counted)
+    return walked
+
+
+def test_equal_texts_are_one_stable_run(stable_runs):
+    lines = [b"line %d" % i for i in range(100_000)]
+    outcome = merge3(pieces_of(lines), pieces_of(lines), pieces_of(lines))
+    assert stable_runs == [(0, 0, 0, 100_000)]
+    assert outcome.regions == [Resolved(text_of(lines))]
+
+
+@pytest.mark.parametrize("k", [1, 10, 100])
+def test_one_sided_edits_give_one_more_stable_run(stable_runs, k):
+    base = [b"line %d" % i for i in range(1000)]
+    left = list(base)
+    for e in range(1, k + 1):
+        left[e * 1000 // (k + 1)] = b"edit %d" % e
+    outcome = merge3(pieces_of(base), pieces_of(left), pieces_of(base))
+    assert len(stable_runs) == k + 1
+    assert outcome.regions == [Resolved(text_of(left))]
 
 
 def reference_merge_texts(base, left, right):

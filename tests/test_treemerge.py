@@ -271,6 +271,32 @@ def test_package_and_imports_go_first(versions, merged, conflicts, mode):
         parse_units(result.output)  # raises on a package or import out of order
 
 
+_IMPORTS_AB = b"import a.A;\nimport b.B;\n"
+
+
+@pytest.mark.parametrize(
+    "mode", [EngineMode.SEMISTRUCTURED, EngineMode.SESAME], ids=lambda mode: mode.value
+)
+@pytest.mark.parametrize(
+    "right,merged",
+    [
+        (_IMPORTS_AB + b"import x.X;\n", b"import x.X;\n" + _IMPORTS_AB),
+        (
+            b"import a.A;\nimport y.Y;\nimport b.B;\nimport x.X;\n",
+            b"import x.X;\nimport a.A;\nimport y.Y;\nimport b.B;\n",
+        ),
+    ],
+    ids=["only-the-shared-import", "with-an-import-of-its-own"],
+)
+def test_an_import_both_sides_add_appears_once_at_lefts_place(right, merged, mode):
+    # left puts import x.X first and right puts it last
+    versions = (_IMPORTS_AB, b"import x.X;\n" + _IMPORTS_AB, right)
+    config = DriverConfig(mode=mode, fallback_on_parse_error=False)
+    result = run_engine(*(v + b"class T {}\n" for v in versions), config)
+    assert (result.output, result.conflicts) == (merged + b"class T {}\n", 0)
+    parse_units(result.output)  # raises on a duplicate import
+
+
 def test_field_changes_on_distinct_fields_merge():
     base = b"class A {\n  int x = 1;\n  int y = 2;\n}\n"
     left = b"class A {\n  int x = 10;\n  int y = 2;\n}\n"
