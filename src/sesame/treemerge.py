@@ -31,11 +31,18 @@ once.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .javaparse import DeclNode, ORDERED_KINDS
+from .lexer import lex_states
 from .separators import SeparatorSet, merge_body
 from .textmerge import MergeOutcome, Resolved, join, merge_texts_outcome
+
+# in a declaration's code view, the text before its first word (blanks,
+# comments among them), and the line break that may open a text
+_LEAD = re.compile(rb"(?:\A\xef\xbb\xbf)?\s*")
+_BREAK = re.compile(rb"\r?\n")
 
 
 @dataclass
@@ -168,10 +175,12 @@ def _merge_container(
     b, l, r = matched.base, matched.left, matched.right
     parts = [_part(b.header_text, l.header_text, r.header_text)]
     if b.kind == "compilation-unit":
-        # an import that both sides add is left's: right's copy is dropped
-        added = _imports(l) - _imports(b)
-        for kind in ("package", "import"):
-            parts.append(_part(_section(b, kind), _section(l, kind), _section(r, kind, added)))
+        parts.append(_part(_section(b, "package"), _section(l, "package"), _section(r, "package")))
+        bt, lt, rt = _section(b, "import"), _section(l, "import"), _section(r, "import")
+        if lt != bt and rt not in (bt, lt):
+            # an import that both sides add is left's: right's copy is dropped
+            rt = _section(r, "import", _imports(l) - _imports(b))
+        parts.append(_part(bt, lt, rt))
     for child in matched.children:
         text = _unmerged(child)
         parts.append(merge_matched(child, separators) if text is None else text)
@@ -204,9 +213,28 @@ def _text(node: DeclNode | None) -> bytes:
 
 
 def _section(cu: DeclNode, kind: str, skip: frozenset = frozenset()) -> bytes:
-    """The text of a compilation unit's package or of its imports, less
-    the declarations whose keys are in ``skip``."""
-    return b"".join(c.text() for c in cu.children if c.kind == kind and c.key() not in skip)
+    """The text of a compilation unit's package or of its imports.
+
+    A declaration whose key is in ``skip`` is left out with its line: its
+    text from its first word on goes, and so does the line break before
+    it, or, where none comes between it and the text before it, the one
+    after it.  The comments and blank lines above it stay.
+    """
+    texts, cut = [], False
+    for c in cu.children:
+        if c.kind != kind:
+            continue
+        text = c.text()
+        if cut and (m := _BREAK.match(text)):
+            text = text[m.end():]
+        cut = c.key() in skip
+        if cut:
+            lead = text[:_LEAD.match(lex_states(text)).end()]
+            line = lead.rfind(b"\n")
+            cut = line < 0
+            text = lead if cut else lead[:line].removesuffix(b"\r")
+        texts.append(text)
+    return b"".join(texts)
 
 
 def _imports(cu: DeclNode) -> frozenset[tuple[str, str]]:

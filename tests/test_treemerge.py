@@ -272,27 +272,57 @@ def test_package_and_imports_go_first(versions, merged, conflicts, mode):
 
 
 _IMPORTS_AB = b"import a.A;\nimport b.B;\n"
+_X = b"import x.X;\n"
+_GROUPED = b"import a.A;\n// group\nimport b.B;\n"
+_LICENSED = b"/* license */\n" + _IMPORTS_AB
+_PACKAGED = b"package p;\n\n" + _IMPORTS_AB
 
 
 @pytest.mark.parametrize(
     "mode", [EngineMode.SEMISTRUCTURED, EngineMode.SESAME], ids=lambda mode: mode.value
 )
 @pytest.mark.parametrize(
-    "right,merged",
+    "base,left,right,merged",
     [
-        (_IMPORTS_AB + b"import x.X;\n", b"import x.X;\n" + _IMPORTS_AB),
+        (_IMPORTS_AB, _X + _IMPORTS_AB, _IMPORTS_AB + _X, _X + _IMPORTS_AB),
         (
-            b"import a.A;\nimport y.Y;\nimport b.B;\nimport x.X;\n",
-            b"import x.X;\nimport a.A;\nimport y.Y;\nimport b.B;\n",
+            _IMPORTS_AB,
+            _X + _IMPORTS_AB,
+            b"import a.A;\nimport y.Y;\nimport b.B;\n" + _X,
+            _X + b"import a.A;\nimport y.Y;\nimport b.B;\n",
+        ),
+        # right's copy sits under a comment, which stays
+        (
+            _GROUPED,
+            _X + _GROUPED,
+            b"import a.A;\n// group\n" + _X + b"import b.B;\n",
+            _X + _GROUPED,
+        ),
+        # right's copy opens a file with no package, so the comment and
+        # the line break before it belong to it; neither is lost or added
+        (_LICENSED, _LICENSED + _X, b"/* license */\n" + _X + _IMPORTS_AB, _LICENSED + _X),
+        (_IMPORTS_AB, _IMPORTS_AB + _X, _X + _IMPORTS_AB, _IMPORTS_AB + _X),
+        (_PACKAGED, _PACKAGED + _X, b"package p;\n\n" + _X + _IMPORTS_AB, _PACKAGED + _X),
+        (
+            _GROUPED.replace(b"\n", b"\r\n"),
+            (_X + _GROUPED).replace(b"\n", b"\r\n"),
+            (b"import a.A;\n// group\n" + _X + b"import b.B;\n").replace(b"\n", b"\r\n"),
+            (_X + _GROUPED).replace(b"\n", b"\r\n"),
         ),
     ],
-    ids=["only-the-shared-import", "with-an-import-of-its-own"],
+    ids=[
+        "only-the-shared-import",
+        "with-an-import-of-its-own",
+        "under-a-comment",
+        "after-a-license-left-last",
+        "first-in-the-file-left-last",
+        "after-the-package-left-last",
+        "under-a-comment-crlf",
+    ],
 )
-def test_an_import_both_sides_add_appears_once_at_lefts_place(right, merged, mode):
-    # left puts import x.X first and right puts it last
-    versions = (_IMPORTS_AB, b"import x.X;\n" + _IMPORTS_AB, right)
+def test_an_import_both_sides_add_appears_once_at_lefts_place(base, left, right, merged, mode):
     config = DriverConfig(mode=mode, fallback_on_parse_error=False)
-    result = run_engine(*(v + b"class T {}\n" for v in versions), config)
+    result = run_engine(*(v + b"class T {}\n" for v in (base, left, right)), config)
     assert (result.output, result.conflicts) == (merged + b"class T {}\n", 0)
     parse_units(result.output)  # raises on a duplicate import
 
