@@ -92,7 +92,7 @@ MODIFIER_WORDS = frozenset(
 _TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
 
 # whitespace, and a byte order mark at the start of the file
-_WS_RUN = re.compile(rb"(?:\A\xef\xbb\xbf)?[ \t\r\n\x0b\x0c]*")
+WS_RUN = re.compile(rb"(?:\A\xef\xbb\xbf)?[ \t\r\n\x0b\x0c]*")
 # an identifier byte; in valid Java, a non-ASCII byte in code is part of one
 _ID = rb"[A-Za-z0-9_$\x80-\xff]"
 _WORD = re.compile(_ID + rb"*")
@@ -365,7 +365,7 @@ class _Parser:
     def _skip_insignificant(self, i: int) -> int:
         """First index at or after i that is neither a comment nor code
         whitespace, nor the byte order mark at the start of the file."""
-        return _WS_RUN.match(self.view, i).end()
+        return WS_RUN.match(self.view, i).end()
 
     def _read_word(self, i: int) -> tuple[str, int]:
         m = _WORD.match(self.view, i)
@@ -419,7 +419,7 @@ class _Parser:
                 peek = self._skip_insignificant(i + 1)
                 word, _ = self._read_word(peek)
                 if word == "interface":
-                    return self._parse_type(start, peek, "type", annotation=True)
+                    return self._parse_type(start, peek, annotation=True)
                 i = self._skip_annotation(i)
                 continue
             word, after = self._read_word(i)
@@ -431,7 +431,7 @@ class _Parser:
                 ident = " ".join(text.decode("latin-1").split())
                 return DeclNode(word, ident, self.data[start:end]), end
             if word in _TYPE_KEYWORDS:
-                return self._parse_type(start, i, "type")
+                return self._parse_type(start, i)
             if word in MODIFIER_WORDS or word == "non":
                 # "non-sealed" reads as word, '-', word
                 i = after
@@ -449,7 +449,7 @@ class _Parser:
     # -- type declarations ----------------------------------------------
 
     def _parse_type(
-        self, start: int, kw_pos: int, kind: str, annotation: bool = False
+        self, start: int, kw_pos: int, annotation: bool = False
     ) -> tuple[DeclNode, int]:
         """Parse the type whose keyword is at kw_pos.
 
@@ -499,7 +499,7 @@ class _Parser:
         the whitespace after it is code too.
         """
         while True:
-            k = _WS_RUN.match(self.data, end).end()
+            k = WS_RUN.match(self.data, end).end()
             if k < self.n and self.view[k] == _SEMI:
                 end = k + 1
             else:
@@ -624,7 +624,7 @@ class _Parser:
                     and not seen_eq
                     and signature is None
                 ):
-                    return self._parse_type(start, i, "type")
+                    return self._parse_type(start, i)
                 if (
                     not seen_eq
                     and angle_depth == 0
@@ -639,7 +639,7 @@ class _Parser:
                 peek = self._skip_insignificant(i + 1)
                 word, _ = self._read_word(peek)
                 if word == "interface":
-                    return self._parse_type(start, peek, "type", annotation=True)
+                    return self._parse_type(start, peek, annotation=True)
                 i = self._skip_annotation(i)
                 continue
             if c == _LT and signature is None and not seen_eq:

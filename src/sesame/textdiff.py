@@ -24,10 +24,10 @@ rule's pairs, the trimmed ends and each snake clear theirs by slice
 assignment, the boundary shift works on the same flags, and the blocks
 are read off their runs of unchanged lines.
 
-The search, the encoding and the boundary shift do the work of the
-textbook loops with less of it in the interpreter, and produce the same
-matching, line for line.  Lines are encoded as the first equal ``bytes``
-object seen, which keeps equality as it is.  The middle snake indexes
+The search and the boundary shift do the work of the textbook loops
+with less of it in the interpreter, and produce the same matching, line
+for line.  Lines are compared as given, by value, so an alignment does
+not depend on which lines are one object.  The middle snake indexes
 local copies of its ranges, so every stored position, past the end or
 not, is the loop's own.  A snake is followed by comparing slices, which
 stops where a line-by-line walk stops.  The shift jumps over unchanged
@@ -40,7 +40,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import compress
-from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -60,28 +59,24 @@ _FLIP = bytes((1, 0)) + bytes(254)  # a changed flag -> an unchanged flag
 _UNCHANGED = re.compile(rb"\x00+")  # a run of unchanged flags
 
 
-def diff2(a: Sequence[bytes], b: Sequence[bytes]) -> Alignment:
+def diff2(a: list[bytes], b: list[bytes]) -> Alignment:
     """Align two segment sequences on a longest common subsequence."""
-    ea, eb, a_changed, b_changed = _lcs_changed(a, b)
-    _shift_side(ea, a_changed, b_changed)
-    _shift_side(eb, b_changed, a_changed)
+    a_changed, b_changed = _lcs_changed(a, b)
+    _shift_side(a, a_changed, b_changed)
+    _shift_side(b, b_changed, a_changed)
     return Alignment(_blocks(a_changed, b_changed))
 
 
 def _lcs_changed(a, b):
-    """The two sequences with equal lines as one object, and a changed flag
-    per line of each that is 0 exactly on one longest common subsequence."""
-    # equal lines become one shared object, so a match compares by identity
-    table: dict[bytes, bytes] = {}
-    ea = list(map(table.setdefault, a, a))
-    eb = list(map(table.setdefault, b, b))
+    """A changed flag per line of each sequence that is 0 exactly on one
+    longest common subsequence."""
     # one flag per line: whether it occurs anywhere in the other sequence
-    fa = bytes(map(set(eb).__contains__, ea))
-    fb = bytes(map(set(ea).__contains__, eb))
-    a_changed = bytearray(b"\x01") * len(ea)
-    b_changed = bytearray(b"\x01") * len(eb)
-    _lcs_recurse(ea, 0, len(ea), eb, 0, len(eb), fa, fb, a_changed, b_changed)
-    return ea, eb, a_changed, b_changed
+    fa = bytes(map(set(b).__contains__, a))
+    fb = bytes(map(set(a).__contains__, b))
+    a_changed = bytearray(b"\x01") * len(a)
+    b_changed = bytearray(b"\x01") * len(b)
+    _lcs_recurse(a, 0, len(a), b, 0, len(b), fa, fb, a_changed, b_changed)
+    return a_changed, b_changed
 
 
 def _blocks(a_changed, b_changed) -> tuple[tuple[int, int, int], ...]:
@@ -105,13 +100,13 @@ def _lcs_recurse(a, a0, a1, b, b0, b1, fa, fb, ca, cb) -> None:
     """Clear the changed flags ``ca`` and ``cb`` of the lines of one longest
     common subsequence of a[a0:a1] and b[b0:b1]."""
     s, t = a0, b0
-    while a0 < a1 and b0 < b1 and a[a0] is b[b0]:
+    while a0 < a1 and b0 < b1 and a[a0] == b[b0]:
         a0 += 1
         b0 += 1
     ca[s:a0] = bytes(a0 - s)
     cb[t:b0] = bytes(b0 - t)
     e, f = a1, b1
-    while a1 > a0 and b1 > b0 and a[a1 - 1] is b[b1 - 1]:
+    while a1 > a0 and b1 > b0 and a[a1 - 1] == b[b1 - 1]:
         a1 -= 1
         b1 -= 1
     ca[a1:e] = bytes(e - a1)

@@ -34,14 +34,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .javaparse import DeclNode, ORDERED_KINDS
+from .javaparse import DeclNode, ORDERED_KINDS, WS_RUN
 from .lexer import lex_states
 from .separators import SeparatorSet, merge_body
 from .textmerge import MergeOutcome, Resolved, join, merge_texts_outcome
 
-# in a declaration's code view, the text before its first word (blanks,
-# comments among them), and the line break that may open a text
-_LEAD = re.compile(rb"(?:\A\xef\xbb\xbf)?\s*")
+# the line break that may open a declaration's text
 _BREAK = re.compile(rb"\r?\n")
 
 
@@ -229,7 +227,9 @@ def _section(cu: DeclNode, kind: str, skip: frozenset = frozenset()) -> bytes:
             text = text[m.end():]
         cut = c.key() in skip
         if cut:
-            lead = text[:_LEAD.match(lex_states(text)).end()]
+            # the text before its first word: blanks in its code view,
+            # where comments are blanks too
+            lead = text[:WS_RUN.match(lex_states(text)).end()]
             line = lead.rfind(b"\n")
             cut = line < 0
             text = lead if cut else lead[:line].removesuffix(b"\r")

@@ -16,6 +16,10 @@ string (the benchmark traces layers by name), or be exported by
 Every dataclass field and every name in a class's ``__slots__`` must be
 read as an attribute (``record.field``) somewhere in ``src/sesame``: a
 field that is only set holds nothing anyone asks for.
+
+Every parameter of a function, method or lambda, ``self`` and ``cls``
+excepted, must be read in that function's body: a parameter that nothing
+reads is a value every caller passes for nothing.
 """
 
 from __future__ import annotations
@@ -149,6 +153,30 @@ def unread_fields(src: Path = SRC) -> list[str]:
     ]
 
 
+def unread_parameters(src: Path = SRC) -> list[str]:
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [p for p in (args.vararg, args.kwarg) if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                name.id
+                for statement in body
+                for name in ast.walk(statement)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+            }
+            unread += [
+                f"{path.name}:{node.lineno} {getattr(node, 'name', 'lambda')}({p.arg})"
+                for p in params
+                if p.arg not in ("self", "cls") and p.arg not in read
+            ]
+    return unread
+
+
 def test_every_private_name_is_used():
     assert unused_private_names() == []
 
@@ -204,4 +232,21 @@ def test_an_unread_field_is_reported(tmp_path):
     )
     assert unread_fields(tmp_path) == [
         "m.py:6 Pair.set_only", "m.py:9 Slots.unused",
+    ]
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []
+
+
+def test_an_unread_parameter_is_reported(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def f(a, b, *rest, c=1, **extra):\n    return a + sum(rest) + extra['d']\n\n"
+        "class Box:\n    def get(self, key, default):\n        return self.items.get(key)\n\n"
+        "    @classmethod\n    def make(cls, n):\n        def inner():\n            return n\n"
+        "        return inner\n\n"
+        "g = lambda x, y: x\n"
+    )
+    assert unread_parameters(tmp_path) == [
+        "m.py:1 f(b)", "m.py:1 f(c)", "m.py:5 get(default)", "m.py:14 lambda(y)",
     ]

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from sesame import textdiff
 from sesame.separators import merge_body
 from sesame.textdiff import Alignment, diff2
-from test_textmerge import merge_text, pairs_of
+from sesame.textmerge import Pieces, merge3, merge_texts_outcome, render, split_lines
+from test_textmerge import merge_text, pairs_of, text_of
 
 ALPHA = [b"a", b"b", b"c"]
 
@@ -20,7 +21,7 @@ ALPHA = [b"a", b"b", b"c"]
 def lcs_matches(a, b):
     """Matched index pairs of the longest common subsequence that the search
     finds, before the boundary shift."""
-    _, _, a_changed, b_changed = textdiff._lcs_changed(a, b)
+    a_changed, b_changed = textdiff._lcs_changed(a, b)
     return pairs_of(Alignment(textdiff._blocks(a_changed, b_changed)))
 
 
@@ -404,6 +405,50 @@ def test_diff2_equals_reference_with_unique_edits(pair):
     assert_same_as_reference(*pair)
 
 
+# -- comparison by value ----------------------------------------------------
+
+def fresh_copies(lines):
+    """Every piece as a new ``bytes`` object equal to it (CPython shares
+    every empty and one-byte ``bytes`` object, so those stay shared)."""
+    return [bytes(bytearray(line)) for line in lines]
+
+
+def shared_copies(lines, table):
+    """Equal pieces, across every list copied with one ``table``, as one
+    shared object."""
+    return [table.setdefault(line, line) for line in lines]
+
+
+@given(st.one_of(edited_pairs(), pairs_with_unique_edits(), st.tuples(SMALL, SMALL)))
+@settings(max_examples=300)
+def test_diff2_is_blind_to_object_identity(pair):
+    expected = diff2(*pair)
+    # pieces of six bytes or more, so that fresh copies are new objects
+    a, b = ([b"piece " + line for line in side] for side in pair)
+    fa, fb = fresh_copies(a), fresh_copies(b)
+    assert not any(x is y for x, y in zip(fa + fb, a + b))
+    table = {}
+    sa, sb = shared_copies(a, table), shared_copies(b, table)
+    assert all(x is table[x] for x in sa + sb)
+    assert diff2(a, b) == diff2(fa, fb) == diff2(sa, sb) == expected
+
+
+TEXT = st.lists(st.sampled_from([b"p", b"q", b"r", b"s"]), max_size=12).map(text_of)
+
+
+@given(TEXT, TEXT, TEXT)
+@settings(max_examples=300)
+def test_merge_is_blind_to_object_identity(base, left, right):
+    expected = merge_texts_outcome(base, left, right)
+    rendered = merge_text(base, left, right)
+    sides = [split_lines(text) for text in (base, left, right)]
+    table = {}
+    for copy in (list, fresh_copies, lambda lines: shared_copies(lines, table)):
+        outcome = merge3(*(Pieces(copy(side.lines), side.trailing_newline) for side in sides))
+        assert outcome == expected
+        assert (render(outcome), outcome.conflict_count()) == rendered
+
+
 # -- the skips, counted -----------------------------------------------------
 
 @pytest.fixture
@@ -490,6 +535,23 @@ def test_shared_braces_one_fewer_are_searched_where_counts_differ(snake_calls):
         a[a0:a1].count(b"}") != b[b0:b1].count(b"}") for a0, a1, b0, b1 in snake_calls
     )
     assert pairs(al, len(a), len(b)) == reference_diff2(a, b)
+
+
+def test_realistic_shape_with_unequal_separator_counts_bounds_the_search(snake_calls):
+    # a body of statements; left rewrites every fourth one with one more
+    # '(' and ')', so the LCS is not unique, and right inserts one block in
+    # the middle.  The count is the search as it stands, a baseline for a
+    # cost bound to beat.
+    n = 200
+    base = [b"    v%d = f%d(x%d, y);\n" % (k, k, k) for k in range(n)]
+    left = [
+        b"    w%d = g%d(h(z%d));\n" % (k, k, k) if k % 4 == 3 else line
+        for k, line in enumerate(base)
+    ]
+    right = base[:n // 2] + [b"    if (c) { k(); }\n"] + base[n // 2:]
+    outcome = merge_body(*(b"".join(x) for x in (base, left, right)))
+    assert len(snake_calls) <= 161
+    assert outcome.conflict_count() == 0
 
 
 def test_merge_text_share_nothing_is_one_conflict():
