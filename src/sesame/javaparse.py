@@ -114,14 +114,17 @@ _PLAIN_MEMBER = re.compile(
     % (_MODIFIER, _PLAIN_TYPE, _PLAIN_WORD, _PLAIN_PARAM, _PLAIN_PARAM)
 )
 _ID_BYTES = bytes(c for c in range(256) if re.fullmatch(_ID, bytes((c,))))
-# what a method key reads in its parameter list, by group: the '(' of an
-# annotation's arguments (an annotation without them matches no group), a
-# name (maybe qualified), dots, an opening bracket, a closing one, a comma
+# a code '@' and an annotation's name, by group: the name's first word, then
+# the '(' of its arguments
+_ANNOTATION = re.compile(rb"@\s*(%(id)s+)(?:\s*\.\s*%(id)s+)*(\s*\()?" % {b"id": _ID})
+# what a method key reads in its parameter list, by group after the two of
+# an annotation: a name (maybe qualified), dots, an opening bracket, a
+# closing one, a comma
 _PARAM_TOKEN = re.compile(
-    rb"@\s*%(id)s+(?:\s*\.\s*%(id)s+)*(\s*\()?|(%(id)s+(?:\.%(id)s+)*)"
-    rb"|(\.+)|([(<\[{])|([)>\]}])|(,)" % {b"id": _ID}
+    _ANNOTATION.pattern + rb"|(%(id)s+(?:\.%(id)s+)*)|(\.+)|([(<\[{])|([)>\]}])|(,)"
+    % {b"id": _ID}
 )
-_ARGUMENTS, _NAME, _DOTS, _OPENER, _CLOSER, _COMMA_TOKEN = range(1, 7)
+_ARGUMENTS, _NAME, _DOTS, _OPENER, _CLOSER, _COMMA_TOKEN = range(2, 8)
 
 _AT, _DOT, _COMMA, _SEMI, _EQ = b"@.,;="
 _LPAREN, _RPAREN, _LBRACE, _RBRACE, _LT, _GT = b"(){}<>"
@@ -387,25 +390,17 @@ class _Parser:
                     return k
         raise ParseError("unbalanced delimiters at end of input")
 
-    def _skip_annotation(self, i: int) -> int:
-        """Skip ``@Qualified.Name`` plus optional argument list; i is at '@'."""
-        i = self._skip_insignificant(i + 1)
-        word, i = self._read_word(i)
-        if not word:
+    def _skip_annotation(self, m: re.Match[bytes] | None) -> int:
+        """The end of ``@Qualified.Name`` plus optional argument list, from
+        ``m``, the match of ``_ANNOTATION`` at its '@'."""
+        if m is None:
             raise ParseError("dangling '@'")
-        while True:
-            j = self._skip_insignificant(i)
-            if j < self.n and self.view[j] == _DOT:
-                j = self._skip_insignificant(j + 1)
-                word, i = self._read_word(j)
-                if not word:
-                    raise ParseError("dangling '.' in annotation name")
-            else:
-                break
-        j = self._skip_insignificant(i)
-        if j < self.n and self.view[j] == _LPAREN:
-            return self._match_delim(j) + 1
-        return i
+        if m[2]:
+            return self._match_delim(m.end() - 1) + 1
+        j = self._skip_insignificant(m.end())
+        if j < self.n and self.view[j] == _DOT:
+            raise ParseError("dangling '.' in annotation name")
+        return m.end()
 
     # -- top level ------------------------------------------------------
 
@@ -416,17 +411,19 @@ class _Parser:
             if i >= self.n:
                 raise ParseError("unexpected end of input at top level")
             if self.data[i] == _AT:
-                peek = self._skip_insignificant(i + 1)
-                word, _ = self._read_word(peek)
-                if word == "interface":
-                    return self._parse_type(start, peek, annotation=True)
-                i = self._skip_annotation(i)
+                m = _ANNOTATION.match(self.view, i)
+                if m and m[1] == b"interface":
+                    return self._parse_type(start, m.start(1), annotation=True)
+                i = self._skip_annotation(m)
                 continue
             word, after = self._read_word(i)
             if not word:
                 raise ParseError(f"unsupported top-level construct at byte {i}")
             if word in ("package", "import"):
-                end = self._absorb_semicolons(self._find_code_char(after, _SEMI) + 1)
+                semi = self.view.find(_SEMI, after)
+                if semi < 0:
+                    raise ParseError("missing ';'")
+                end = self._absorb_semicolons(semi + 1)
                 text = self.data[sig:end]
                 ident = " ".join(text.decode("latin-1").split())
                 return DeclNode(word, ident, self.data[start:end]), end
@@ -439,12 +436,6 @@ class _Parser:
                     i += 1
                 continue
             raise ParseError(f"unsupported top-level declaration near {word!r}")
-
-    def _find_code_char(self, i: int, wanted: int) -> int:
-        k = self.view.find(wanted, i)
-        if k < 0:
-            raise ParseError(f"missing {chr(wanted)!r}")
-        return k
 
     # -- type declarations ----------------------------------------------
 
@@ -535,7 +526,7 @@ class _Parser:
         i = sig
         view = self.view
         while i < self.n and view[i] == _AT:
-            i = self._skip_insignificant(self._skip_annotation(i))
+            i = self._skip_insignificant(self._skip_annotation(_ANNOTATION.match(view, i)))
         name, i = self._read_word(i)
         if not name:
             raise ParseError(f"expected enum constant near byte {sig}")
@@ -636,11 +627,10 @@ class _Parser:
                 continue
             c = view[i]
             if c == _AT and paren_depth == 0 and not seen_eq and signature is None:
-                peek = self._skip_insignificant(i + 1)
-                word, _ = self._read_word(peek)
-                if word == "interface":
-                    return self._parse_type(start, peek, annotation=True)
-                i = self._skip_annotation(i)
+                m = _ANNOTATION.match(view, i)
+                if m and m[1] == b"interface":
+                    return self._parse_type(start, m.start(1), annotation=True)
+                i = self._skip_annotation(m)
                 continue
             if c == _LT and signature is None and not seen_eq:
                 angle_depth += 1

@@ -15,17 +15,18 @@ wins, identical two-sided changes win, and anything else becomes a
 conflict region carrying the left, base, and right payloads.
 
 Pieces stay inside ``merge3``: an outcome holds text.  A resolved region
-holds its exact bytes, never empty, and no two resolved regions are
-adjacent.  A conflict holds each side as LF-terminated lines, and
-``open_end`` when it ends the merged text without a final LF.  So
-``render`` concatenates, adding only the markers, and ``join``
-concatenates fragment outcomes with two rules at the edges of conflicts.
-Outcomes hold no labels; ``render`` takes them.
+is its exact bytes, never empty, and no two of them are adjacent.  A
+conflict holds each side as LF-terminated lines, and the outcome records
+``open_end`` when its last region is a conflict whose closing marker's
+line ends the text without a final LF.  So ``render`` concatenates,
+adding only the markers, and ``join`` concatenates fragment outcomes, or
+fragments taken whole as their bytes, with two rules at the edges of
+conflicts.  Outcomes hold no labels; ``render`` takes them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 from .textdiff import diff2
@@ -68,21 +69,16 @@ def split_lines(data: bytes) -> Pieces:
 
 
 @dataclass(frozen=True)
-class Resolved:
-    text: bytes
-
-
-@dataclass(frozen=True)
 class Conflict:
     left: bytes
     base: bytes
     right: bytes
-    open_end: bool = False  # the closing marker's line ends the text, without an LF
 
 
 @dataclass
 class MergeOutcome:
-    regions: list[Resolved | Conflict]
+    regions: list[bytes | Conflict]
+    open_end: bool = False  # the last closing marker's line ends the text, without an LF
 
     def conflict_count(self) -> int:
         return sum(1 for r in self.regions if isinstance(r, Conflict))
@@ -94,10 +90,12 @@ def merge3(base: Pieces, left: Pieces, right: Pieces) -> MergeOutcome:
     Each stable run is kept as resolved, and each gap before, between and
     after them is merged on its own.  A side that changed its final LF from
     base's decides whether the outcome ends in one; otherwise the right does.
+    Without one, the outcome's end is open where a conflict ends it, and
+    its last resolved region loses its LF otherwise.
     """
     b, l, r = base.lines, left.lines, right.lines
     runs = _stable_runs(diff2(b, l).blocks, diff2(b, r).blocks)
-    regions: list[Resolved | Conflict] = []
+    regions: list[bytes | Conflict] = []
     run: list[bytes] = []  # pieces of the resolved run not yet stored
     bz = lz = rz = 0  # where the current gap starts in base, left, right
     # the empty run at the three ends closes the last gap
@@ -109,23 +107,25 @@ def merge3(base: Pieces, left: Pieces, right: Pieces) -> MergeOutcome:
             run += r_gap
         else:
             if run:
-                regions.append(Resolved(_text(run)))
+                regions.append(_text(run))
                 run = []
             regions.append(Conflict(_text(l_gap), _text(b_gap), _text(r_gap)))
         run += b[i:i + n]
         bz, lz, rz = i + n, j + n, k + n
     if run:
-        regions.append(Resolved(_text(run)))
+        regions.append(_text(run))
     final_lf = left.trailing_newline
     if final_lf == base.trailing_newline:
         final_lf = right.trailing_newline
+    open_end = False
     if not final_lf and regions:
-        last = regions.pop()
-        if isinstance(last, Conflict):
-            regions.append(replace(last, open_end=True))
-        elif last.text != b"\n":  # a lone LF leaves no text
-            regions.append(Resolved(last.text[:-1]))
-    return MergeOutcome(regions)
+        if isinstance(regions[-1], Conflict):
+            open_end = True
+        elif regions[-1] == b"\n":  # a lone LF leaves no text
+            regions.pop()
+        else:
+            regions[-1] = regions[-1][:-1]
+    return MergeOutcome(regions, open_end)
 
 
 def _text(pieces: list[bytes]) -> bytes:
@@ -160,10 +160,11 @@ def render(
 ) -> bytes:
     """Render an outcome to bytes; conflicts get standard markers.
 
-    ``labels`` name the left, base, and right sides after their markers; an
-    empty label leaves its marker bare.  With ``base_marker`` the base
-    payload is included diff3-style between a ``|||||||`` line and the
-    ``=======`` separator.
+    Resolved regions are copied as they are.  ``labels`` name the left,
+    base, and right sides after their markers; an empty label leaves its
+    marker bare.  With ``base_marker`` the base payload is included
+    diff3-style between a ``|||||||`` line and the ``=======`` separator.
+    The last closing marker loses its LF where the outcome's end is open.
     """
     lname, bname, rname = (s.encode("utf-8") for s in labels)
     opening = _marker_line(_MARK_LEFT, lname)
@@ -172,13 +173,15 @@ def render(
     closing = _marker_line(_MARK_RIGHT, rname)
     out: list[bytes] = []  # the output's pieces, markers included, joined once
     for region in outcome.regions:
-        if isinstance(region, Resolved):
-            out.append(region.text)
+        if isinstance(region, bytes):
+            out.append(region)
             continue
         out += (opening, region.left)
         if base_marker:
             out += (base_line, region.base)
-        out += (separator, region.right, closing[:-1] if region.open_end else closing)
+        out += (separator, region.right, closing)
+    if outcome.open_end:
+        out[-1] = closing[:-1]
     return b"".join(out)
 
 
@@ -186,42 +189,39 @@ def join(parts: list[MergeOutcome | bytes]) -> MergeOutcome:
     """Concatenate fragments the way their texts concatenate.
 
     Each part is a fragment's outcome or, for a fragment taken whole, its
-    text.  The resolved text between two conflicts becomes one region.  A
-    conflict begins and ends on lines of its own: before it, a text that
-    ends without an LF gets one.  After a conflict with an open end, a
-    leading LF of the next text only ends the closing marker's line, and
-    any other text starts a new line.
+    text, which joins as an outcome of that one region would.  The text
+    between two conflicts becomes one region.  A conflict begins and ends
+    on lines of its own: before it, a text that ends without an LF gets
+    one.  A part's open end carries into the next part: there a leading LF
+    only ends the closing marker's line, and any other text starts a new
+    line.
     """
-    regions: list[Resolved | Conflict] = []
-    texts: list[bytes] = []  # resolved text not yet stored in a region
-    open_end = False  # the last region is a conflict with an open end
+    regions: list[bytes | Conflict] = []
+    texts: list[bytes] = []  # text not yet stored in a region
+    open_end = False  # the text so far ends in a conflict's open end
     for part in parts:
-        if isinstance(part, bytes) and part and not open_end:
-            texts.append(part)  # the common part: a text taken whole, within a run
-            continue
-        for region in (part,) if isinstance(part, bytes) else part.regions:
+        if isinstance(part, bytes):
+            if part and not open_end:
+                texts.append(part)  # the common part: a text taken whole, within a run
+                continue
+            part = MergeOutcome([part] if part else [])
+        for region in part.regions:
             if isinstance(region, Conflict):
                 if texts:
                     if not texts[-1].endswith(b"\n"):
                         texts.append(b"\n")
-                    regions.append(Resolved(b"".join(texts)))
+                    regions.append(b"".join(texts))
                     texts = []
-                elif open_end:
-                    regions[-1] = replace(regions[-1], open_end=False)
                 regions.append(region)
-                open_end = region.open_end
-                continue
-            text = region if isinstance(region, bytes) else region.text
-            if open_end and text:
-                regions[-1] = replace(regions[-1], open_end=False)
-                open_end = False
-                if text.startswith(b"\n"):
-                    text = text[1:]
-            if text:
-                texts.append(text)
+            elif not open_end:
+                texts.append(region)
+            elif region != b"\n":  # a lone LF only ends the closing marker's line
+                texts.append(region.removeprefix(b"\n"))
+            open_end = False
+        open_end = open_end or part.open_end
     if texts:
-        regions.append(Resolved(b"".join(texts)))
-    return MergeOutcome(regions)
+        regions.append(b"".join(texts))
+    return MergeOutcome(regions, open_end)
 
 
 def _marker_line(marker: bytes, label: bytes) -> bytes:

@@ -11,10 +11,10 @@ their insertion anchors, deletions against an untouched counterpart are
 honored, and a declaration changed on both sides has its text merged line
 by line, or through separator marking when a separator set is given.  The
 result is one ``MergeOutcome`` for the whole file, joined from the
-outcomes of its fragments: resolved regions hold text, conflicts stay
-regions, and the caller renders and counts them.  ``merge_matched`` alone
-decides how each declaration merges; its docstring gives the order of the
-rules.
+outcomes of its fragments: a resolved region is its bytes, a conflict
+stays a region, and the caller renders and counts them.
+``merge_matched`` alone decides how each declaration merges; its
+docstring gives the order of the rules.
 
 The merge goes by runs.  Every declaration that one side gives whole (it
 is unchanged, changed on one side only, or changed alike on both) is kept
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from .javaparse import DeclNode, ORDERED_KINDS, WS_RUN
 from .lexer import lex_states
 from .separators import SeparatorSet, merge_body
-from .textmerge import MergeOutcome, Resolved, join, merge_texts_outcome
+from .textmerge import MergeOutcome, join, merge_texts_outcome
 
 # the line break that may open a declaration's text
 _BREAK = re.compile(rb"\r?\n")
@@ -148,7 +148,7 @@ def merge_matched(
     """
     text = _unmerged(matched)
     if text is not None:
-        return _taken(text)
+        return MergeOutcome([text] if text else [])
     b, l, r = matched.base, matched.left, matched.right
     three = b is not None and l is not None and r is not None
     if three and b.kind in ("compilation-unit", "type"):
@@ -248,8 +248,3 @@ def _part(bt: bytes, lt: bytes, rt: bytes) -> MergeOutcome | bytes:
     if rt == bt or lt == rt:
         return lt
     return merge_texts_outcome(bt, lt, rt)
-
-
-def _taken(text: bytes) -> MergeOutcome:
-    """One side's text, unchanged, as a single resolved region."""
-    return MergeOutcome([Resolved(text)] if text else [])

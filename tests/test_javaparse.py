@@ -238,10 +238,30 @@ def member_ids(src):
         # an operator in an annotation argument is no bracket either
         (b"class A { void f(@A(n = 1 << 2) int a, @B(2 > 1) long b) {} }",
          ["f(int,long)"]),
+        # a '@' that no name follows starts no annotation in a parameter list
+        (b"class A { void m(@(a, b) int x) {} }", ["m(abint)"]),
+        # an annotation's name and arguments read across blanks and comments
+        (b"class A { @ /*c*/ A . /*d*/ B ( 1 ) int f; }", ["f"]),
     ],
 )
 def test_method_key_reads_code_tokens(src, expected):
     assert member_ids(src) == expected
+
+
+@pytest.mark.parametrize(
+    "src,message",
+    [
+        (b"@", "dangling '@'"),
+        (b"class A { @ ; int f; }", "dangling '@'"),
+        (b"@A.", "dangling '.' in annotation name"),
+        (b"enum E { @A.(1) A }", "dangling '.' in annotation name"),
+        (b"package p", "missing ';'"),
+    ],
+)
+def test_an_unfinished_annotation_or_package_names_its_fault(src, message):
+    with pytest.raises(ParseError) as caught:
+        parse_units(src)
+    assert str(caught.value) == message
 
 
 # -- non-ASCII identifiers -------------------------------------------------------

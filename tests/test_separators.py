@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sesame.separators import SeparatorSet, mark, merge_body, pick_placeholder
-from sesame.textmerge import Conflict, MergeOutcome, Pieces, Resolved, count_conflicts, render
+from sesame.textmerge import Conflict, MergeOutcome, Pieces, count_conflicts, render
 from test_lexer import CODE, reference_lex_states
 from test_textmerge import conflicts, line_split, merge_text, reference_merge3, rejoined, text_of
 
@@ -192,17 +192,17 @@ def reference_merge_body(base, left, right, seps=None):
     regions = []
     run = []  # marked text of consecutive resolved regions
     for region in raw.regions:
-        if isinstance(region, Resolved):
-            run.append(region.text)
+        if isinstance(region, bytes):
+            run.append(region)
             continue
         if run:
-            regions.append(Resolved(reference_unmark(b"".join(run), ph)))
+            regions.append(reference_unmark(b"".join(run), ph))
             run = []
         sides = (reference_unmark(side, ph) for side in (region.left, region.base, region.right))
-        regions.append(Conflict(*sides, region.open_end))
+        regions.append(Conflict(*sides))
     if run:
-        regions.append(Resolved(reference_unmark(b"".join(run), ph)))
-    return MergeOutcome(regions)
+        regions.append(reference_unmark(b"".join(run), ph))
+    return MergeOutcome(regions, raw.open_end)
 
 
 def reference_pieces(text, seps=None):

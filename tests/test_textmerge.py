@@ -16,7 +16,6 @@ from sesame.textmerge import (
     MarkerError,
     MergeOutcome,
     Pieces,
-    Resolved,
     count_conflicts,
     join,
     merge3,
@@ -192,14 +191,16 @@ def text_form(outcome):
         if isinstance(region, LineConflict):
             regions.append(Conflict(text(region.left), text(region.base), text(region.right)))
         elif region.lines:
-            regions.append(Resolved(text(region.lines)))
+            regions.append(text(region.lines))
+    open_end = False
     if not outcome.trailing_newline and regions:
         last = regions.pop()
         if isinstance(last, Conflict):
-            regions.append(Conflict(last.left, last.base, last.right, open_end=True))
-        elif last.text != b"\n":
-            regions.append(Resolved(last.text[:-1]))
-    return MergeOutcome(regions)
+            regions.append(last)
+            open_end = True
+        elif last != b"\n":
+            regions.append(last[:-1])
+    return MergeOutcome(regions, open_end)
 
 
 def line_split(data):
@@ -216,14 +217,14 @@ def line_form(outcome):
     text may end without an LF."""
     regions, trailing = [], True
     for region in outcome.regions:
-        if isinstance(region, Resolved):
-            lines, trailing = line_split(region.text)
+        if isinstance(region, bytes):
+            lines, trailing = line_split(region)
             regions.append(LineResolved(tuple(lines)))
         else:
             sides = [line_split(side) for side in (region.left, region.base, region.right)]
             assert all(lf for _, lf in sides)  # each side is LF-terminated lines
             regions.append(LineConflict(*(tuple(lines) for lines, _ in sides)))
-            trailing = not region.open_end
+            trailing = not outcome.open_end
     return LineOutcome(regions, trailing)
 
 
@@ -401,13 +402,21 @@ def conflicts(outcome):
     return [region for region in outcome.regions if isinstance(region, Conflict)]
 
 
+def assert_outcome_form(outcome):
+    """No text region of ``outcome`` is empty or next to another, and its
+    end is open only where a conflict ends it."""
+    kinds = [isinstance(region, bytes) for region in outcome.regions]
+    assert all(region for region in outcome.regions if isinstance(region, bytes))
+    assert (True, True) not in zip(kinds, kinds[1:])
+    assert not outcome.open_end or isinstance(outcome.regions[-1], Conflict)
+
+
 def assert_same_merge(outcome, reference):
-    """``outcome`` renders as ``reference`` does and has its conflicts, and
-    no two of its resolved regions are adjacent."""
+    """``outcome`` renders as ``reference`` does, has its conflicts and
+    keeps the outcome form."""
     assert render(outcome, base_marker=True) == render(reference, base_marker=True)
     assert conflicts(outcome) == conflicts(reference)
-    kinds = [isinstance(region, Resolved) for region in outcome.regions]
-    assert (True, True) not in zip(kinds, kinds[1:])
+    assert_outcome_form(outcome)
 
 
 def test_chunks_partition_all_sequences():
@@ -471,7 +480,7 @@ def test_equal_texts_are_one_stable_run(stable_runs):
     lines = [b"line %d" % i for i in range(100_000)]
     outcome = merge3(pieces_of(lines), pieces_of(lines), pieces_of(lines))
     assert stable_runs == [(0, 0, 0, 100_000)]
-    assert outcome.regions == [Resolved(text_of(lines))]
+    assert outcome.regions == [text_of(lines)]
 
 
 @pytest.mark.parametrize("k", [1, 10, 100])
@@ -482,7 +491,7 @@ def test_one_sided_edits_give_one_more_stable_run(stable_runs, k):
         left[e * 1000 // (k + 1)] = b"edit %d" % e
     outcome = merge3(pieces_of(base), pieces_of(left), pieces_of(base))
     assert len(stable_runs) == k + 1
-    assert outcome.regions == [Resolved(text_of(left))]
+    assert outcome.regions == [text_of(left)]
 
 
 def reference_merge_texts(base, left, right):
@@ -521,12 +530,12 @@ def _assert_mirror(b, l, r):
     rev = merge_texts_outcome(b, r, l)
     assert len(fwd.regions) == len(rev.regions)
     for x, y in zip(fwd.regions, rev.regions):
-        if isinstance(x, Resolved):
+        if isinstance(x, bytes):
             assert x == y
         else:
             assert isinstance(y, Conflict)
             assert (x.left, x.base, x.right) == (y.right, y.base, y.left)
-            assert x.open_end == y.open_end
+    assert fwd.open_end == rev.open_end
 
 
 @given(LINES, LINES, LINES, st.booleans(), st.booleans(), st.booleans())
@@ -641,7 +650,7 @@ def test_join_closes_open_lines_around_conflicts():
         b"class A {\n<<<<<<< left\ny\n=======\nz\n>>>>>>> right\n}\n"
     )
     # an open empty line holds no text: the conflict follows the LF before it
-    ends_in_lf = MergeOutcome([Resolved(b"x\n")])
+    ends_in_lf = MergeOutcome([b"x\n"])
     assert render(ends_in_lf) == b"x\n"
     assert render(join([ends_in_lf, body])) == (
         b"x\n<<<<<<< left\ny\n=======\nz\n>>>>>>> right"
@@ -663,11 +672,18 @@ FRAGMENT = st.one_of(
 )
 
 
+@given(st.lists(FRAGMENT, min_size=1, max_size=5))
+@settings(max_examples=500)
+def test_joined_and_merged_outcomes_keep_their_form(parts):
+    for outcome in [part for part in parts if isinstance(part, MergeOutcome)] + [join(parts)]:
+        assert_outcome_form(outcome)
+
+
 @given(st.lists(FRAGMENT, min_size=1, max_size=5), st.booleans())
 @settings(max_examples=500)
 def test_join_equals_line_based_reference(parts, base_marker):
     outcomes = [
-        MergeOutcome([Resolved(part)] if part else []) if isinstance(part, bytes) else part
+        MergeOutcome([part] if part else []) if isinstance(part, bytes) else part
         for part in parts
     ]
     # only the last region of a fragment may end without an LF

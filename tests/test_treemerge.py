@@ -15,14 +15,14 @@ from sesame.separators import SeparatorSet
 from sesame.textmerge import (
     Conflict,
     MergeOutcome,
-    Resolved,
     count_conflicts,
     join,
     merge_texts_outcome,
     render,
 )
-from sesame.treemerge import _ordered_keys, _taken, match_trees, merge_matched
+from sesame.treemerge import _ordered_keys, match_trees, merge_matched
 from test_javaparse import CORPUS_FILES, _sweep_version
+from test_textmerge import assert_outcome_form
 
 # how bodies changed on both sides merge: line by line, or through separators
 PLAIN = {"separators": None}
@@ -529,7 +529,7 @@ RUN_TEXT = st.one_of(
 )
 BEFORE_RUN = {
     "start": [],
-    "resolved open line": [MergeOutcome([Resolved(b"x")])],
+    "resolved open line": [MergeOutcome([b"x"])],
     # a conflict whose closing marker line is left open
     "conflict with an open end": [merge_texts_outcome(b"x", b"y", b"z")],
 }
@@ -545,7 +545,7 @@ def test_a_run_joins_like_its_texts_one_by_one(texts, before, conflict_after):
     lead = BEFORE_RUN[before]
     tail = [merge_texts_outcome(b"a\n", b"b\n", b"c\n")] if conflict_after else []
     assert all(isinstance(o.regions[0], Conflict) for o in tail)
-    one_by_one = join(lead + [_taken(text) for text in texts] + tail)
+    one_by_one = join(lead + [MergeOutcome([text] if text else []) for text in texts] + tail)
     as_run = join(lead + [b"".join(texts)] + tail)
     as_parts = join(lead + texts + tail)  # as ``_merge_container`` hands them
     assert as_run == one_by_one == as_parts
@@ -593,6 +593,29 @@ def test_runs_merge_as_each_child_merged_on_its_own(separators):
         assert outcome == _merged_child_by_child(matched, separators)
         merged += 1
     assert merged > 300
+
+
+@pytest.mark.parametrize("separators", [None, SeparatorSet()], ids=["plain", "enhanced"])
+def test_every_declaration_outcome_keeps_the_outcome_form(separators, monkeypatch):
+    outcomes = []
+    merge = treemerge.merge_matched
+
+    def kept(matched, separators):
+        outcome = merge(matched, separators)
+        outcomes.append(outcome)
+        return outcome
+
+    # the containers' calls for their children go through the module too
+    monkeypatch.setattr(treemerge, "merge_matched", kept)
+    for sources in _fixture_triples():
+        try:
+            matched = match_trees(*parse_versions(*sources))
+        except ParseError:
+            continue
+        kept(matched, separators)
+    for outcome in outcomes:
+        assert_outcome_form(outcome)
+    assert sum(outcome.conflict_count() > 0 for outcome in outcomes) > 10
 
 
 def test_matched_versions_are_equal_nodes_exactly_when_their_texts_are():
