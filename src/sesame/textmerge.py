@@ -160,7 +160,7 @@ def render(
 ) -> bytes:
     """Render an outcome to bytes; conflicts get standard markers.
 
-    Resolved regions are copied as they are.  ``labels`` name the left,
+    Text regions are copied as they are.  ``labels`` name the left,
     base, and right sides after their markers; an empty label leaves its
     marker bare.  With ``base_marker`` the base payload is included
     diff3-style between a ``|||||||`` line and the ``=======`` separator.
