@@ -9,12 +9,14 @@ treat as a signal to fall back to plain textual merging.
 
 Scanning is bracket-balanced and lexer-aware: braces, parentheses, and
 separators inside literals or comments never influence structure.  Each
-file is scanned through one code view, a copy of its bytes in which
-comment bytes read as blanks and literal bytes as NUL, so compiled ``re``
-patterns and ``find`` calls on the view see only code; ``lex_states``
-makes it.  A byte order mark at the start of the file is insignificant,
-and a package declaration, then imports, then types is the only order
-accepted (JLS 7.3).
+file is scanned through one code view, ``lex_states``' copy of its bytes
+in which comment bytes read as blanks and literal bytes as NUL, so
+compiled ``re`` patterns and ``find`` calls on the view see only code.
+Brackets match closer to closer: ``find`` the next closer of the kind,
+``count`` the openers before it; the depth so kept at a closer is a walk's
+over every bracket, so both stop at the same closer.  A byte order mark at
+the start of the file is insignificant, and a package declaration, then
+imports, then types is the only order accepted (JLS 7.3).
 
 A declaration's key is its kind and identifier.  A package or import is
 identified by its text with whitespace runs made one blank, a type or enum
@@ -128,7 +130,7 @@ _ARGUMENTS, _NAME, _DOTS, _OPENER, _CLOSER, _COMMA_TOKEN = range(2, 8)
 
 _AT, _DOT, _COMMA, _SEMI, _EQ = b"@.,;="
 _LPAREN, _RPAREN, _LBRACE, _RBRACE, _LT, _GT = b"(){}<>"
-_BRACKETS = {_LPAREN: re.compile(rb"[()]"), _LBRACE: re.compile(rb"[{}]")}
+_PAIRS = {_LPAREN: (b"(", b")"), _LBRACE: (b"{", b"}")}
 
 ORDERED_KINDS = frozenset({"package", "import"})
 
@@ -375,19 +377,17 @@ class _Parser:
         return m.group().decode("latin-1"), m.end()
 
     def _match_delim(self, i: int) -> int:
-        """Index of the bracket closing the '(' or '{' at i (code context
-        only); brackets of the other kind are not looked at."""
+        """Index of the bracket closing the '(' or '{' at i (code only): at
+        each closer k, ``depth`` is the openers in [i, k) less the closers
+        in [i, k], the depth of a walk over every bracket of the kind."""
         view = self.view
-        opener = view[i]
-        depth = 0
-        for m in _BRACKETS[opener].finditer(view, i):
-            k = m.start()
-            if view[k] == opener:
-                depth += 1
-            else:
-                depth -= 1
-                if depth == 0:
-                    return k
+        opener, closer = _PAIRS[view[i]]
+        depth, pos = 0, i
+        while (k := view.find(closer, pos)) >= 0:
+            depth += view.count(opener, pos, k) - 1
+            if depth == 0:
+                return k
+            pos = k + 1
         raise ParseError("unbalanced delimiters at end of input")
 
     def _skip_annotation(self, m: re.Match[bytes] | None) -> int:

@@ -1,6 +1,7 @@
 """Shallow parser: structure, round trips, signatures, and failure modes."""
 
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -466,6 +467,121 @@ def test_a_byte_order_mark_at_the_start_is_insignificant():
     # anywhere else it is no blank
     with pytest.raises(ParseError, match="unsupported top-level declaration"):
         parse_units(b"class A {}\n" + _BOM + b"class B {}\n")
+
+
+# -- brackets matched closer to closer ---------------------------------------
+
+def reference_match_delim(view: bytes, i: int) -> int:
+    """The walk over every bracket: the index of the bracket closing the
+    '(' or '{' at i, brackets of the other kind not looked at."""
+    opener = view[i]
+    depth = 0
+    for m in re.finditer(rb"[()]" if opener == ord("(") else rb"[{}]", view[i:]):
+        if view[i + m.start()] == opener:
+            depth += 1
+        else:
+            depth -= 1
+            if depth == 0:
+                return i + m.start()
+    raise ParseError("unbalanced delimiters at end of input")
+
+
+def matcher(view: bytes) -> _Parser:
+    """A parser that scans ``view`` as its code view."""
+    parser = _Parser(b"", javaparse.MemberTable())
+    parser.view = view
+    return parser
+
+
+def match_or_message(match, *args):
+    """``match(*args)``, or the message of the ParseError it raises."""
+    try:
+        return match(*args)
+    except ParseError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize(
+    "view,i,expected",
+    [
+        (b"{ ( }", 0, 4),
+        (b"( { )", 0, 4),
+        (b"{ ( } )", 0, 4),
+        (b"{ ( } )", 2, 6),
+        (b"( } } )", 0, 6),
+        (b"{ ) ( }", 0, 6),
+        (b"{ ) ( }", 4, "unbalanced delimiters at end of input"),
+        (b"{ { } ( }", 0, 8),
+        (b"{ { }", 0, "unbalanced delimiters at end of input"),
+        (b"(", 0, "unbalanced delimiters at end of input"),
+        (b"((a)(b(c))d)", 0, 11),
+        (b"((a)(b(c))d)", 4, 9),
+    ],
+)
+def test_a_bracket_matches_across_the_other_kind(view, i, expected):
+    assert match_or_message(matcher(view)._match_delim, i) == expected
+    assert match_or_message(reference_match_delim, view, i) == expected
+
+
+_FILLER = st.sampled_from([b"", b"a", b";", b" ", b"\0"])
+_BRACKETS_AND_FILLER = st.lists(st.sampled_from(b"(){}(){}a ;\0"), max_size=60).map(bytes)
+_NESTED = st.recursive(
+    _FILLER,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(b"".join),
+        inner.map(lambda v: b"(" + v + b")"),
+        inner.map(lambda v: b"{" + v + b"}"),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=800, deadline=None)
+@given(_BRACKETS_AND_FILLER, _NESTED, _BRACKETS_AND_FILLER)
+def test_brackets_match_as_the_walk_over_every_bracket(head, nested, tail):
+    # random brackets and filler around a nested balanced run: every '(' and
+    # '{' is matched, the unbalanced ones among them too
+    view = head + nested + tail
+    parser = matcher(view)
+    for i, c in enumerate(view):
+        if c in b"({":
+            assert match_or_message(parser._match_delim, i) == match_or_message(
+                reference_match_delim, view, i
+            ), (view, i)
+
+
+class _CountedView(bytes):
+    """A code view that counts the calls that read it from Python: its
+    ``find`` calls and its indexing."""
+
+    reads = 0
+
+    def find(self, *args):
+        self.reads += 1
+        return super().find(*args)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_a_long_body_is_matched_in_one_step_per_closing_brace():
+    # long-body's shape: 3000 statements, every sixth a nested block
+    statements = [
+        b"    if (c) { k(); }\n" if s % 6 == 5 else b"    v%d = f%d(x%d, y);\n" % (s, s, s)
+        for s in range(3000)
+    ]
+    source = b"class A {\n  void m() {\n" + b"".join(statements) + b"  }\n}\n"
+    view = _CountedView(lex_states(source))
+    i = source.index(b"{", source.index(b"m()"))
+    k = matcher(view)._match_delim(i)
+    reads = view.reads
+    assert k == reference_match_delim(view, i) == len(source) - 4
+    closers = view.count(b"}", i, k + 1)
+    assert closers == 501
+    # one read of the opener, then one per closer; a walk that reads every
+    # bracket of the kind makes 1002
+    assert reads <= 1 + closers
 
 
 # -- one member table for the versions of a merge ------------------------------
