@@ -21,6 +21,33 @@ a backslash at the end of the input still belongs to its literal.  A block
 comment closes at the first ``*/`` after its opening ``/*`` (so ``/*/``
 does not close it) or runs to the end of the input.
 
+Each body is matched as runs ("unrolling the loop", Friedl, *Mastering
+Regular Expressions*): a run of plain bytes, then, any number of times, a
+byte that could end the token but does not, with the run after it.  Each
+token ends where a per-byte alternation ends it, which the tests keep as
+the reference:
+- A string or character literal's plain bytes are all but its quote, a
+  backslash and LF.  The loop takes a backslash with the byte it escapes,
+  so the literal ends at the first quote that no backslash escapes, or
+  stops before the first LF that none escapes.
+- A text block's plain bytes are all but '"' and a backslash.  The loop
+  takes an escape, or a '"' that two more do not follow, so the block
+  ends at the first three quotes that no backslash escapes.
+- A block comment's plain bytes are all but '*'.  The loop takes a run of
+  '*' and then a byte other than '*' or '/', so the comment ends at the
+  first ``*/`` after its opener; the opener's '*' is not read again, so
+  ``/*/`` does not close it.
+``\\Z`` still closes an unclosed text block or block comment (its
+trailing '*' included) at the end of the input, as an optional closing
+quote lets a string or character literal stop there.
+
+The match is linear in the input.  Every repeat begins with a byte that
+the run before it excludes, so a run stops exactly where the next repeat
+or the token's end begins, and each body matches in one way.  Only a run
+of '*' is read more than once, a fixed number of times, where it closes
+the comment or ends the input.  The pattern needs no possessive repeat or
+atomic group, which Python 3.10 lacks.
+
 Lexing can restart right after a code byte other than '/'.  No token
 covers that byte, and no token can start on it and run into the bytes
 after it, so every token before it ends inside what precedes it and is
@@ -36,13 +63,14 @@ from __future__ import annotations
 
 import re
 
-# one group, around the whole alternation, so that ``split`` keeps each token
+# one group, around the whole alternation, so that ``split`` keeps each
+# token; each body is matched as runs (see the module docstring)
 TOKEN = re.compile(
-    rb'("""(?:[^"\\]|\\[\s\S]?|"(?!""))*(?:"""|\Z)'
-    rb'|"(?:[^"\\\n]|\\[\s\S]?)*"?'
-    rb"|'(?:[^'\\\n]|\\[\s\S]?)*'?"
+    rb'("""[^"\\]*(?:(?:\\[\s\S]?|"(?!""))[^"\\]*)*(?:"""|\Z)'
+    rb'|"[^"\\\n]*(?:\\[\s\S]?[^"\\\n]*)*"?'
+    rb"|'[^'\\\n]*(?:\\[\s\S]?[^'\\\n]*)*'?"
     rb"|//[^\n]*"
-    rb"|/\*[\s\S]*?(?:\*/|\Z))"
+    rb"|/\*[^*]*(?:\*+[^*/][^*]*)*(?:\*+/|\**\Z))"
 )
 _SLASH = ord("/")
 

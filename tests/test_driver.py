@@ -301,6 +301,40 @@ def test_a_package_or_import_after_a_type_falls_back():
         assert (result.output, result.conflicts) == (right, 0)
 
 
+# Known faults (README, "Known limitations"): each test asserts the right
+# behaviour and is a strict xfail, so the change that fixes one must flip it.
+KNOWN_FAULT = pytest.mark.xfail(strict=True, reason="known fault, see README")
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [pytest.param(EngineMode.SEMISTRUCTURED, marks=KNOWN_FAULT), EngineMode.SESAME],
+)
+def test_a_conflict_ending_a_member_leaves_no_lone_cr_line_in_a_crlf_file(mode):
+    # after the closing marker, the next member's text starts with the CRLF
+    # that ended the conflicting member's line, and only its LF is dropped
+    base = b"class A {\r\n    int f() { return 1; }\r\n    int g() { return 2; }\r\n}\r\n"
+    left = base.replace(b"return 1;", b"return 10;")
+    right = base.replace(b"return 1;", b"return 20;")
+    result = run_engine(base, left, right, config(mode))
+    assert not result.fell_back, result.fallback_reason
+    assert result.conflicts == 1
+    assert b"\r" not in result.output.split(b"\n"), result.output
+
+
+@pytest.mark.parametrize("mode", [EngineMode.SEMISTRUCTURED, EngineMode.SESAME])
+@KNOWN_FAULT
+def test_an_import_that_both_sides_move_is_not_written_twice(mode):
+    # left moves the import first (and adds a package), right moves it last:
+    # the import section merges as text, and each side's insertion is kept
+    base = b"import static d.E.f;\nimport a.b;\nimport c.*;\nclass A {}\n"
+    left = b"package p;\nimport a.b;\nimport static d.E.f;\nimport c.*;\nclass A {}\n"
+    right = b"import static d.E.f;\nimport c.*;\nimport a.b;\nclass A {}\n"
+    result = run_engine(base, left, right, config(mode))
+    assert not result.fell_back, result.fallback_reason
+    assert result.conflicts > 0 or result.output.count(b"import a.b;") == 1, result.output
+
+
 # -- git driver ---------------------------------------------------------------
 
 def test_git_driver_overwrites_current(tmp_path):

@@ -1,12 +1,14 @@
-"""Lexer: the code view against the per-byte scan it replaced."""
+"""Lexer: the code view against the per-byte scan it replaced, and the
+token pattern against the per-byte alternation it replaced."""
 
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sesame.lexer import lex_states
+from sesame.lexer import TOKEN, lex_states
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -161,3 +163,60 @@ def test_code_view_masks_runs_by_kind():
 )
 def test_a_literal_next_to_a_comment_keeps_both_fills(data, view):
     assert lex_states(data) == reference_view(data) == view
+
+
+# The token pattern in its per-byte form: each byte of a literal body is
+# one pass of an alternation, and a block comment's body a lazy repeat.
+# ``TOKEN`` matches the same bodies as runs and must split alike.
+REFERENCE_TOKEN = re.compile(
+    rb'("""(?:[^"\\]|\\[\s\S]?|"(?!""))*(?:"""|\Z)'
+    rb'|"(?:[^"\\\n]|\\[\s\S]?)*"?'
+    rb"|'(?:[^'\\\n]|\\[\s\S]?)*'?"
+    rb"|//[^\n]*"
+    rb"|/\*[\s\S]*?(?:\*/|\Z))"
+)
+
+# units that open, close or extend a token's body, weighted towards text
+# block quotes, escapes and runs of '*'; the tail leaves a literal or a
+# comment open at the end of the input
+TOKEN_UNITS = [
+    b'"""', b'"""', b'""', b'"', b"'", b"\\", b"\\\\", b"\\\\\\", b"*", b"**", b"***",
+    b"/*", b"*/", b"/*/", b"/**/", b"//", b"/", b"\n", b"\r\n", b" ", b"a", b"{", b";",
+]
+TOKEN_TAILS = [b"", b'"""', b'"', b"'", b"\\", b"/*", b"/**", b"/*/", b"//", b'"""\\']
+token_texts = st.builds(
+    lambda units, tail: b"".join(units) + tail,
+    st.lists(st.sampled_from(TOKEN_UNITS), max_size=40),
+    st.sampled_from(TOKEN_TAILS),
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(token_texts)
+def test_token_splits_as_the_per_byte_alternation(data):
+    assert TOKEN.split(data) == REFERENCE_TOKEN.split(data)
+
+
+def test_token_splits_every_fixture_as_the_per_byte_alternation():
+    paths = sorted(FIXTURES.rglob("*.java"))
+    kinds = {path.relative_to(FIXTURES).parts[0] for path in paths}
+    assert {"java_corpus", "java_corpus_bad", "golden"} <= kinds
+    for path in paths:
+        data = path.read_bytes()
+        assert TOKEN.split(data) == REFERENCE_TOKEN.split(data), path
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'x = """' + b'a "b" ""c\\"""\\\\\n' * 3200,  # an unclosed text block
+        b"/*" + b"** a / b *\n/ *** / c\n" * 2500,  # an unclosed block comment
+        b"/*" + b"** a / b *\n*/ x /* c **" * 2200,  # comments, the last unclosed
+        b"/*" + b"*" * 50_000,  # a comment that ends in a run of '*'
+        b'"' + b"a\\\"b\\\\c\\\n" * 5600,  # an unclosed string of escapes
+        b"'" + b"\\'" * 25_000,  # a character literal of escaped quotes
+    ],
+)
+def test_token_splits_long_bodies_as_the_per_byte_alternation(data):
+    assert len(data) >= 50_000
+    assert TOKEN.split(data) == REFERENCE_TOKEN.split(data)
