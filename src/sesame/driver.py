@@ -155,15 +155,21 @@ def _write_atomic(path: Path, data: bytes) -> None:
     A symlink is followed to the file it names, so the link stays and its
     target gets the data; a dangling link creates its target.  The result
     keeps the mode of the file it replaces; a new file gets the mode
-    ``open`` would give it, 0666 less the umask.
+    ``open`` would give it, 0666 less the umask.  A target that exists and
+    is no regular file, such as a FIFO or a device, is written in place.
     """
     path = Path(os.path.realpath(path))
-    directory = path.parent
     try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
+        st_mode = os.stat(path).st_mode
     except FileNotFoundError:
         mode = 0o666 & ~_umask()
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sesame-")
+    else:
+        if not stat.S_ISREG(st_mode):
+            with open(path, "wb") as handle:
+                handle.write(data)
+            return
+        mode = stat.S_IMODE(st_mode)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".sesame-")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)

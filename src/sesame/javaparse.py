@@ -95,6 +95,8 @@ _TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
 
 # whitespace, and a byte order mark at the start of the file
 WS_RUN = re.compile(rb"(?:\A\xef\xbb\xbf)?[ \t\r\n\x0b\x0c]*")
+# runs of whitespace then ';': each repeat consumes a ';', so the match is linear
+_SEMI_RUNS = re.compile(rb"(?:[ \t\r\n\x0b\x0c]*;)*")
 # an identifier byte; in valid Java, a non-ASCII byte in code is part of one
 _ID = rb"[A-Za-z0-9_$\x80-\xff]"
 _WORD = re.compile(_ID + rb"*")
@@ -486,15 +488,11 @@ class _Parser:
     def _absorb_semicolons(self, end: int) -> int:
         """Consume whitespace-then-';' runs directly after a declaration.
 
-        Comments end the run.  ``end`` always follows a code '}' or ';', so
-        the whitespace after it is code too.
+        The match reads the bytes, so a comment ends the run.  ``end``
+        always follows a code '}' or ';', so the whitespace after it is
+        code too, and so is a ';' right after that whitespace.
         """
-        while True:
-            k = WS_RUN.match(self.data, end).end()
-            if k < self.n and self.view[k] == _SEMI:
-                end = k + 1
-            else:
-                return end
+        return _SEMI_RUNS.match(self.data, end).end()
 
     # -- enum bodies --------------------------------------------------------
 

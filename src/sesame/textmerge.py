@@ -10,9 +10,9 @@ and a region of the merge is the text of a run of pieces.
 
 ``merge3`` diffs base with left and with right, and finds diff3's stable
 runs where a matching block of one overlaps a block of the other in base.
-Stable runs stay resolved; in the gaps between them a one-sided change
-wins, identical two-sided changes win, and anything else becomes a
-conflict region carrying the left, base, and right payloads.
+Stable runs stay resolved; each gap between them is decided by
+``take_side``, and a gap where it takes no side becomes a conflict region
+carrying the left, base, and right payloads.
 
 Pieces stay inside ``merge3``: an outcome holds text.  A resolved region
 is its exact bytes, never empty, and no two of them are adjacent.  A
@@ -84,12 +84,24 @@ class MergeOutcome:
         return sum(1 for r in self.regions if isinstance(r, Conflict))
 
 
+def take_side(base, left, right):
+    """Diff3's rule for one region: right where left equals base, else left
+    where right equals base or left, else None, as the sides changed the
+    region in different ways.  So a one-sided change or deletion is taken,
+    and so is a change made alike on both sides.  ``is`` is tried before
+    ``==``, so a version that two sides share compares at once."""
+    if left is base or left == base:
+        return right
+    if right is base or right is left or right == base or right == left:
+        return left
+    return None
+
+
 def merge3(base: Pieces, left: Pieces, right: Pieces) -> MergeOutcome:
     """Three-way merge of LF-led pieces (diff3 semantics).
 
-    Each stable run is kept as resolved, and each gap before, between and
-    after them is merged on its own.  A side that changed its final LF from
-    base's decides whether the outcome ends in one; otherwise the right does.
+    Each stable run is kept as resolved.  ``take_side`` decides each gap
+    before, between and after them, and whether the outcome ends in an LF.
     Without one, the outcome's end is open where a conflict ends it, and
     its last resolved region loses its LF otherwise.
     """
@@ -101,10 +113,8 @@ def merge3(base: Pieces, left: Pieces, right: Pieces) -> MergeOutcome:
     # the empty run at the three ends closes the last gap
     for i, j, k, n in chain(runs, ((len(b), len(l), len(r), 0),)):
         b_gap, l_gap, r_gap = b[bz:i], l[lz:j], r[rz:k]
-        if l_gap == r_gap or r_gap == b_gap:
-            run += l_gap
-        elif l_gap == b_gap:
-            run += r_gap
+        if (taken := take_side(b_gap, l_gap, r_gap)) is not None:
+            run += taken
         else:
             if run:
                 regions.append(_text(run))
@@ -114,9 +124,7 @@ def merge3(base: Pieces, left: Pieces, right: Pieces) -> MergeOutcome:
         bz, lz, rz = i + n, j + n, k + n
     if run:
         regions.append(_text(run))
-    final_lf = left.trailing_newline
-    if final_lf == base.trailing_newline:
-        final_lf = right.trailing_newline
+    final_lf = take_side(base.trailing_newline, left.trailing_newline, right.trailing_newline)
     open_end = False
     if not final_lf and regions:
         if isinstance(regions[-1], Conflict):

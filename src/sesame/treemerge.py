@@ -7,12 +7,12 @@ import that both sides add is kept once, where left put it), and the
 merged file holds the package, then the imports, then the types.  The
 types of the three versions, and their members, are matched level-wise by
 kind and identifier.  Declarations added on one side are juxtaposed at
-their insertion anchors, deletions against an untouched counterpart are
-honored, and a declaration changed on both sides has its text merged line
-by line, or through separator marking when a separator set is given.  The
-result is one ``MergeOutcome`` for the whole file, joined from the
-outcomes of its fragments: a resolved region is its bytes, a conflict
-stays a region, and the caller renders and counts them.
+their insertion anchors.  ``textmerge.take_side`` decides each declaration
+and section: a one-sided change or deletion is taken, and one changed on
+both sides is merged line by line, or through separator marking when a
+separator set is given.  The result is one ``MergeOutcome`` for the whole
+file, joined from the outcomes of its fragments: a resolved region is its
+bytes, a conflict stays a region, and the caller renders and counts them.
 ``merge_matched`` alone decides how each declaration merges; its
 docstring gives the order of the rules.
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from .javaparse import DeclNode, ORDERED_KINDS, WS_RUN
 from .lexer import lex_states
 from .separators import SeparatorSet, merge_body
-from .textmerge import MergeOutcome, join, merge_texts_outcome
+from .textmerge import MergeOutcome, join, merge_texts_outcome, take_side
 
 # the line break that may open a declaration's text
 _BREAK = re.compile(rb"\r?\n")
@@ -133,8 +133,9 @@ def merge_matched(
 
     Each declaration is decided here, in this order:
 
-    1. a declaration that one side gives whole (``_unmerged``) is that
-       side's text, so a side's reordered members stay in its order;
+    1. a declaration that one side gives whole by ``take_side``
+       (``_unmerged``) is that side's text, so a side's reordered members
+       stay in its order;
     2. a compilation unit or type present in all three versions merges by
        runs (``_merge_container``), which calls back here only for the
        children that no side gives whole;
@@ -175,7 +176,7 @@ def _merge_container(
     if b.kind == "compilation-unit":
         parts.append(_part(_section(b, "package"), _section(l, "package"), _section(r, "package")))
         bt, lt, rt = _section(b, "import"), _section(l, "import"), _section(r, "import")
-        if lt != bt and rt not in (bt, lt):
+        if take_side(bt, lt, rt) is None:
             # an import that both sides add is left's: right's copy is dropped
             rt = _section(r, "import", _imports(l) - _imports(b))
         parts.append(_part(bt, lt, rt))
@@ -187,23 +188,12 @@ def _merge_container(
 
 
 def _unmerged(matched: MatchedNode) -> bytes | None:
-    """The text of the side that gives a declaration whole, by the rule of
-    ``_part``, or None where each side changed it its own way."""
+    """The text of the side that gives a declaration whole, or None where
+    each side changed it its own way.  An absent version takes part as
+    empty text, which no node equals."""
     b, l, r = matched.base, matched.left, matched.right
-    if _same(l, b):
-        return _text(r)
-    if _same(r, b) or _same(l, r):
-        return _text(l)
-    return None
-
-
-def _same(x: DeclNode | None, y: DeclNode | None) -> bool:
-    """Whether two versions of a declaration, either maybe absent, have
-    equal text.  Matched versions share their container and key, and the
-    parse of one text is one tree, so they are equal nodes exactly when
-    their texts are equal; a node, shared or absent, is the same as itself
-    at once."""
-    return x is y or x == y
+    side = take_side(b"" if b is None else b, b"" if l is None else l, b"" if r is None else r)
+    return side.text() if isinstance(side, DeclNode) else side
 
 
 def _text(node: DeclNode | None) -> bytes:
@@ -243,8 +233,5 @@ def _imports(cu: DeclNode) -> frozenset[tuple[str, str]]:
 
 def _part(bt: bytes, lt: bytes, rt: bytes) -> MergeOutcome | bytes:
     """The text of the side that gives the merge whole, or the texts merged."""
-    if lt == bt:
-        return rt
-    if rt == bt or lt == rt:
-        return lt
-    return merge_texts_outcome(bt, lt, rt)
+    text = take_side(bt, lt, rt)
+    return merge_texts_outcome(bt, lt, rt) if text is None else text

@@ -3,6 +3,7 @@
 import errno
 import os
 import stat
+import threading
 from pathlib import Path
 
 import pytest
@@ -333,6 +334,61 @@ def test_an_import_that_both_sides_move_is_not_written_twice(mode):
     result = run_engine(base, left, right, config(mode))
     assert not result.fell_back, result.fallback_reason
     assert result.conflicts > 0 or result.output.count(b"import a.b;") == 1, result.output
+
+
+@pytest.mark.parametrize("mode", [EngineMode.SEMISTRUCTURED, EngineMode.SESAME])
+@KNOWN_FAULT
+def test_members_added_with_trailing_comments_keep_their_comments(mode):
+    # each comment is part of the next member's text, so today the two bare
+    # comments meet after both members and conflict
+    base = b"class A {\n    void m() {}\n}\n"
+    left = base.replace(b"}\n}", b"}\n    void l() {} // left\n}")
+    right = base.replace(b"}\n}", b"}\n    void r() {} // right\n}")
+    result = run_engine(base, left, right, config(mode))
+    assert not result.fell_back, result.fallback_reason
+    assert result.conflicts == 0, result.output
+    lines = result.output.split(b"\n")
+    assert b"    void l() {} // left" in lines and b"    void r() {} // right" in lines
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [EngineMode.SEMISTRUCTURED, pytest.param(EngineMode.SESAME, marks=KNOWN_FAULT)],
+)
+def test_an_initializer_added_before_another_does_not_take_its_edit(mode):
+    # initializers are keyed by position: today sesame matches left's new
+    # block with base's and merges right's edit into it
+    base = b"class T { static { a(); } int x; }"
+    left = base.replace(b"{ static", b"{ static { z(); } static")
+    right = base.replace(b"a();", b"a(); b();")
+    result = run_engine(base, left, right, config(mode))
+    assert not result.fell_back, result.fallback_reason
+    assert result.conflicts > 0 or b"static { a(); b(); }" in result.output, result.output
+
+
+@pytest.mark.parametrize("mode", [EngineMode.SEMISTRUCTURED, EngineMode.SESAME])
+@KNOWN_FAULT
+def test_two_imports_of_one_simple_name_conflict(mode):
+    # import x.List and import y.List cannot both stand in one file
+    base = b"import a.A;\nimport b.B;\nclass T {}\n"
+    left = b"import x.List;\n" + base
+    right = base.replace(b"class", b"import y.List;\nclass")
+    result = run_engine(base, left, right, config(mode))
+    assert not result.fell_back, result.fallback_reason
+    assert result.conflicts > 0, result.output
+
+
+@pytest.mark.parametrize("mode", [EngineMode.SEMISTRUCTURED, EngineMode.SESAME])
+@KNOWN_FAULT
+def test_a_type_added_at_the_start_of_a_section_keeps_its_own_line(mode):
+    # today the import and the type that each side adds first meet on one line
+    base = b"class T1 {}"
+    left = b"class T0 {}\nclass T1 {}"
+    right = b"import x;\nclass T1 {}"
+    result = run_engine(base, left, right, config(mode))
+    assert not result.fell_back, result.fallback_reason
+    lines = result.output.split(b"\n")
+    assert not any(b"import x;" in line and b"class T0" in line for line in lines), result.output
 
 
 # -- git driver ---------------------------------------------------------------
@@ -719,3 +775,29 @@ def test_cli_merge_through_a_dangling_symlink_creates_its_target(tmp_path, umask
     expected = (GOLDEN / "method_addition/expected_sesame.java").read_bytes()
     assert link.is_symlink() and target.read_bytes() == expected
     assert stat.S_IMODE(target.stat().st_mode) == 0o644
+
+
+# -- output to a FIFO ------------------------------------------------------------
+
+def test_cli_merge_to_a_fifo_writes_into_it(tmp_path):
+    # a FIFO, like a device, is written in place, never replaced by a file
+    paths = write_inputs(tmp_path, "method_addition")
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+
+    def read_all():
+        with open(fifo, "rb") as handle:  # blocks until the writer opens it
+            received.append(handle.read())
+
+    reader = threading.Thread(target=read_all, daemon=True)
+    reader.start()
+    assert run_cli(
+        "merge", str(paths["base"]), str(paths["left"]), str(paths["right"]),
+        "-o", str(fifo),
+    ) == 0
+    reader.join(timeout=10)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert not reader.is_alive()
+    expected = (GOLDEN / "method_addition/expected_sesame.java").read_bytes()
+    assert received == [expected]

@@ -161,6 +161,25 @@ def test_nested_types_recurse():
     assert kinds_and_ids(outer.children[0]) == [("method", "hi()")]
 
 
+# Known fault (README, "Known limitations"): the test asserts the right
+# behaviour and is a strict xfail, so the change that fixes it must flip it.
+KNOWN_FAULT = pytest.mark.xfail(strict=True, reason="known fault, see README")
+
+
+@KNOWN_FAULT
+def test_a_nested_record_parses_as_a_type_holding_its_members():
+    # today the record's header reads as a method head: method P(int)
+    src = b"class O {\n  record P(int x) {\n    int y() { return x; }\n  }\n}\n"
+    outer = parse_units(src).children[0]
+    assert kinds_and_ids(outer) == [("type", "P")]
+    assert kinds_and_ids(outer.children[0]) == [("method", "y()")]
+
+
+def test_a_top_level_record_is_an_unsupported_declaration():
+    with pytest.raises(ParseError, match="unsupported top-level declaration near 'record'"):
+        parse_units(b"record R(int x) {}\n")
+
+
 def test_comments_attach_to_following_declaration():
     src = b"class A {\n  // doc for x\n  int x;\n  int y;\n}\n"
     tree = parse_units(src)

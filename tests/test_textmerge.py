@@ -22,6 +22,7 @@ from sesame.textmerge import (
     merge_texts_outcome,
     render,
     split_lines,
+    take_side,
 )
 
 def merge_text(base, left, right, labels=DEFAULT_LABELS, base_marker=False):
@@ -150,6 +151,29 @@ def test_empty_labels_render_bare_markers():
     assert render(outcome, ("", "", ""), base_marker=True) == (
         b"<<<<<<<\nl\n|||||||\nm\n=======\nr\n>>>>>>>\n"
     )
+
+
+@pytest.mark.parametrize(
+    "base,left,right,taken",
+    [
+        (b"b", b"b", b"r", b"r"),  # a one-sided change
+        (b"b", b"l", b"b", b"l"),
+        (b"b", b"x", b"x", b"x"),  # a change made alike on both sides
+        (b"b", b"", b"b", b""),  # a deletion against an untouched side
+        (b"b", b"l", b"r", None),  # changed on both sides in different ways
+    ],
+)
+def test_take_side_is_diff3s_rule(base, left, right, taken):
+    assert take_side(base, left, right) == taken
+
+
+def test_take_side_takes_a_shared_version_without_comparing_values():
+    class NoValue:
+        def __eq__(self, other):
+            raise AssertionError("compared by value")
+
+    shared, other = NoValue(), NoValue()
+    assert take_side(shared, shared, other) is other
 
 
 # -- the line model, kept as the reference ----------------------------------
