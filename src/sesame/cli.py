@@ -25,7 +25,7 @@ from .driver import (
     load_config_file,
     merge_files,
 )
-from .harness import ScenarioError, render_report, run_harness
+from .harness import render_report, run_harness
 
 # config keys that engine flags override; each flag stores its value as a
 # string under the key's name with "-" spelled "_"
@@ -38,7 +38,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ScenarioError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"sesame: {exc}", file=sys.stderr)
         return 2
 

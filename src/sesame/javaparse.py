@@ -529,12 +529,10 @@ class _Parser:
         if not name:
             raise ParseError(f"expected enum constant near byte {sig}")
         j = self._skip_insignificant(i)
-        if j < self.n and view[j] == _LPAREN:
-            i = self._match_delim(j) + 1
-            j = self._skip_insignificant(i)
-        if j < self.n and view[j] == _LBRACE:
-            i = self._match_delim(j) + 1
-            j = self._skip_insignificant(i)
+        for opener in (_LPAREN, _LBRACE):  # its argument list, then its body
+            if j < self.n and view[j] == opener:
+                i = self._match_delim(j) + 1
+                j = self._skip_insignificant(i)
         if j < self.n and view[j] == _COMMA:
             i = j + 1
         return DeclNode("enum-constant", name, self.data[start:i]), i
@@ -553,7 +551,7 @@ class _Parser:
         starts, ends = members.starts, members.ends
         context = (enclosing, in_annotation)
         children: list[DeclNode] = []
-        counters = {"initializer": 0}
+        initializers = 0
         while True:
             sig = self._skip_insignificant(pos)
             if sig >= self.n:
@@ -573,8 +571,10 @@ class _Parser:
                 children += members.nodes[j:k]
                 pos += ends[k - 1] - starts[j]
                 continue
-            node, end = self._parse_member(pos, sig, enclosing, in_annotation, counters)
-            if self.first and node.kind not in ("type", "initializer"):
+            node, end = self._parse_member(pos, sig, enclosing, in_annotation, initializers)
+            if node.kind == "initializer":
+                initializers += 1
+            elif self.first and node.kind != "type":
                 if not ends or ends[-1] != pos:
                     members.breaks.append(len(starts))
                 starts.append(pos)
@@ -586,8 +586,9 @@ class _Parser:
 
     def _parse_member(
         self, start: int, sig: int, enclosing: str, in_annotation: bool,
-        counters: dict[str, int],
+        initializers: int,
     ) -> tuple[DeclNode, int]:
+        """The member at ``sig`` and its end; ``initializers`` precede it."""
         plain = self._plain_member(start, sig, enclosing, in_annotation)
         if plain is not None:
             return plain
@@ -604,27 +605,20 @@ class _Parser:
             if m is None:
                 raise ParseError("unexpected end of input in member")
             i = m.start()
+            # in the head: outside '(', before '=' and the parameter list; the
+            # '<' and ',' rules keep their own tests, which a stray ')' splits
+            head = paren_depth == 0 and not seen_eq and signature is None
             word = m.group(1)
             if word is not None:
                 word = word.decode("latin-1")
-                if (
-                    word in _TYPE_KEYWORDS
-                    and paren_depth == 0
-                    and not seen_eq
-                    and signature is None
-                ):
+                if head and word in _TYPE_KEYWORDS:
                     return self._parse_type(start, i)
-                if (
-                    not seen_eq
-                    and angle_depth == 0
-                    and paren_depth == 0
-                    and signature is None
-                ):
+                if head and angle_depth == 0:
                     words.append(word)
                 i = m.end()
                 continue
             c = view[i]
-            if c == _AT and paren_depth == 0 and not seen_eq and signature is None:
+            if c == _AT and head:
                 m = _ANNOTATION.match(view, i)
                 if m and m[1] == b"interface":
                     return self._parse_type(start, m.start(1), annotation=True)
@@ -635,7 +629,7 @@ class _Parser:
             elif c == _GT and angle_depth > 0:
                 angle_depth -= 1
             elif c == _LPAREN:
-                if paren_depth == 0 and not seen_eq and signature is None:
+                if head:
                     close_pos = self._match_delim(i)
                     name = words[-1] if words else ""
                     signature = self._signature(name, i, close_pos)
@@ -655,31 +649,30 @@ class _Parser:
                 seen_eq = False
                 words.append(",")
             elif c == _SEMI and paren_depth == 0:
-                return self._finish_bodyless(
-                    start, sig, i, words, signature, in_annotation
-                ), i + 1
+                if signature is not None:
+                    kind = "annotation-member" if in_annotation else "method"
+                    key = signature
+                elif names := _field_names(words):
+                    kind, key = "field", ",".join(names)
+                else:
+                    raise ParseError(f"could not read field declarator near byte {sig}")
+                return DeclNode(kind, key, data[start:i + 1]), i + 1
             elif c == _LBRACE and paren_depth == 0:
                 if seen_eq:
                     i = self._match_delim(i) + 1
                     continue
                 close = self._match_delim(i)
                 significant = [w for w in words if w not in MODIFIER_WORDS]
-                if signature is None and not significant:
-                    ident = f"#{counters['initializer']}"
-                    counters["initializer"] += 1
-                    node = DeclNode(
-                        "initializer", ident,
-                        data[start:i + 1], data[i + 1:close + 1],
-                    )
-                    return node, close + 1
-                if signature is None:
+                if signature is not None:
+                    kind = _method_kind(significant, name, enclosing, in_annotation)
+                    key = signature
+                elif not significant:
+                    kind, key = "initializer", f"#{initializers}"
+                else:
                     raise ParseError(
                         f"brace-bodied member without parameter list near byte {i}"
                     )
-                kind = _method_kind(significant, name, enclosing, in_annotation)
-                node = DeclNode(
-                    kind, signature, data[start:i + 1], data[i + 1:close + 1]
-                )
+                node = DeclNode(kind, key, data[start:i + 1], data[i + 1:close + 1])
                 return node, close + 1
             i += 1
 
@@ -709,18 +702,6 @@ class _Parser:
             return DeclNode(kind, key, data[start:end]), end
         close = self._match_delim(end - 1)
         return DeclNode(kind, key, data[start:end], data[end:close + 1]), close + 1
-
-    def _finish_bodyless(
-        self, start, sig, semi, words, signature, in_annotation
-    ) -> DeclNode:
-        text = self.data[start:semi + 1]
-        if signature is not None:
-            kind = "annotation-member" if in_annotation else "method"
-            return DeclNode(kind, signature, text)
-        names = _field_names(words)
-        if not names:
-            raise ParseError(f"could not read field declarator near byte {sig}")
-        return DeclNode("field", ",".join(names), text)
 
     # -- signatures -------------------------------------------------------
 
@@ -795,15 +776,12 @@ def _method_kind(
 
 
 def _field_names(words: list[str]) -> list[str]:
-    groups: list[list[str]] = [[]]
-    for w in words:
-        if w == ",":
-            groups.append([])
-        else:
-            groups[-1].append(w)
+    """The names that a field's header words declare, a ``,`` word between
+    declarators; [] if a declarator has no word that is not a modifier."""
     names: list[str] = []
-    for idx, group in enumerate(groups):
-        bare = [w for w in group if w not in MODIFIER_WORDS]
+    # split on the blank only: a latin-1 word may hold U+0085 or U+00A0
+    for idx, group in enumerate(" ".join(words).split(",")):
+        bare = [w for w in group.split(" ") if w and w not in MODIFIER_WORDS]
         if not bare:
             return []
         names.append(bare[-1] if idx == 0 else bare[0])

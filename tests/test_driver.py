@@ -2,7 +2,10 @@
 
 import errno
 import os
+import shutil
 import stat
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -309,6 +312,25 @@ KNOWN_FAULT = pytest.mark.xfail(strict=True, reason="known fault, see README")
 
 @pytest.mark.parametrize(
     "mode",
+    [
+        EngineMode.UNSTRUCTURED,
+        pytest.param(EngineMode.SEMISTRUCTURED, marks=KNOWN_FAULT),
+        pytest.param(EngineMode.SESAME, marks=KNOWN_FAULT),
+    ],
+)
+def test_marker_text_before_a_conflicting_declaration_stays_mid_line(mode):
+    # the conflicting field starts right after "int a;", so today its
+    # conflict sides start with the marker-like text that followed it
+    base = b"class A {\n  int a;>>>>>>> int b = 1;\n}\n"
+    left = base.replace(b"= 1", b"= 2")
+    right = base.replace(b"= 1", b"= 3")
+    result = run_engine(base, left, right, config(mode))
+    assert not result.fell_back, result.fallback_reason
+    assert count_conflicts(result.output) == result.conflicts, result.output
+
+
+@pytest.mark.parametrize(
+    "mode",
     [pytest.param(EngineMode.SEMISTRUCTURED, marks=KNOWN_FAULT), EngineMode.SESAME],
 )
 def test_a_conflict_ending_a_member_leaves_no_lone_cr_line_in_a_crlf_file(mode):
@@ -423,6 +445,57 @@ def test_git_driver_parse_fallback(tmp_path):
     code = git_driver_entry(ancestor, current, other, config(EngineMode.SESAME))
     assert code == 0
     assert b"y();" in current.read_bytes()
+
+
+def _git_merge(root, attributes):
+    """Exit code of a real ``git merge`` of right.java's branch into
+    left.java's, both from base.java, of the combined_changes fixture, and
+    the merged file.  ``root`` holds the repo and git's empty home and
+    global config; ``attributes`` is the repo's .gitattributes text."""
+    repo = root / "repo"
+    repo.mkdir(parents=True)
+    (root / "gitconfig").write_bytes(b"")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_")}
+    env.update(
+        GIT_CONFIG_NOSYSTEM="1",
+        GIT_CONFIG_GLOBAL=str(root / "gitconfig"),
+        HOME=str(root),
+        PYTHONPATH=str(Path("src").resolve()),
+    )
+
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=repo, env=env, capture_output=True)
+
+    def commit(role):
+        source = GOLDEN / "combined_changes" / f"{role}.java"
+        (repo / "A.java").write_bytes(source.read_bytes())
+        assert git("add", "-A").returncode == 0
+        assert git("commit", "-q", "-m", role).returncode == 0
+
+    assert git("init", "-q").returncode == 0
+    git("config", "user.name", "Sesame Test")
+    git("config", "user.email", "sesame@example.com")
+    driver = f'"{sys.executable}" -m sesame.cli git-driver %O %A %B'
+    git("config", "merge.sesame.driver", driver)
+    (repo / ".gitattributes").write_text(attributes)
+    commit("base")
+    assert git("checkout", "-q", "-b", "other").returncode == 0
+    commit("right")
+    assert git("checkout", "-q", "-").returncode == 0
+    commit("left")
+    merged = git("merge", "--no-edit", "other")
+    return merged.returncode, (repo / "A.java").read_bytes()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git on PATH")
+def test_git_merge_runs_the_driver_that_gitattributes_names(tmp_path):
+    code, merged = _git_merge(tmp_path / "with", "*.java merge=sesame\n")
+    assert code == 0, merged
+    assert merged == (GOLDEN / "combined_changes/expected_sesame.java").read_bytes()
+    # without the attribute, git merges the file itself and conflicts
+    code, merged = _git_merge(tmp_path / "without", "")
+    assert code == 1
+    assert b"<<<<<<< HEAD\n" in merged and b">>>>>>> other\n" in merged
 
 
 # -- config file ---------------------------------------------------------------
@@ -725,6 +798,23 @@ def test_cli_git_driver_keeps_the_current_file_mode(tmp_path, umask_022):
     assert stat.S_IMODE(paths["left"].stat().st_mode) == 0o755
     expected = (GOLDEN / "method_addition/expected_sesame.java").read_bytes()
     assert paths["left"].read_bytes() == expected
+
+
+def test_cli_merge_leaves_a_hard_link_to_the_output_as_it_was(tmp_path):
+    # the rename puts a new file at the path; the old file keeps its bytes
+    paths = write_inputs(tmp_path, "method_addition")
+    out = tmp_path / "out.java"
+    out.write_bytes(b"old\n")
+    twin = tmp_path / "twin.java"
+    os.link(out, twin)
+    assert run_cli(
+        "merge", str(paths["base"]), str(paths["left"]), str(paths["right"]),
+        "-o", str(out),
+    ) == 0
+    assert out.stat().st_nlink == 1
+    expected = (GOLDEN / "method_addition/expected_sesame.java").read_bytes()
+    assert out.read_bytes() == expected
+    assert twin.read_bytes() == b"old\n"
 
 
 # -- output through a symlink --------------------------------------------------
