@@ -15,6 +15,17 @@ never split: ``mark`` cuts its text at them with the lexer's ``TOKEN``
 (see ``lexer``).  A declaration that the parse gives the merge starts
 right after a code '{', '}', ';' or ',' and ends on a code byte, so its
 text alone holds the literals and comments that the parse saw in it.
+
+A long body is merged by lines first.  Marking a whole body and diffing
+all of its pieces costs more than linear time on long bodies: most of
+the work re-finds lines that a line diff matches anyway, and where the
+sides hold different numbers of a shared piece, such as ``}`` or ``;``,
+the alignment is not unique and its search grows quadratically.  So when
+one of the three texts has more than ``LINE_FIRST_BOUND`` LFs and each LF
+is code, ``merge_body`` merges the lines, keeps every region that diff3's
+rule resolves, and marks and merges only the gaps where all three sides
+differ.  This departs from the paper, which marks the whole body, but
+only for bodies above the bound: every other body is marked whole.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lexer import TOKEN
-from .textmerge import MergeOutcome, Pieces, lf_led, merge3
+from .textmerge import MergeOutcome, Pieces, join, lf_led, merge3, merge_texts_outcome
 
 DEFAULT_SEPARATOR_CHARS = ("{", "}", "(", ")", ";")
 PLACEHOLDER_CHAR = b"$"
@@ -33,6 +44,9 @@ PLACEHOLDER_CHAR = b"$"
 # pieces takes 3.0 ms at a cut of eight '$' and 1.1 ms at four (CPython
 # 3.11, 2-vCPU x86-64 VM, best of 7).
 _BASE_PLACEHOLDER_LEN = 4
+# A body with more LFs than this in any of its three texts is merged by
+# lines first (see ``merge_body``).
+LINE_FIRST_BOUND = 256
 
 
 @dataclass(frozen=True)
@@ -105,11 +119,48 @@ def mark(text: bytes, seps: SeparatorSet | None = None) -> Pieces:
     return lf_led(list(filter(None, pieces)))
 
 
+def _lfs_are_code(text: bytes) -> bool:
+    """Whether ``text`` holds no ``/*``, three double quotes or backslash
+    before an LF: a cheap test that passes a text only if each of its LFs
+    is code, as only a block comment, a text block or an escaped LF lets a
+    ``lexer.TOKEN`` match run across one."""
+    return not any(token in text for token in (b"/*", b'"""', b"\\\n"))
+
+
 def merge_body(
     base: bytes,
     left: bytes,
     right: bytes,
     seps: SeparatorSet | None = None,
 ) -> MergeOutcome:
-    """Merge three body texts through the separator preprocessing."""
-    return merge3(mark(base, seps), mark(left, seps), mark(right, seps))
+    """Merge three body texts through the separator preprocessing.
+
+    A body in which a text has more than ``LINE_FIRST_BOUND`` LFs, and no
+    text holds a block comment's opener, a text block's three quotes or a
+    backslash before an LF, is merged by lines first: each gap of the line
+    merge that diff3's rule resolves stays as it is, and only a gap where
+    the three sides differ has its sides marked and merged.  The guard
+    leaves only code LFs, so no gap's edge falls inside a token, and a side
+    marks as it would inside the whole text.  Marking a whole long body
+    costs more than linear time; this departure from the paper's
+    whole-body marking is made only above the bound.  Any other body is
+    marked and merged whole.
+    """
+    texts = (base, left, right)
+    long = max(t.count(b"\n") for t in texts) > LINE_FIRST_BOUND
+    if not (long and all(map(_lfs_are_code, texts))):
+        return merge3(mark(base, seps), mark(left, seps), mark(right, seps))
+    lines = merge_texts_outcome(base, left, right)
+    closing = lines.regions[-1] if lines.open_end else None  # a conflict, open at the end
+    parts: list[MergeOutcome | bytes] = []
+    for region in lines.regions:
+        if isinstance(region, bytes):
+            parts.append(region)
+            continue
+        sides = [mark(side, seps) for side in (region.base, region.left, region.right)]
+        if region is closing:
+            # the texts end here without an LF: the LF that closes each
+            # side, or stands for an empty one, is the line merge's
+            sides = [Pieces(side.lines, False) for side in sides]
+        parts.append(merge3(*sides))
+    return join(parts)

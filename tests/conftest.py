@@ -2,6 +2,8 @@ from pathlib import Path
 
 import pytest
 
+from sesame import separators
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -32,3 +34,17 @@ def scenarios_dir() -> Path:
 
 def read_golden(name: str, role: str) -> bytes:
     return (FIXTURES / "golden" / name / f"{role}.java").read_bytes()
+
+
+@pytest.fixture
+def marked(monkeypatch) -> list[bytes]:
+    """Every text that ``separators.merge_body`` marks, in order."""
+    texts = []
+    mark = separators.mark
+
+    def counted(text, seps=None):
+        texts.append(text)
+        return mark(text, seps)
+
+    monkeypatch.setattr(separators, "mark", counted)
+    return texts

@@ -6,10 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sesame.separators import SeparatorSet, mark, merge_body, pick_placeholder
-from sesame.textmerge import Conflict, MergeOutcome, Pieces, count_conflicts, render
+from sesame import separators
+from sesame.lexer import TOKEN
+from sesame.separators import LINE_FIRST_BOUND, SeparatorSet, mark, merge_body, pick_placeholder
+from sesame.textmerge import (
+    Conflict, MergeOutcome, Pieces, count_conflicts, merge3, merge_texts_outcome, render,
+)
 from test_lexer import CODE, reference_lex_states
-from test_textmerge import conflicts, line_split, merge_text, reference_merge3, rejoined, text_of
+from test_textmerge import (
+    assert_outcome_form, conflicts, line_split, merge_text, reference_merge3, rejoined, text_of,
+)
 
 PH = b"$" * 4
 
@@ -421,3 +427,108 @@ SEP_TEXT = st.lists(
 @settings(max_examples=1000)
 def test_merge_body_equals_reference(base, left, right, seps):
     assert_merges_as_reference(base, left, right, seps)
+
+
+# -- long bodies, merged by lines first ---------------------------------------
+
+# more unique lines than the bound, so that a body that starts with them
+# is merged by lines first
+FILLER = b"".join(b"    filler%d();\n" % k for k in range(LINE_FIRST_BOUND + 1))
+
+# no '$', so none can come from the input, and no token that holds an LF
+LONG_TAIL = st.builds(
+    lambda parts, final_lf: FILLER + b"".join(parts) + final_lf,
+    st.lists(
+        st.sampled_from(
+            [b"x;", b"y;", b"{", b"}", b"(", b")", b"f(a)", b"g(b, c)", b"word",
+             b"\n", b"\r\n", b"\n", b'"s;"', b"// c;\n", b"'('"]
+        ),
+        max_size=12,
+    ),
+    st.sampled_from([b"", b"\n"]),
+)
+
+
+def mirrored(outcome):
+    regions = [
+        Conflict(r.right, r.base, r.left) if isinstance(r, Conflict) else r
+        for r in outcome.regions
+    ]
+    return MergeOutcome(regions, outcome.open_end)
+
+
+@given(LONG_TAIL, LONG_TAIL, LONG_TAIL)
+@settings(max_examples=300)
+def test_line_first_merge_keeps_the_merge_laws(base, left, right):
+    # a change on one side only, or alike on both, is taken
+    for triple, taken in (((base, left, base), left), ((base, base, right), right),
+                          ((base, left, left), left)):
+        outcome = merge_body(*triple)
+        assert (render(outcome), outcome.conflict_count()) == (taken, 0)
+    outcome = merge_body(base, left, right)
+    assert_outcome_form(outcome)
+    assert merge_body(base, right, left) == mirrored(outcome)
+    rendered = render(outcome, base_marker=True)
+    assert b"$" not in rendered
+    assert count_conflicts(rendered) == outcome.conflict_count()
+    lines = merge_texts_outcome(base, left, right)
+    if not lines.conflict_count():
+        assert outcome == lines
+
+
+def test_a_long_body_marks_only_the_conflicting_lines(marked):
+    base = FILLER + b"a = f(x);\nb = g(y);\n"
+    left = FILLER + b"a = f(x, 1);\nb = g(y);\n"
+    right = FILLER + b"a = h(x);\nb = g(y);\n"
+    outcome = merge_body(base, left, right)
+    assert marked == [b"a = f(x);\n", b"a = f(x, 1);\n", b"a = h(x);\n"]
+    assert render(outcome) == FILLER + b"a = h(x, 1);\nb = g(y);\n"
+
+
+def test_a_long_body_ending_in_a_conflict_keeps_its_open_end(marked):
+    # the line merge ends in a conflict without a final LF, and left's side
+    # of it is empty
+    base, left, right = FILLER + b"x\ny\n", FILLER + b"x\n", FILLER + b"x\nz"
+    outcome = merge_body(base, left, right)
+    assert marked == [b"y\n", b"", b"z\n"]
+    assert outcome.open_end
+    whole = merge3(mark(base), mark(left), mark(right))
+    assert render(outcome, base_marker=True) == render(whole, base_marker=True)
+
+
+@pytest.mark.parametrize("lfs", [LINE_FIRST_BOUND, LINE_FIRST_BOUND + 1])
+def test_only_a_body_past_the_bound_is_merged_line_first(marked, lfs):
+    base = b"".join(FILLER.splitlines(keepends=True)[:lfs - 1])
+    left, right = base + b"x;\n", base + b"y;\n"  # ``lfs`` LFs each
+    merge_body(base, left, right)
+    if lfs > LINE_FIRST_BOUND:
+        assert marked == [b"", b"x;\n", b"y;\n"]
+    else:
+        assert marked == [base, left, right]
+
+
+@pytest.mark.parametrize(
+    "token",
+    [b"/* a\n b */", b'String s = """\n  text\n  """;', b'String s = "a\\\n b";',
+     b"/* one line */"],
+)
+def test_a_long_body_that_may_hold_a_token_across_an_lf_is_marked_whole(marked, token):
+    base = FILLER + token + b"\nx;\n"
+    left, right = base + b"y;\n", base + b"z;\n"
+    merge_body(base, left, right)
+    assert marked == [base, left, right]
+
+
+@given(
+    st.lists(
+        st.sampled_from(
+            [b"/", b"*", b"/*", b"*/", b"//", b'"', b"'", b'"""', b"\\", b"\n", b"\r",
+             b"x", b" ", b";"]
+        ),
+        max_size=30,
+    ).map(b"".join)
+)
+@settings(max_examples=1000)
+def test_a_text_that_the_guard_passes_has_only_code_lfs(text):
+    if separators._lfs_are_code(text):
+        assert not [m for m in TOKEN.finditer(text) if b"\n" in m.group()]

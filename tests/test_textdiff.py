@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sesame import textdiff
-from sesame.separators import merge_body
+from sesame.separators import LINE_FIRST_BOUND, mark, merge_body
 from sesame.textdiff import Alignment, diff2
 from sesame.textmerge import Pieces, merge3, merge_texts_outcome, render, split_lines
 from test_textmerge import merge_text, pairs_of, text_of
@@ -551,6 +551,36 @@ def test_realistic_shape_with_unequal_separator_counts_bounds_the_search(snake_c
     right = base[:n // 2] + [b"    if (c) { k(); }\n"] + base[n // 2:]
     outcome = merge_body(*(b"".join(x) for x in (base, left, right)))
     assert len(snake_calls) <= 161
+    assert outcome.conflict_count() == 0
+
+
+def statement_body(n):
+    """The shape above at ``n`` statements: base, left and right texts."""
+    base = [b"    v%d = f%d(x%d, y);\n" % (k, k, k) for k in range(n)]
+    left = [
+        b"    w%d = g%d(h(z%d));\n" % (k, k, k) if k % 4 == 3 else line
+        for k, line in enumerate(base)
+    ]
+    right = base[:n // 2] + [b"    if (c) { k(); }\n"] + base[n // 2:]
+    return tuple(b"".join(x) for x in (base, left, right))
+
+
+@pytest.mark.parametrize("n", [1000, 4000])
+def test_long_body_with_unequal_separator_counts_is_merged_line_first(snake_calls, marked, n):
+    # above the bound, the body's lines are merged first, and only the gap
+    # where right's insertion meets left's rewrite is marked.  Whole-body
+    # marking searched this shape 584 to 2339 times; the line diffs pair
+    # their unique lines without a search, and the marked gap, one statement
+    # with one more '(' and ')' on left, is searched at most once per diff.
+    assert n > LINE_FIRST_BOUND
+    texts = statement_body(n)
+    outcome = merge_body(*texts)
+    gap = max(len(mark(text).lines) for text in marked)
+    assert len(snake_calls) <= 2
+    assert all(a1 <= gap and b1 <= gap for _, a1, _, b1 in snake_calls)
+    line_conflicts = merge_texts_outcome(*texts).conflict_count()
+    assert line_conflicts == 1
+    assert len(marked) == 3 * line_conflicts
     assert outcome.conflict_count() == 0
 
 
