@@ -1,6 +1,7 @@
 """Separator marking into LF-led pieces, and separator-enhanced body merging."""
 
 import random
+import timeit
 
 import pytest
 from hypothesis import given, settings
@@ -281,6 +282,42 @@ def test_mark_uses_collision_free_placeholder():
     m = mark(text)
     assert m.lines == [b"\n$$$$$$$$", b";", b"x"]
     assert rejoined(m) == b"\n" + text
+
+
+# -- marking time against text length ---------------------------------------
+
+def scaled_text(n):
+    """``n`` statements with literals and comments, and in their middle a
+    block comment and a text block of ``n`` lines each and a string literal
+    and a line comment of ``n`` runs each: the text, and each of its longest
+    tokens, grows in proportion to ``n``."""
+    statements = [
+        b"    v%d = f%d(x%d, \"s;%d\", 'c'); // c(%d);\n" % (k, k, k, k, k) for k in range(n)
+    ]
+    comment = b"    /* " + b"".join(b" * (%d); {\n" % k for k in range(n)) + b" */\n"
+    block = b'    s = """\n' + b"".join(b'  (%d); \\" }\n' % k for k in range(n)) + b'  """;\n'
+    literal = b'    t = "' + b'(;\\"' * n + b'";\n'
+    line = b"    // " + b"{(;" * n + b"\n"
+    half = n // 2
+    return b"".join(statements[:half] + [comment, block, literal, line] + statements[half:])
+
+
+def mark_seconds_per_kb(text):
+    """The best of seven timings of ``mark`` on ``text``, per KB."""
+    number = max(1, 200_000 // len(text))
+    best = min(timeit.repeat(lambda: mark(text), number=number, repeat=7))
+    return best / number / len(text) * 1024
+
+
+def test_mark_time_grows_in_proportion_to_the_text():
+    # Above LINE_FIRST_BOUND merge_body marks only the line gaps that
+    # conflict, so no benchmark run marks a long text; this bound stands in
+    # for CI's mark.scale at real sizes.  A cut or a token pattern that
+    # grows faster than its input shows in a text 32 times as long; linear
+    # marking reads about 0.9 here.
+    short, long = scaled_text(64), scaled_text(2048)
+    assert len(long) > 150_000
+    assert mark_seconds_per_kb(long) <= 2.0 * mark_seconds_per_kb(short)
 
 
 # -- '$' runs -----------------------------------------------------------------

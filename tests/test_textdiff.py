@@ -492,19 +492,37 @@ def test_rewritten_block_is_not_searched(snake_calls, outside_edits):
     assert pairs_of(al) == [(i, i) for i in sorted(kept - set(outside_edits))]
 
 
-def test_marked_body_with_unique_edits_is_not_searched(snake_calls):
-    # each statement marks to two spans of unique text and its separators;
-    # 300 argument spans, 5% of the 6000 text spans, are rewritten, half of
-    # them on each side
+def unique_edits_body():
+    """3000 statements, each marking to two spans of unique text and its
+    separators; 300 argument spans, 5% of the 6000 text spans, are
+    rewritten, half of them on each side.  Base, left and right texts."""
     rng = random.Random(20)
     base = [b"    v%d = f%d(a%d, b%d);\n" % (k, k, k, k) for k in range(3000)]
     left, right = list(base), list(base)
     for k in rng.sample(range(3000), 300):
         side, tag = (left, b"l") if k % 2 else (right, b"r")
         side[k] = side[k].replace(b"(a%d," % k, b"(%s%d," % (tag, k))
-    base, left, right = (b"".join(x) for x in (base, left, right))
-    outcome = merge_body(base, left, right)
+    return tuple(b"".join(x) for x in (base, left, right))
+
+
+def test_marked_body_with_unique_edits_is_not_searched(snake_calls):
+    # the whole body marked, as merge_body does below LINE_FIRST_BOUND
+    base, left, right = unique_edits_body()
+    outcome = merge3(mark(base), mark(left), mark(right))
     assert snake_calls == []
+    assert outcome.conflict_count() == 0
+
+
+def test_long_body_with_unique_edits_is_merged_line_first(snake_calls, marked):
+    # above the bound only the line gaps where left's and right's edits
+    # meet are marked, and they are merged as the whole body would be
+    texts = unique_edits_body()
+    outcome = merge_body(*texts)
+    assert snake_calls == []
+    line_conflicts = merge_texts_outcome(*texts).conflict_count()
+    assert line_conflicts == 26
+    assert len(marked) == 3 * line_conflicts
+    assert outcome == merge3(*(mark(text) for text in texts))
     assert outcome.conflict_count() == 0
 
 
