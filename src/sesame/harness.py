@@ -214,7 +214,6 @@ class PairTotals:
 
 @dataclass
 class ToolTotals:
-    tool: str
     merge_conflicts: int = 0
     conflicting_files: int = 0
     errors: int = 0
@@ -247,7 +246,7 @@ def build_report(
                 changed_both += 1
     per_tool: dict[str, ToolTotals] = {}
     for result in results:
-        totals = per_tool.setdefault(result.tool, ToolTotals(result.tool))
+        totals = per_tool.setdefault(result.tool, ToolTotals())
         totals.merge_conflicts += result.conflicts
         totals.conflicting_files += 1 if result.conflicting else 0
         totals.errors += 1 if result.error else 0

@@ -22,10 +22,10 @@ the work re-finds lines that a line diff matches anyway, and where the
 sides hold different numbers of a shared piece, such as ``}`` or ``;``,
 the alignment is not unique and its search grows quadratically.  So when
 one of the three texts has more than ``LINE_FIRST_BOUND`` LFs and each LF
-is code, ``merge_body`` merges the lines, keeps every region that diff3's
-rule resolves, and marks and merges only the gaps where all three sides
-differ.  This departs from the paper, which marks the whole body, but
-only for bodies above the bound: every other body is marked whole.
+is code, ``merge_body`` merges the lines in one diff3 walk, and ``merge3``
+marks and merges, within that walk, only the line gaps where all three
+sides differ.  This departs from the paper, which marks the whole body,
+but only for bodies above the bound: every other body is marked whole.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lexer import TOKEN
-from .textmerge import MergeOutcome, Pieces, join, lf_led, merge3, merge_texts_outcome
+from .textmerge import MergeOutcome, Pieces, lf_led, merge3, split_lines
 
 DEFAULT_SEPARATOR_CHARS = ("{", "}", "(", ")", ";")
 PLACEHOLDER_CHAR = b"$"
@@ -137,30 +137,17 @@ def merge_body(
 
     A body in which a text has more than ``LINE_FIRST_BOUND`` LFs, and no
     text holds a block comment's opener, a text block's three quotes or a
-    backslash before an LF, is merged by lines first: each gap of the line
-    merge that diff3's rule resolves stays as it is, and only a gap where
-    the three sides differ has its sides marked and merged.  The guard
-    leaves only code LFs, so no gap's edge falls inside a token, and a side
-    marks as it would inside the whole text.  Marking a whole long body
-    costs more than linear time; this departure from the paper's
-    whole-body marking is made only above the bound.  Any other body is
-    marked and merged whole.
+    backslash before an LF, is merged by lines first, in one ``merge3``
+    walk: each line gap that diff3's rule resolves stays as it is, and
+    only a gap where the three sides differ has its sides marked, as the
+    walk's ``cut``, and merged in the same walk.  The guard leaves only
+    code LFs, so no gap's edge falls inside a token, and a side marks as it
+    would inside the whole text.  Marking a whole long body costs more than
+    linear time; this departure from the paper's whole-body marking is made
+    only above the bound.  Any other body is marked and merged whole.
     """
     texts = (base, left, right)
     long = max(t.count(b"\n") for t in texts) > LINE_FIRST_BOUND
     if not (long and all(map(_lfs_are_code, texts))):
         return merge3(mark(base, seps), mark(left, seps), mark(right, seps))
-    lines = merge_texts_outcome(base, left, right)
-    closing = lines.regions[-1] if lines.open_end else None  # a conflict, open at the end
-    parts: list[MergeOutcome | bytes] = []
-    for region in lines.regions:
-        if isinstance(region, bytes):
-            parts.append(region)
-            continue
-        sides = [mark(side, seps) for side in (region.base, region.left, region.right)]
-        if region is closing:
-            # the texts end here without an LF: the LF that closes each
-            # side, or stands for an empty one, is the line merge's
-            sides = [Pieces(side.lines, False) for side in sides]
-        parts.append(merge3(*sides))
-    return join(parts)
+    return merge3(*map(split_lines, texts), cut=lambda text: mark(text, seps))

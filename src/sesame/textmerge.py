@@ -12,7 +12,9 @@ and a region of the merge is the text of a run of pieces.
 runs where a matching block of one overlaps a block of the other in base.
 Stable runs stay resolved; each gap between them is decided by
 ``take_side``, and a gap where it takes no side becomes a conflict region
-carrying the left, base, and right payloads.
+carrying the left, base, and right payloads.  With a ``cut``, such as
+``separators.mark``, such a gap's texts are cut finer first and merged
+in the same walk, one level deep: only what still conflicts is a region.
 
 Pieces stay inside ``merge3``: an outcome holds text.  A resolved region
 is its exact bytes, never empty, and no two of them are adjacent.  A
@@ -97,31 +99,42 @@ def take_side(base, left, right):
     return None
 
 
-def merge3(base: Pieces, left: Pieces, right: Pieces) -> MergeOutcome:
+def merge3(base: Pieces, left: Pieces, right: Pieces, cut=None) -> MergeOutcome:
     """Three-way merge of LF-led pieces (diff3 semantics).
 
     Each stable run is kept as resolved.  ``take_side`` decides each gap
     before, between and after them, and whether the outcome ends in an LF.
     Without one, the outcome's end is open where a conflict ends it, and
     its last resolved region loses its LF otherwise.
+
+    With ``cut``, a function from a text to its pieces, each side of a gap
+    that ``take_side`` leaves is cut, and the pieces, a finer cut of the
+    gap's, are walked in turn: what they resolve joins the runs around it.
     """
-    b, l, r = base.lines, left.lines, right.lines
-    runs = _stable_runs(diff2(b, l).blocks, diff2(b, r).blocks)
     regions: list[bytes | Conflict] = []
     run: list[bytes] = []  # pieces of the resolved run not yet stored
-    bz = lz = rz = 0  # where the current gap starts in base, left, right
-    # the empty run at the three ends closes the last gap
-    for i, j, k, n in chain(runs, ((len(b), len(l), len(r), 0),)):
-        b_gap, l_gap, r_gap = b[bz:i], l[lz:j], r[rz:k]
-        if (taken := take_side(b_gap, l_gap, r_gap)) is not None:
-            run += taken
-        else:
-            if run:
-                regions.append(_text(run))
-                run = []
-            regions.append(Conflict(_text(l_gap), _text(b_gap), _text(r_gap)))
-        run += b[i:i + n]
-        bz, lz, rz = i + n, j + n, k + n
+
+    def walk(b: list[bytes], l: list[bytes], r: list[bytes], cut) -> None:
+        runs = _stable_runs(diff2(b, l).blocks, diff2(b, r).blocks)
+        bz = lz = rz = 0  # where the current gap starts in base, left, right
+        # the empty run at the three ends closes the last gap
+        for i, j, k, n in chain(runs, ((len(b), len(l), len(r), 0),)):
+            b_gap, l_gap, r_gap = b[bz:i], l[lz:j], r[rz:k]
+            if (taken := take_side(b_gap, l_gap, r_gap)) is not None:
+                run.extend(taken)
+            elif cut:
+                # ``_text`` ends each side with an LF that the cut takes as
+                # its final LF, so the pieces concatenate as the gap's do
+                walk(*(cut(_text(side)).lines for side in (b_gap, l_gap, r_gap)), None)
+            else:
+                if run:
+                    regions.append(_text(run))
+                    run.clear()
+                regions.append(Conflict(_text(l_gap), _text(b_gap), _text(r_gap)))
+            run.extend(b[i:i + n])
+            bz, lz, rz = i + n, j + n, k + n
+
+    walk(base.lines, left.lines, right.lines, cut)
     if run:
         regions.append(_text(run))
     final_lf = take_side(base.trailing_newline, left.trailing_newline, right.trailing_newline)

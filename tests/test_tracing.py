@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from sesame import cli
+from sesame.separators import LINE_FIRST_BOUND
+from sesame.textmerge import count_conflicts
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "fixtures" / "golden"
@@ -117,6 +119,30 @@ def test_sesame_merge_lexes_later_versions_only_where_they_differ(tracer, tmp_pa
     outside = len("class A {") + len("\n}\n")
     edited = len("\n  int m3() { return 3 + 1; }") + len("\n  int m15() { return 15 + 1; }")
     assert stats["bytes"] == len(_class(-1)) + 2 * outside + edited
+
+
+def _long_method(edits: dict[int, str]) -> bytes:
+    statements = "".join(
+        f"    s{k} = {edits.get(k, f'f{k}(x{k})')};\n" for k in range(LINE_FIRST_BOUND + 44)
+    )
+    return f"class A {{\n  void m() {{\n{statements}  }}\n}}\n".encode()
+
+
+def test_a_long_body_is_merged_in_one_merge3_call(tracer, tmp_path):
+    # the body is merged by lines first: statement 10 conflicts by lines
+    # and resolves once marked, statement 200 still conflicts once marked
+    paths = []
+    for role, edits in (("base", {}), ("left", {10: "f10(x10, 1)", 200: "f200(y)"}),
+                        ("right", {10: "g10(x10)", 200: "f200(z)"})):
+        paths.append(tmp_path / f"{role}.java")
+        paths[-1].write_bytes(_long_method(edits))
+    out = tmp_path / "out.java"
+    tracer.begin_op()
+    assert cli.main(["merge", *map(str, paths), "-o", str(out)]) == 1
+    stats = tracer.stats
+    assert stats["separators.merge_body"]["calls"] == 1
+    assert stats["textmerge.merge3"]["calls"] == stats["separators.merge_body"]["calls"]
+    assert stats["textmerge.merge3"]["conflicts"] == count_conflicts(out.read_bytes()) == 1
 
 
 def test_harness_run_parses_each_file_once_for_all_engines(tracer):
