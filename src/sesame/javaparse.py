@@ -47,16 +47,16 @@ and, in file order, the offset, end, context (the enclosing type's
 name, and whether that is an ``@interface``) and node of each field,
 method, constructor and annotation member.  A later version finds the runs
 of those members that its text repeats (``_repeats``): it looks for a
-member by its header text, and from one whose whole text follows, it
-compares spans of the first version that double, then halve, to find
-where the run ends, never past a member that does not start where the one
-before it ends.  Each run's view is one slice of the first version's; the
-text between runs gets its view from one ``lex_states`` call on that text
-joined.  This equals lexing the version whole, because every cut falls
-right after a code byte other than '/': a run ends on a member's code '}'
-or ';', and each stretch of lexed text that a run follows is checked, in
-its view, to end on such a byte (from the first one that does not, the
-rest of the version is lexed whole).  Lexing that restarts there
+member by its header text, and from one whose whole text follows, each
+member after it joins the run while, in the first version, it starts
+where the one before it ends, and its text follows too.  Each run's view
+is one slice of the first version's; the text between runs gets its view
+from one ``lex_states`` call on that text joined.  This equals lexing the
+version whole, because every cut falls right after a code byte other
+than '/': a run ends on a member's code '}' or ';', and each stretch of
+lexed text that a run follows is checked, in its view, to end on such a
+byte (from the first one that does not, the rest of the version is lexed
+whole).  Lexing that restarts there
 reads what follows as lexing the whole file does (see ``lexer``).  Where
 the later parse reaches a run's start in a type of the same context, it
 takes the run's nodes, the first version's own, and goes on at its end: a
@@ -70,7 +70,6 @@ member that both later versions add alike is parsed in each.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 from .lexer import lex_states
@@ -169,16 +168,14 @@ class MemberTable:
     ``ends``, ``contexts`` and ``nodes`` give, in file order, the offset,
     end, context ``(enclosing type, in an @interface)`` and node of each
     member it parsed, types and initializers aside.
-    ``breaks`` lists, in order, each member that does not start where the
-    one before it ends; from one to the next, members form a stretch.
     """
 
-    __slots__ = ("data", "view", "starts", "ends", "contexts", "nodes", "breaks")
+    __slots__ = ("data", "view", "starts", "ends", "contexts", "nodes")
 
     def __init__(self) -> None:
         self.data = b""
         self.view: bytes | None = None
-        self.starts, self.ends, self.breaks, self.contexts, self.nodes = [], [], [], [], []
+        self.starts, self.ends, self.contexts, self.nodes = [], [], [], []
 
 
 def parse_units(source: bytes, members: MemberTable | None = None) -> DeclNode:
@@ -224,28 +221,24 @@ def _find_head(data: bytes, head: bytes, lo: int, hi: int) -> int:
 
 
 def _extend(data: bytes, at: int, table: MemberTable, j: int) -> int:
-    """One past the last member of the longest run of j's stretch that
-    starts with member j, whose text follows at ``at``, and that ``data``
-    repeats there.  Spans past the run so far are compared: one member,
-    then twice as many each time, and once one differs, half as many."""
-    starts, ends, breaks = table.starts, table.ends, table.breaks
-    b = bisect_right(breaks, j)
-    stop = breaks[b] if b < len(breaks) else len(starts)
-    first, shift = memoryview(table.data), at - starts[j]
-    good, bad, step = j + 1, stop + 1, 1  # members j..good-1 repeat; bad-1 not
-    while bad - good > 1:
-        mid = min(good + step, (good + bad) // 2)
-        if data.startswith(first[ends[good - 1]:ends[mid - 1]], ends[good - 1] + shift):
-            good, step = mid, 2 * step
-        else:
-            bad = mid
-    return good
+    """One past the last member of the run that starts with member j, whose
+    text follows at ``at``: member k joins while it starts where member
+    k - 1 ends and ``data`` repeats its text at its place in the run."""
+    starts, ends, first = table.starts, table.ends, memoryview(table.data)
+    shift, k = at - starts[j], j + 1
+    while (
+        k < len(starts)
+        and starts[k] == ends[k - 1]
+        and data.startswith(first[starts[k]:ends[k]], starts[k] + shift)
+    ):
+        k += 1
+    return k
 
 
 def _repeats(data: bytes, table: MemberTable) -> list[tuple[int, int, int]]:
     """Runs of the table's first version's members that ``data`` repeats:
-    ``(at, j, k)`` where the members j to k - 1, one stretch in the first
-    version, repeat at offset ``at``.
+    ``(at, j, k)`` where the members j to k - 1, each starting where the
+    one before it ends in the first version, repeat at offset ``at``.
 
     The walk takes the first version's members in order.  Where the next
     one does not follow the last run, it resumes at that member or the one
@@ -575,8 +568,6 @@ class _Parser:
             if node.kind == "initializer":
                 initializers += 1
             elif self.first and node.kind != "type":
-                if not ends or ends[-1] != pos:
-                    members.breaks.append(len(starts))
                 starts.append(pos)
                 ends.append(end)
                 members.contexts.append(context)

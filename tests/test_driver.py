@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from sesame import driver
 from sesame.cli import main
 from sesame.driver import (
     DriverConfig,
@@ -589,6 +590,19 @@ def test_cli_config_key_given_twice_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_malformed_config_line_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("mode\n")
+    paths = write_inputs(tmp_path, "method_addition")
+    out = tmp_path / "out.java"
+    assert run_cli(
+        "merge", str(paths["base"]), str(paths["left"]), str(paths["right"]),
+        "-o", str(out), "--config", str(cfg),
+    ) == 2
+    assert capsys.readouterr().err == "sesame: malformed config line: 'mode'\n"
+    assert not out.exists()
+
+
 # -- CLI ------------------------------------------------------------------------
 
 def run_cli(*args):
@@ -609,6 +623,51 @@ def test_cli_merge_modes(tmp_path):
         "-o", str(out), "--mode", "unstructured", "--labels", "left,base,right",
     )
     assert code == 1
+
+
+def _cli_merge(tmp_path, base: bytes, left: bytes, right: bytes, *flags: str):
+    """Exit code of ``sesame merge`` on the three texts, and its output
+    file, maybe absent."""
+    paths = [tmp_path / name for name in ("base.java", "left.java", "right.java")]
+    for path, data in zip(paths, (base, left, right)):
+        path.write_bytes(data)
+    out = tmp_path / "out.java"
+    return run_cli("merge", *map(str, paths), "-o", str(out), *flags), out
+
+
+@pytest.mark.parametrize("left,right", [(b"a", b"\n"), (b"\n", b"a")])
+def test_cli_a_last_region_of_a_lone_lf_writes_an_empty_file(tmp_path, left, right):
+    code, out = _cli_merge(tmp_path, b"a\n", left, right, "--mode", "unstructured")
+    assert code == 0
+    assert out.read_bytes() == b""
+
+
+def test_cli_declarations_nested_too_deeply_fall_back(tmp_path, capsys):
+    base = b"class A {" * 3000 + b"}" * 3000
+    code, out = _cli_merge(tmp_path, base, base + b"\n", base)
+    assert code == 0
+    assert out.read_bytes() == base + b"\n"
+    assert capsys.readouterr().err == (
+        "sesame: warning: sesame parse failed (declarations nested too deeply);"
+        " used unstructured merge\n"
+    )
+
+
+def test_cli_an_engine_that_raises_exits_two_and_writes_nothing(
+    tmp_path, capsys, monkeypatch
+):
+    def fail(*args):
+        raise RuntimeError("engine broke")
+
+    monkeypatch.setattr(driver, "merge_matched", fail)
+    paths = write_inputs(tmp_path, "method_addition")
+    out = tmp_path / "out.java"
+    assert run_cli(
+        "merge", str(paths["base"]), str(paths["left"]), str(paths["right"]),
+        "-o", str(out),
+    ) == 2
+    assert capsys.readouterr().err == "sesame: internal error: engine broke\n"
+    assert not out.exists()
 
 
 def test_cli_custom_separators_and_diff3_style(tmp_path):

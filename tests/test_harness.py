@@ -439,6 +439,25 @@ def test_empty_report():
     assert "differ_count=0" in text
 
 
+@pytest.mark.parametrize(
+    "m_output,afp_n,afn_m",
+    [(b"merged\n", 1, 0), (b"other\n", 0, 1)],
+    ids=["afp-of-n", "afn-of-m"],
+)
+def test_report_counts_a_clean_m_against_a_conflicting_n(m_output, afp_n, afn_m):
+    scenario = MergeScenario("s", [FileEntry("F.java", b"", b"l\n", b"r\n", b"merged\n")])
+    results = [result("m", 0, m_output), result("n", 1, b"<<<<<<<\n")]
+    report = build_report([scenario], results, [("m", "n")])
+    totals = report.per_pair[("m", "n")]
+    assert totals.differ_count == 1 and totals.unclassified == 0
+    assert totals.afp == {"m": 0, "n": afp_n}
+    assert totals.afn == {"m": afn_m, "n": 0}
+    lines = render_report(report).splitlines()
+    assert [line for line in lines if line.startswith(("afp_", "afn_"))] == [
+        "afp_m=0", f"afn_m={afn_m}", f"afp_n={afp_n}", "afn_n=0",
+    ]
+
+
 def test_full_dataset_report(scenarios_dir):
     report = run_harness(scenarios_dir, [U, S, X], [(U, X), (S, X)], config=CFG)
     assert report.scenarios == 10
@@ -647,6 +666,14 @@ def test_cli_rejects_repeated_pair(scenarios_dir, capsys):
     assert code == 2
     captured = capsys.readouterr()
     assert "pair repeated in --pairs: unstructured:sesame" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_rejects_a_pair_without_a_colon(scenarios_dir, capsys):
+    code = main(["harness", "run", str(scenarios_dir), "--pairs", "unstructured"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "sesame: malformed pair (expected M:N): 'unstructured'\n"
     assert captured.out == ""
 
 

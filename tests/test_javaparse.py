@@ -180,6 +180,11 @@ def test_a_top_level_record_is_an_unsupported_declaration():
         parse_units(b"record R(int x) {}\n")
 
 
+def test_a_top_level_non_sealed_type_parses():
+    tree = parse_units(b"non-sealed class A permits B {}")
+    assert kinds_and_ids(tree) == [("type", "A")]
+
+
 def test_comments_attach_to_following_declaration():
     src = b"class A {\n  // doc for x\n  int x;\n  int y;\n}\n"
     tree = parse_units(src)
@@ -1216,11 +1221,10 @@ def _sweep_version(rng: random.Random, data: bytes) -> bytes:
     return data[:at] + put.format(k=k).encode() + data[at:]
 
 
-def differential_sweep(seed: int, per_file: int) -> int:
-    """Parse ``per_file`` mutated triples of each corpus file with one
-    table and alone; returns how many triples were compared."""
+def sweep_triples(seed: int, per_file: int):
+    """``per_file`` mutated triples of each corpus file, each with the
+    file's name."""
     rng = random.Random(seed)
-    count = 0
     for path in CORPUS_FILES:
         data = path.read_bytes()
         for _ in range(per_file):
@@ -1230,13 +1234,99 @@ def differential_sweep(seed: int, per_file: int) -> int:
                 for _ in range(rng.randrange(1, 3)):
                     sources[k] = _sweep_version(rng, sources[k])
             rng.shuffle(sources)
-            assert shared(sources) == separate(sources), (path.name, sources)
-            count += 1
+            yield path.name, sources
+
+
+def differential_sweep(seed: int, per_file: int) -> int:
+    """Parse ``per_file`` mutated triples of each corpus file with one
+    table and alone; returns how many triples were compared."""
+    count = 0
+    for name, sources in sweep_triples(seed, per_file):
+        assert shared(sources) == separate(sources), (name, sources)
+        count += 1
     return count
 
 
 def test_shared_parses_equal_separate_ones_on_a_differential_sweep():
     assert differential_sweep(20261019, 6) == 6 * len(CORPUS_FILES)
+
+
+def reference_extend(data: bytes, at: int, table, j: int) -> int:
+    """``javaparse._extend`` by spans that double, then halve: one past the
+    last member of the longest run from member j, whose text follows at
+    ``at``, that ``data`` repeats, never past the first member after j that
+    does not start where the one before it ends."""
+    starts, ends = table.starts, table.ends
+    stop = next(
+        (k for k in range(j + 1, len(starts)) if starts[k] != ends[k - 1]), len(starts)
+    )
+    first, shift = memoryview(table.data), at - starts[j]
+    good, bad, step = j + 1, stop + 1, 1  # members j..good-1 repeat; bad-1 not
+    while bad - good > 1:
+        mid = min(good + step, (good + bad) // 2)
+        if data.startswith(first[ends[good - 1]:ends[mid - 1]], ends[good - 1] + shift):
+            good, step = mid, 2 * step
+        else:
+            bad = mid
+    return good
+
+
+def runs_both_ways(sources):
+    """The table the first version's parse leaves, maybe cut short by its
+    ParseError, and each later version's ``_repeats`` runs over it found
+    by ``_extend`` and by ``reference_extend``."""
+    table = javaparse.MemberTable()
+    try:
+        parse_units(sources[0], table)
+    except ParseError:
+        pass
+    runs = [javaparse._repeats(s, table) for s in sources[1:]]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(javaparse, "_extend", reference_extend)
+        reference = [javaparse._repeats(s, table) for s in sources[1:]]
+    return table, runs, reference
+
+
+def test_runs_equal_the_reference_runs_on_the_differential_sweep():
+    for name, sources in sweep_triples(20261019, 6):
+        _, runs, reference = runs_both_ways(sources)
+        assert runs == reference, name
+
+
+def _busy_members(rng: random.Random, parts: list[bytes], rate: float) -> list[bytes]:
+    """``parts`` with each member edited, and an initializer, a nested type
+    or a stray ';' put before it, each at a chance of ``rate``."""
+    puts = (
+        b"  static { q(); }\n", b"  { r(); }\n", b"  ;\n",
+        b"  static class N%d { int a; void b() {} }\n",
+        b"  interface I%d { void c(); }\n",
+    )
+    out = []
+    for part in parts:
+        if rng.random() < rate:
+            put = rng.choice(puts)
+            out.append(put.replace(b"%d", b"%d" % rng.randrange(10**6)))
+        if rng.random() < rate:
+            part = part.replace(b"a + ", b"a - ")
+        out.append(part)
+    return out
+
+
+def test_runs_equal_the_reference_runs_on_a_busy_class():
+    rng = random.Random(30)
+    _, members, _ = _class_parts(_class_source(2000, set(), ""))
+    base = _busy_members(rng, [m.lstrip(b"\n") + b"\n" for m in members], 0.02)
+    sources = [base] + [_busy_members(rng, base, 0.03) for _ in range(2)]
+    sources = [b"class Big {\n" + b"".join(parts) + b"}\n" for parts in sources]
+    table, runs, reference = runs_both_ways(sources)
+    assert runs == reference
+    starts, ends = table.starts, table.ends
+    # some runs stop at a member that does not start where the one before it
+    # ends, and some at one whose text differs
+    stops = [k for version in runs for _, _, k in version if k < len(starts)]
+    assert sum(starts[k] != ends[k - 1] for k in stops) >= 40
+    assert sum(starts[k] == ends[k - 1] for k in stops) >= 40
+    assert shared(sources) == separate(sources)
 
 
 def test_a_later_version_costs_its_edits_and_runs_not_its_members(monkeypatch):

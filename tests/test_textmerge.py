@@ -139,6 +139,15 @@ def test_missing_final_newline_tracked():
     assert merge_text(b"a\n", b"a\n", b"a") == (b"a", 0)
 
 
+@pytest.mark.parametrize("left,right", [(b"a", b"\n"), (b"\n", b"a")])
+def test_a_last_region_of_a_lone_lf_leaves_no_text(left, right):
+    # one side deletes the line, the other its final LF: the LF left over
+    # would end a text that takes no final LF
+    outcome = merge_texts_outcome(b"a\n", left, right)
+    assert outcome == MergeOutcome([], False)
+    assert outcome.conflict_count() == 0
+
+
 def test_custom_labels():
     out, _ = merge_text(b"m\n", b"l\n", b"r\n", labels=("ours", "old", "theirs"))
     assert out.startswith(b"<<<<<<< ours\n")
