@@ -21,6 +21,7 @@ from .driver import (
     DriverConfig,
     EngineMode,
     apply_config_values,
+    engine_mode,
     git_driver_entry,
     load_config_file,
     merge_files,
@@ -158,7 +159,7 @@ def _cmd_harness_run(args: argparse.Namespace) -> int:
     tools: list[EngineMode] = []
     for name in args.tools.split(","):
         if name.strip():
-            mode = EngineMode(name.strip())
+            mode = engine_mode(name.strip())
             if mode in tools:
                 raise ValueError(f"engine repeated in --tools: {mode.value}")
             tools.append(mode)
@@ -172,7 +173,7 @@ def _cmd_harness_run(args: argparse.Namespace) -> int:
         m_name, sep, n_name = chunk.partition(":")
         if not sep:
             raise ValueError(f"malformed pair (expected M:N): {chunk!r}")
-        pair = (EngineMode(m_name.strip()), EngineMode(n_name.strip()))
+        pair = (engine_mode(m_name.strip()), engine_mode(n_name.strip()))
         if pair[0] is pair[1]:
             raise ValueError(f"pair names one engine twice: {pair[0].value}")
         if pair in pairs:

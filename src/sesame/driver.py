@@ -35,6 +35,15 @@ class EngineMode(enum.Enum):
     SESAME = "sesame"
 
 
+def engine_mode(name: str) -> EngineMode:
+    """The engine of that name, or a ValueError that lists the engines."""
+    try:
+        return EngineMode(name)
+    except ValueError:
+        names = ", ".join(mode.value for mode in EngineMode)
+        raise ValueError(f"unknown engine {name!r}: expected one of {names}") from None
+
+
 @dataclass(frozen=True)
 class DriverConfig:
     mode: EngineMode = EngineMode.SESAME
@@ -214,7 +223,7 @@ def apply_config_values(config: DriverConfig, values: dict[str, str]) -> DriverC
     """Overlay key=value settings, from a config file or flags, onto a DriverConfig."""
     for key, value in values.items():
         if key == "mode":
-            config = replace(config, mode=EngineMode(value))
+            config = replace(config, mode=engine_mode(value))
         elif key == "separators":
             config = replace(config, separators=SeparatorSet.from_spec(value))
         elif key == "labels":

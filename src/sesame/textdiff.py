@@ -25,12 +25,12 @@ assignment, the boundary shift works on the same flags, and the blocks
 are read off their runs of unchanged lines.
 
 The search and the boundary shift do the work of the textbook loops
-with less of it in the interpreter, and produce the same matching, line
-for line.  Lines are compared as given, by value, so an alignment does
-not depend on which lines are one object.  The middle snake indexes
-local copies of its ranges, so every stored position, past the end or
-not, is the loop's own.  A snake is followed by comparing slices, which
-stops where a line-by-line walk stops.  The shift jumps over unchanged
+and produce the same matching, line for line.  Lines are compared as
+given, by value, so an alignment does not depend on which lines are one
+object.  The middle snake runs its forward and reverse rounds through one
+loop body, on local copies of its ranges, the reverse ones reversed, so
+every stored position, past the end or not, is the loop's own, and it
+follows each snake one line at a time.  The shift jumps over unchanged
 lines with ``find``, counting them off run by run as the walk would.
 The tests keep the loops as references and compare against them.
 """
@@ -137,17 +137,16 @@ def _middle_snake(a, a0, a1, b, b0, b1):
     Returns (edit_distance, x0, y0, x1, y1) with snake coordinates local to
     the subproblem.
 
-    The search runs on copies of the two ranges, forward and reversed, so
-    every index is local.  The V arrays are indexed by diagonal directly, a
-    negative one counting from the end.  Before each round the diagonals
-    just outside it are set to -1, so the outermost ones take their only
-    possible move through the same test as the others.  Every value stored,
-    positions past n or m included, is the one the textbook loop stores.
+    Each d runs a forward round on copies of the two ranges and then a
+    reverse round on reversed copies, through one loop body, so every index
+    is local.  The V arrays are indexed by diagonal directly, a negative one
+    counting from the end.  Before each round the diagonals just outside it
+    are set to -1, so the outermost ones take their only possible move
+    through the same test as the others.  Every value stored, positions
+    past n or m included, is the one the textbook loop stores.
     """
     fa = a[a0:a1]
     fb = b[b0:b1]
-    ra = fa[::-1]
-    rb = fb[::-1]
     n = a1 - a0
     m = b1 - b0
     delta = n - m
@@ -155,61 +154,27 @@ def _middle_snake(a, a0, a1, b, b0, b1):
     maxd = (n + m + 1) // 2 + 1
     vf = [0] * (2 * maxd + 3)
     vb = [0] * (2 * maxd + 3)
+    # per round: its V, the other's V, its ranges, whether it runs one edit
+    # ahead (the forward one does) and whether it can meet the other's paths
+    rounds = ((vf, vb, fa, fb, 1, odd), (vb, vf, fa[::-1], fb[::-1], 0, not odd))
     for d in range(maxd + 1):
-        # the diagonals on which a forward path can meet a reverse one;
-        # (1, 0) is an empty range
-        lo, hi = (delta - d + 1, delta + d - 1) if odd else (1, 0)
-        vf[-d - 1] = vf[d + 1] = -1
-        for k in range(-d, d + 1, 2):
-            if vf[k - 1] < vf[k + 1]:
-                x = vf[k + 1]
-            else:
-                x = vf[k - 1] + 1
-            y = x - k
-            xs = x
-            if x < n and y < m and fa[x] == fb[y]:
-                x, y = _snake_end(fa, fb, x, y, n, m)
-            vf[k] = x
-            if lo <= k <= hi and x + vb[delta - k] >= n:
-                return 2 * d - 1, xs, xs - k, x, y
-        lo, hi = (1, 0) if odd else (delta - d, delta + d)
-        vb[-d - 1] = vb[d + 1] = -1
-        for k in range(-d, d + 1, 2):
-            if vb[k - 1] < vb[k + 1]:
-                x = vb[k + 1]
-            else:
-                x = vb[k - 1] + 1
-            y = x - k
-            xs = x
-            if x < n and y < m and ra[x] == rb[y]:
-                x, y = _snake_end(ra, rb, x, y, n, m)
-            vb[k] = x
-            if lo <= k <= hi and x + vf[delta - k] >= n:
-                return 2 * d, n - x, m - y, n - xs, m - xs + k
+        for v, w, p, q, ahead, meets in rounds:
+            # the diagonals where a path can meet the other round's; (1, 0) is empty
+            lo, hi = (delta - d + ahead, delta + d - ahead) if meets else (1, 0)
+            v[-d - 1] = v[d + 1] = -1
+            for k in range(-d, d + 1, 2):
+                x = v[k + 1] if v[k - 1] < v[k + 1] else v[k - 1] + 1
+                y = x - k
+                xs = x
+                while x < n and y < m and p[x] == q[y]:
+                    x += 1
+                    y += 1
+                v[k] = x
+                if lo <= k <= hi and x + w[delta - k] >= n:
+                    if ahead:
+                        return 2 * d - 1, xs, xs - k, x, y
+                    return 2 * d, n - x, m - y, n - xs, m - xs + k
     raise AssertionError("middle snake search failed")
-
-
-def _snake_end(p, q, x, y, n, m):
-    """Follow the snake that starts with p[x] == q[y] to its end.
-
-    Compares slices of doubling, then halving length: the first slice that
-    differs or passes n or m brackets the end, and halving finds it, the
-    same end as comparing one line at a time, in a logarithmic number of
-    steps.
-    """
-    x += 1
-    y += 1
-    step = 1
-    while p[x:x + step] == q[y:y + step] and x + step <= n and y + step <= m:
-        x += step
-        y += step
-        step += step
-    while step > 1:
-        step >>= 1
-        if p[x:x + step] == q[y:y + step] and x + step <= n and y + step <= m:
-            x += step
-            y += step
-    return x, y
 
 
 def _shift_side(lines, changed, other_changed) -> None:

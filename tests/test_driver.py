@@ -603,6 +603,22 @@ def test_cli_malformed_config_line_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_unknown_engine_in_config_file_names_the_engines(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("mode = bogus\n")
+    paths = write_inputs(tmp_path, "method_addition")
+    out = tmp_path / "out.java"
+    assert run_cli(
+        "merge", str(paths["base"]), str(paths["left"]), str(paths["right"]),
+        "-o", str(out), "--config", str(cfg),
+    ) == 2
+    assert capsys.readouterr().err == (
+        "sesame: unknown engine 'bogus': expected one of "
+        "unstructured, semistructured, sesame\n"
+    )
+    assert not out.exists()
+
+
 # -- CLI ------------------------------------------------------------------------
 
 def run_cli(*args):

@@ -639,6 +639,21 @@ def test_cli_rejects_repeated_engine(scenarios_dir, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("--tools", "sesame,bogus"), ("--pairs", "bogus:sesame")],
+)
+def test_cli_unknown_engine_names_the_engines(scenarios_dir, capsys, option, value):
+    code = main(["harness", "run", str(scenarios_dir), option, value])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "sesame: unknown engine 'bogus': expected one of "
+        "unstructured, semistructured, sesame\n"
+    )
+    assert captured.out == ""
+
+
 def test_cli_rejects_an_empty_engine_list(scenarios_dir, capsys):
     code = main(["harness", "run", str(scenarios_dir), "--tools", ","])
     assert code == 2

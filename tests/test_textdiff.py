@@ -742,9 +742,13 @@ def test_middle_snake_equals_reference(problem):
         # one shared run at either end
         ([0] * 40 + [1], [0] * 40),
         ([1] + [0] * 40, [0] * 40 + [2]),
-        # snakes of every length up to past 2**7, ending at n and at m
+        # snakes of 130 pieces, ending at n and at m
         (list(range(130)), [-1] + list(range(130))),
         (list(range(130)) + [-1], list(range(130))),
+        # snakes of 5000 pieces or more that end at both n and m, in the
+        # forward search and, from the start of equal ranges, the reverse one
+        (list(range(5001)), list(range(5001))),
+        ([-1] + list(range(5001)), list(range(5001))),
     ],
 )
 def test_middle_snake_equals_reference_at_the_edges(a, b):
