@@ -30,8 +30,11 @@ given, by value, so an alignment does not depend on which lines are one
 object.  The middle snake runs its forward and reverse rounds through one
 loop body, on local copies of its ranges, the reverse ones reversed, so
 every stored position, past the end or not, is the loop's own, and it
-follows each snake one line at a time.  The shift jumps over unchanged
-lines with ``find``, counting them off run by run as the walk would.
+follows each snake one line at a time.  The shift keeps no position in
+the other sequence: the k-th unchanged line of each pairs with the k-th of
+the other and each slide moves one unchanged line, so a count of the
+unchanged lines before a run's end tells which of the other's lines it
+faces.
 The tests keep the loops as references and compare against them.
 """
 
@@ -180,42 +183,26 @@ def _middle_snake(a, a0, a1, b, b0, b1):
 def _shift_side(lines, changed, other_changed) -> None:
     """Normalize the change-run boundaries of one sequence like GNU diff's
     shift_boundaries, on the changed flags of both."""
-    # Throughout, j tracks the position in the other sequence that pairs
-    # with the unchanged line at the current run's end.
-    i = 0
-    j = 0
+    # u counts the unchanged lines before the current run's end.  The k-th
+    # unchanged line of each sequence pairs with the k-th of the other, and
+    # each slide moves one unchanged line across the run, so u is kept by
+    # counting, with no walk of the other sequence.  faces[u] tells whether
+    # a change of the other sequence ends right before its unchanged line
+    # with u unchanged lines before it, the last byte standing for the
+    # other's end.  Only a slide down reads it, so it is built at the first
+    # one, which most calls never reach.
+    i = u = 0
     i_end = len(lines)
-    j_end = len(other_changed)
+    faces = b""
     while True:
-        # Jump over the unchanged lines before the next run, and move j
-        # past as many unchanged lines of the other sequence, one run of
-        # them at a time.
         stop = changed.find(1, i)
         if stop < 0:
-            stop = i_end
-        count = stop - i
-        i = stop
-        while count:
-            k = other_changed.find(0, j)
-            if k < 0:
-                # no unchanged line is left: each step moves j by one
-                j = max(j, j_end) + count
-                break
-            j = k
-            run_end = other_changed.find(1, j)
-            if run_end < 0:
-                run_end = j_end
-            step = min(count, run_end - j)
-            j += step
-            count -= step
-        if i >= i_end:
             break
-        start = i
-        i += 1
+        u += stop - i
+        start = stop
+        i = stop + 1
         while i < i_end and changed[i]:
             i += 1
-        while j < j_end and other_changed[j]:
-            j += 1
         while True:
             runlength = i - start
             # Slide the run up while the line before it equals its last
@@ -227,26 +214,29 @@ def _shift_side(lines, changed, other_changed) -> None:
                 i -= 1
                 while start > 0 and changed[start - 1]:
                     start -= 1
-                j -= 1
-                while j > 0 and other_changed[j]:
-                    j -= 1
-            # Remember the latest end position at which this run lined up
-            # with a change in the other sequence.
-            corresponding = i if j > 0 and other_changed[j - 1] else i_end
+                u -= 1
             # Slide the run down while its first line equals the line after
             # it; this can merge it with a following run.  Done second so a
             # run that merges with nothing settles at its latest position.
-            while i < i_end and lines[start] == lines[i]:
-                changed[start] = 0
-                changed[i] = 1
-                start += 1
-                i += 1
-                while i < i_end and changed[i]:
-                    i += 1
-                j += 1
-                while j < j_end and other_changed[j]:
+            # Remember the latest end position at which this run lined up
+            # with a change in the other sequence.
+            corresponding = i_end
+            if i < i_end and lines[start] == lines[i]:
+                faces = faces or bytes(
+                    compress(b"\0" + other_changed, other_changed.translate(_FLIP) + b"\1")
+                )
+                if faces[u]:
                     corresponding = i
-                    j += 1
+                while i < i_end and lines[start] == lines[i]:
+                    changed[start] = 0
+                    changed[i] = 1
+                    start += 1
+                    i += 1
+                    while i < i_end and changed[i]:
+                        i += 1
+                    u += 1
+                    if faces[u]:
+                        corresponding = i
             if runlength == i - start:
                 break
         # Prefer the position where the run faces a change in the other
@@ -258,6 +248,4 @@ def _shift_side(lines, changed, other_changed) -> None:
             i -= 1
             while start > 0 and changed[start - 1]:
                 start -= 1
-            j -= 1
-            while j > 0 and other_changed[j]:
-                j -= 1
+            u -= 1

@@ -206,7 +206,9 @@ def _section(cu: DeclNode, kind: str, skip: frozenset = frozenset()) -> bytes:
     A declaration whose key is in ``skip`` is left out with its line: its
     text from its first word on goes, and so does the line break before
     it, or, where none comes between it and the text before it, the one
-    after it.  The comments and blank lines above it stay.
+    after it.  Only an LF of code is a line break: one inside a comment
+    that ends before the word is not, so that comment stays whole.  The
+    comments and blank lines above it stay.
     """
     texts, cut = [], False
     for c in cu.children:
@@ -219,9 +221,10 @@ def _section(cu: DeclNode, kind: str, skip: frozenset = frozenset()) -> bytes:
         if cut:
             # the text before its first word: blanks in its code view,
             # where comments are blanks too
-            lead = text[:WS_RUN.match(lex_states(text)).end()]
+            view = lex_states(text)
+            lead = text[:WS_RUN.match(view).end()]
             line = lead.rfind(b"\n")
-            cut = line < 0
+            cut = line < 0 or view[line] != 10
             text = lead if cut else lead[:line].removesuffix(b"\r")
         texts.append(text)
     return b"".join(texts)

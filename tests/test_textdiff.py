@@ -776,7 +776,7 @@ def test_middle_snake_equals_reference_on_long_edited_copies():
 
 
 @given(edited_pairs())
-@settings(max_examples=500)
+@settings(max_examples=1500)
 def test_shift_boundaries_equals_reference(pair):
     a, b = pair
     matches = reference_lcs_matches(a, b)
@@ -794,3 +794,36 @@ def test_shift_boundaries_equals_reference_on_small_alphabets():
         assert list(shift_boundaries(a, b, matches)) == reference_shift_boundaries(
             a, b, matches
         )
+
+
+def closer_runs(rng, n):
+    """About n lines: runs of one to six closing braces, each ended by a
+    statement line drawn from a small set, so runs of changes slide."""
+    out = []
+    while len(out) < n:
+        out += [b"}"] * rng.randint(1, 6) + [b"s%d;" % rng.randrange(12)]
+    return out
+
+
+def test_shift_boundaries_equals_reference_on_long_closer_runs():
+    for seed in range(6):
+        rng = random.Random(seed)
+        a = closer_runs(rng, 3000)
+        b = []
+        for line in a:
+            roll = rng.random()
+            if line == b"}" and roll < 0.03:
+                continue  # a closer deleted
+            b.append(line)
+            if line == b"}" and roll > 0.97:
+                b.append(line)  # a closer doubled
+            elif line != b"}" and roll < 0.05:
+                b[-1] = b"t%d;" % rng.randrange(12)  # a statement changed
+        at = rng.randrange(len(b) - 300)
+        b[at:at + 300] = closer_runs(rng, 300)
+        for x, y in ((a, b), (b, a)):
+            # the reference LCS is too slow at this size; the shift is not
+            matches = lcs_matches(x, y)
+            assert list(shift_boundaries(x, y, matches)) == reference_shift_boundaries(
+                x, y, matches
+            )

@@ -276,6 +276,8 @@ _X = b"import x.X;\n"
 _GROUPED = b"import a.A;\n// group\nimport b.B;\n"
 _LICENSED = b"/* license */\n" + _IMPORTS_AB
 _PACKAGED = b"package p;\n\n" + _IMPORTS_AB
+_SPANNED = b"import a.A;\n/* multi\n line */ import x.X;\nimport b.B;\n"
+_SPANNED_KEPT = b"import a.A;\n/* multi\n line */ import b.B;\n"
 
 
 @pytest.mark.parametrize(
@@ -309,6 +311,15 @@ _PACKAGED = b"package p;\n\n" + _IMPORTS_AB
             (b"import a.A;\n// group\n" + _X + b"import b.B;\n").replace(b"\n", b"\r\n"),
             (_X + _GROUPED).replace(b"\n", b"\r\n"),
         ),
+        # right's copy follows a block comment on the comment's last line, so
+        # the LF inside the comment is no line break and the comment stays whole
+        (_IMPORTS_AB, _X + _IMPORTS_AB, _SPANNED, _X + _SPANNED_KEPT),
+        (
+            _IMPORTS_AB.replace(b"\n", b"\r\n"),
+            (_X + _IMPORTS_AB).replace(b"\n", b"\r\n"),
+            _SPANNED.replace(b"\n", b"\r\n"),
+            (_X + _SPANNED_KEPT).replace(b"\n", b"\r\n"),
+        ),
     ],
     ids=[
         "only-the-shared-import",
@@ -318,6 +329,8 @@ _PACKAGED = b"package p;\n\n" + _IMPORTS_AB
         "first-in-the-file-left-last",
         "after-the-package-left-last",
         "under-a-comment-crlf",
+        "after-a-block-comment-on-its-line",
+        "after-a-block-comment-on-its-line-crlf",
     ],
 )
 def test_an_import_both_sides_add_appears_once_at_lefts_place(base, left, right, merged, mode):
